@@ -3,7 +3,9 @@
 ``solve_bb`` is a deterministic branch-and-bound over LP relaxations
 (scipy's HiGHS simplex does the bounding), branching on the most fractional
 variable with ties to the lowest variable index, depth-first with periodic
-best-first restarts.  ``solve_enumeration`` is an independent oracle for
+best-first restarts.  Each solve loads its LP into HiGHS once; a node only
+changes column bounds and re-solves cold, so the tree is the one a fresh
+``linprog`` call per node would give.  ``solve_enumeration`` is an independent oracle for
 micro models: an exhaustive scan of the integer box with interval pruning,
 used as ground truth in tests.  Feasibility and objective evaluation are
 exact integer arithmetic so proven optima can be compared across models.
@@ -11,6 +13,7 @@ exact integer arithmetic so proven optima can be compared across models.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -20,6 +23,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .model import InfeasibleStartError, MilpModel, infer_gate_values
+
+log = logging.getLogger(__name__)
 
 INT_TOL = 1e-6
 FEAS_TOL = 1e-7
@@ -129,6 +134,31 @@ def check_feasibility(m: MilpModel, values: dict[str, int]) -> list[ConstraintVi
 # ---------------------------------------------------------------------------
 # LP relaxation machinery
 
+# One HiGHS object per solve needs scipy's private HiGHS binding.  Every use
+# of it stays in this module, behind this guard; on scipy releases without it
+# each node LP goes through ``linprog`` instead.
+_HIGHS_NAMES = (
+    "_Highs", "HighsLp", "HighsOptions", "MatrixFormat", "HighsStatus",
+    "HighsModelStatus", "HighsDebugLevel", "simplex_constants", "kHighsInf",
+)
+try:
+    from scipy.optimize._highspy import _core as _HIGHS
+except ImportError:
+    _HIGHS = None
+if _HIGHS is not None and not all(hasattr(_HIGHS, name) for name in _HIGHS_NAMES):
+    _HIGHS = None
+
+# linprog's acceptance tolerance for an optimal point (scipy's _check_result).
+_CHECK_TOL = math.sqrt(1e-9) * 10
+
+
+class _LpFailed(Exception):
+    """A node LP ended without an optimum or a proof of infeasibility."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason  # "time" | "lp_failed"
+
 
 class _LpData:
     def __init__(self, m: MilpModel):
@@ -166,10 +196,68 @@ class _LpData:
         self.b_ub = np.array(ub_rhs, dtype=float) if ub_rows else None
         self.lo = np.array([v.lower for v in m.variables], dtype=float)
         self.hi = np.array([v.upper for v in m.variables], dtype=float)
+        self._highs = self._open_session() if _HIGHS is not None else None
 
-    def solve(self, lo: np.ndarray, hi: np.ndarray):
+    def _open_session(self):
+        """The LP exactly as ``linprog(method="highs")`` hands it to HiGHS.
+
+        Same column costs, rows (``A_ub`` then ``A_eq``) as ``lhs <= A x <=
+        rhs``, CSC layout and options, so a cold re-solve after a bounds
+        change walks the same simplex path as a fresh ``linprog`` call.
+        """
+        b_ub = self.b_ub if self.b_ub is not None else np.zeros(0)
+        b_eq = self.b_eq if self.b_eq is not None else np.zeros(0)
+        self._n_ub = b_ub.size
+        self._rhs = np.concatenate((b_ub, b_eq))
+        blocks = [sparse.coo_array((0, self.n) if a is None else a, dtype=float) for a in (self.A_ub, self.A_eq)]
+        A = sparse.csc_array(sparse.vstack(blocks))
+
+        lp = _HIGHS.HighsLp()
+        lp.num_col_ = self.n
+        lp.num_row_ = self._rhs.size
+        lp.a_matrix_.num_col_ = self.n
+        lp.a_matrix_.num_row_ = self._rhs.size
+        lp.a_matrix_.format_ = _HIGHS.MatrixFormat.kColwise
+        lp.col_cost_ = self.c
+        lp.col_lower_ = self.lo
+        lp.col_upper_ = self.hi
+        lp.row_lower_ = np.concatenate((np.full(b_ub.size, -_HIGHS.kHighsInf), b_eq))
+        lp.row_upper_ = self._rhs
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+
+        highs = _HIGHS._Highs()
+        options = _HIGHS.HighsOptions()
+        options.presolve = "on"
+        options.highs_debug_level = _HIGHS.HighsDebugLevel.kHighsDebugLevelNone
+        options.log_to_console = False
+        options.output_flag = False
+        options.simplex_strategy = _HIGHS.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        highs.passOptions(options)
+        if highs.passModel(lp) == _HIGHS.HighsStatus.kError:
+            return None  # use linprog, which turns the error into a node status
+        self._cols = np.arange(self.n, dtype=np.int32)
+        return highs
+
+    def solve(self, lo: np.ndarray, hi: np.ndarray, time_limit: float):
+        """``(objective, x)`` of the node LP, or ``(None, None)`` if infeasible.
+
+        Raises ``_LpFailed`` when HiGHS stops on ``time_limit`` or returns
+        anything ``linprog`` would not report as optimal or infeasible.
+        """
         if np.any(lo > hi):
             return None, None
+        solve = self._solve_linprog if self._highs is None else self._solve_session
+        status, fun, x, message = solve(lo, hi, max(time_limit, 0.0))
+        if status == 2:
+            return None, None
+        if status != 0:
+            reason = "time" if status == 1 else "lp_failed"
+            raise _LpFailed(reason, f"LP relaxation failed with status {status}: {message}")
+        return fun, x
+
+    def _solve_linprog(self, lo, hi, time_limit):
         res = linprog(
             self.c,
             A_ub=self.A_ub,
@@ -178,12 +266,47 @@ class _LpData:
             b_eq=self.b_eq,
             bounds=np.column_stack((lo, hi)),
             method="highs",
+            options={"time_limit": time_limit},
         )
-        if res.status == 2:
-            return None, None
-        if res.status != 0:
-            raise RuntimeError(f"LP relaxation failed with status {res.status}: {res.message}")
-        return float(res.fun), res.x
+        return res.status, float(res.fun) if res.status == 0 else None, res.x, res.message
+
+    def _solve_session(self, lo, hi, time_limit):
+        """One cold HiGHS run on the session LP, judged the way linprog does."""
+        highs = self._highs
+        highs.changeColsBounds(self.n, self._cols, lo, hi)
+        # Dropping the parent's basis keeps every node's simplex path, and so
+        # the search tree, identical to a fresh linprog call.
+        highs.clearSolver()
+        # HiGHS measures time_limit against its run clock, which accumulates
+        # over every run() of this object.
+        highs.setOptionValue("time_limit", highs.getRunTime() + time_limit)
+        run_ok = highs.run() != _HIGHS.HighsStatus.kError
+        ms = _HIGHS.HighsModelStatus
+        status = highs.getModelStatus()
+        message = highs.modelStatusToString(status)
+        if status in (ms.kInfeasible, ms.kModelError):
+            return 2, None, None, message
+        if status == ms.kTimeLimit:
+            return 1, None, None, message
+        if status != ms.kOptimal or not run_ok:
+            return 4, None, None, message
+        sol = highs.getSolution()
+        x = np.array(sol.col_value)
+        fun = highs.getInfo().objective_function_value
+        slack = self._rhs - np.array(sol.row_value)
+        tol = _CHECK_TOL
+        accepted = not (
+            np.isnan(x).any()
+            or np.isnan(fun)
+            or np.isnan(slack).any()
+            or (x < lo - tol).any()
+            or (x > hi + tol).any()
+            or (slack[: self._n_ub] < -tol).any()
+            or (np.abs(slack[self._n_ub :]) > tol).any()
+        )
+        if not accepted:
+            return 4, None, None, "the point is outside linprog's tolerance"
+        return 0, float(fun), x, message
 
 
 @dataclass
@@ -194,25 +317,23 @@ class _Node:
     hi: np.ndarray = field(repr=False, default=None)
 
 
-def _try_repair(m: MilpModel, x: np.ndarray) -> dict[str, int] | None:
+def _try_repair(m: MilpModel, flows: np.ndarray, flow_ids: list[str]) -> dict[str, int] | None:
     """Complete near-integral flows into a feasible candidate.
 
-    Given integral x values, activation binaries and light-train counts have
-    cheapest feasible completions (y = 1 iff flow positive, u = ceil(x/rho),
-    gates from event usage); the candidate is verified exactly before use.
+    ``flows`` are the LP values of the x-family variables named by
+    ``flow_ids``.  Given integral x values, activation binaries and
+    light-train counts have cheapest feasible completions (y = 1 iff flow
+    positive, u = ceil(x/rho), gates from event usage); the candidate is
+    verified exactly before use.
     """
     net = m.network
     if net is None:
         return None
     rho = net.instance.costs.rho_u
-    values: dict[str, int] = {}
-    for i, var in enumerate(m.variables):
-        if var.family != "x":
-            continue
-        v = x[i]
-        if abs(v - round(v)) > INT_TOL:
-            return None
-        values[var.id] = int(round(v))
+    rounded = np.round(flows)
+    if np.any(np.abs(flows - rounded) > INT_TOL):
+        return None
+    values: dict[str, int] = dict(zip(flow_ids, rounded.astype(int).tolist()))
     for var in m.variables:
         if var.family in ("yso", "ypu"):
             values[var.id] = int(values.get(f"x:{var.subject}", 0) > 0)
@@ -237,7 +358,8 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
     budget = budget or SolveBudget()
     t0 = perf_counter()
     lp = _LpData(m)
-    n = lp.n
+    flow_cols = np.array([i for i, var in enumerate(m.variables) if var.family == "x"], dtype=np.intp)
+    flow_ids = [m.variables[i].id for i in flow_cols]
 
     incumbent: dict[str, int] | None = None
     incumbent_obj = math.inf
@@ -277,7 +399,14 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
         node = stack.pop()
         if incumbent is not None and node.bound >= incumbent_obj - prune_eps():
             continue
-        obj, x = lp.solve(node.lo, node.hi)
+        try:
+            obj, x = lp.solve(node.lo, node.hi, budget.max_seconds - (perf_counter() - t0))
+        except _LpFailed as exc:
+            # The node stays open, so its parent bound still limits the lower bound.
+            log.debug("node LP failed after %d nodes: %s", node_count, exc)
+            stack.append(node)
+            stopped = exc.reason
+            break
         node_count += 1
         if obj is None:
             continue
@@ -303,7 +432,7 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
             split = math.floor(x[j])
             split = min(max(split, int(node.lo[j])), int(node.hi[j]) - 1)
         else:
-            repaired = _try_repair(m, x)
+            repaired = _try_repair(m, x[flow_cols], flow_ids)
             if repaired is not None:
                 exact, _ = evaluate_objective(m, repaired)
                 if exact < incumbent_obj:
@@ -333,6 +462,7 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
                     break
 
     wall = perf_counter() - t0
+    log.debug("solve_bb %s: stop=%s nodes=%d wall=%.3fs", m.name, stopped or "proven", node_count, wall)
     if stopped is None:
         if incumbent is None:
             return Solution("infeasible", None, None, (math.inf, math.inf), node_count, wall)

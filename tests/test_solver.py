@@ -319,3 +319,238 @@ def test_warm_start_must_be_feasible(round_trip_instance):
     broken = replace(model, start=bad)
     with pytest.raises(InfeasibleStartError):
         solve_bb(broken)
+
+
+# ---------------------------------------------------------------------------
+# The per-solve HiGHS session against the per-node linprog reference
+
+
+def _outcome(sol):
+    values = None if sol.values is None else list(sol.values.items())
+    return sol.status, sol.objective, sol.bounds, sol.node_count, values
+
+
+def _reference_solve(monkeypatch, model, budget):
+    """solve_bb with every node LP sent through linprog, as on scipy
+    releases that lack the private HiGHS binding."""
+    import railplan.solver as solver
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_HIGHS", None)
+        return solve_bb(model, budget)
+
+
+# Unlimited node caps only on models the search closes in a few hundred
+# nodes; most (5,12,3) seeds need thousands.
+_IDENTITY_CASES = [
+    pytest.param(seed, shape, method, cap, id=f"{seed}-{'x'.join(map(str, shape))}-{method}-{cap or 'all'}")
+    for shape, seeds, caps in (
+        ((4, 8, 2), (1, 2, 3), (20, None)),
+        ((5, 12, 3), (1, 2), (20,)),
+        ((5, 12, 3), (3,), (20, None)),
+    )
+    for seed in seeds
+    for method in ("exact", "mcf")
+    for cap in caps
+]
+
+
+@pytest.mark.parametrize("seed,shape,method,cap", _IDENTITY_CASES)
+def test_session_matches_linprog_reference(monkeypatch, seed, shape, method, cap):
+    from railplan.report import assemble
+
+    _net, _specs, model = assemble(generate_synthetic(seed, *shape), lt_method=method)
+    budget = SolveBudget(max_seconds=3600, max_nodes=cap or 1_000_000)
+    session = solve_bb(model, budget)
+    reference = _reference_solve(monkeypatch, model, budget)
+    assert _outcome(session) == _outcome(reference)
+
+
+def test_session_matches_linprog_reference_on_warm_ladder_rung(monkeypatch):
+    from railplan.instance import attach_synthetic_baseline
+    from railplan.model import ExtensionConfig, apply_extension, warm_start_from
+    from railplan.report import assemble, default_alpha_grid
+
+    inst = attach_synthetic_baseline(generate_synthetic(3, 4, 8, 2), 3)
+    _net, _specs, base = assemble(inst)
+    budget = SolveBudget(max_seconds=3600, max_nodes=25)
+    v1p = solve_bb(apply_extension(base, ExtensionConfig(version="V1prime")), budget)
+    alpha = default_alpha_grid("V3", inst.baseline, 3)[1]
+    rung = warm_start_from(apply_extension(base, ExtensionConfig(version="V3", alpha_d=alpha)), v1p)
+    assert rung.start is not None
+    session = solve_bb(rung, budget)
+    reference = _reference_solve(monkeypatch, rung, budget)
+    assert _outcome(session) == _outcome(reference)
+
+
+# ---------------------------------------------------------------------------
+# Node LPs that end without an answer
+
+
+def _fail_lp_at(monkeypatch, k):
+    """Make the k-th node LP end as linprog's status 4 on either backend."""
+    from railplan.solver import _LpData
+
+    calls = [0]
+    for name in ("_solve_session", "_solve_linprog"):
+        orig = getattr(_LpData, name)
+
+        def failing(self, lo, hi, time_limit, _orig=orig):
+            calls[0] += 1
+            if calls[0] == k:
+                return 4, None, None, "forced failure"
+            return _orig(self, lo, hi, time_limit)
+
+        monkeypatch.setattr(_LpData, name, failing)
+
+
+def test_failed_root_lp_keeps_warm_start_and_unknown_bound(monkeypatch, caplog):
+    import logging
+    from dataclasses import replace
+
+    inst = generate_synthetic(1, 4, 8, 2)
+    _net, model = _assemble(inst)
+    full = solve_bb(model, SolveBudget(max_seconds=600))
+    assert full.status == "optimal"
+    _fail_lp_at(monkeypatch, 1)
+    caplog.set_level(logging.DEBUG, logger="railplan.solver")
+    sol = solve_bb(replace(model, start=full.values), SolveBudget(max_seconds=600))
+    assert "stop=lp_failed nodes=0 " in caplog.text
+    assert sol.status == "budget_exceeded"
+    assert sol.node_count == 0
+    assert sol.values == full.values
+    # The failed root stays open, so nothing below its (unknown) bound is proven.
+    assert sol.bounds == (-math.inf, full.objective)
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_failed_node_lp_keeps_incumbent_and_parent_bound(monkeypatch, reference):
+    import railplan.solver as solver
+
+    inst = generate_synthetic(1, 4, 8, 2)
+    _net, model = _assemble(inst)
+    full = solve_bb(model, SolveBudget(max_seconds=600))
+    k = 30
+    capped = solve_bb(model, SolveBudget(max_seconds=600, max_nodes=k - 1))
+    assert capped.status == "budget_exceeded" and capped.values is not None
+    if reference:
+        monkeypatch.setattr(solver, "_HIGHS", None)
+    _fail_lp_at(monkeypatch, k)
+    sol = solve_bb(model, SolveBudget(max_seconds=600))
+    assert sol.status == "budget_exceeded"
+    assert sol.node_count == k - 1
+    assert sol.values == capped.values
+    assert sol.objective == capped.objective
+    # Same open nodes as the capped run, less any it would prune, plus the
+    # failed node back on the list.
+    assert capped.bounds[0] <= sol.bounds[0] <= full.objective <= sol.bounds[1]
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_node_lp_time_limit_reports_time(monkeypatch, reference):
+    import railplan.solver as solver
+    from railplan.solver import _LpData, _LpFailed
+
+    if reference:
+        monkeypatch.setattr(solver, "_HIGHS", None)
+    _net, model = _assemble(generate_synthetic(3, 5, 12, 3))
+    lp = _LpData(model)
+    with pytest.raises(_LpFailed) as exc:
+        lp.solve(lp.lo, lp.hi, 0.0)
+    assert exc.value.reason == "time"
+    obj, x = lp.solve(lp.lo, lp.hi, 60.0)
+    assert obj is not None and x.shape == (lp.n,)
+
+
+def test_node_lp_time_limit_is_per_solve():
+    # HiGHS's run clock adds up over every run() of one object; the limit
+    # must still mean "this node's remaining budget", not a total.
+    from time import perf_counter
+
+    from railplan.solver import _LpData
+
+    _net, model = _assemble(generate_synthetic(3, 5, 12, 3))
+    lp = _LpData(model)
+    t0 = perf_counter()
+    while perf_counter() - t0 < 0.5:
+        obj, _x = lp.solve(lp.lo, lp.hi, 0.25)
+        assert obj is not None
+
+
+def test_max_seconds_holds_inside_node_lps(caplog):
+    import logging
+
+    _net, model = _assemble(generate_synthetic(6, 10, 80, 4))
+    caplog.set_level(logging.DEBUG, logger="railplan.solver")
+    sol = solve_bb(model, SolveBudget(max_seconds=0.3))
+    assert sol.status == "budget_exceeded"
+    assert "stop=time" in caplog.text
+    lo, hi = sol.bounds
+    assert lo <= hi
+    if sol.values is not None:
+        assert not check_feasibility(model, sol.values)
+        assert hi == sol.objective
+    assert sol.wall_time < 5.0
+
+
+def test_solve_bb_logs_stop_reason(caplog):
+    import logging
+
+    _net, model = _assemble(generate_synthetic(1, 3, 4, 2))
+    caplog.set_level(logging.DEBUG, logger="railplan.solver")
+    solve_bb(model, SolveBudget(max_seconds=60))
+    solve_bb(model, SolveBudget(max_seconds=60, max_nodes=2))
+    stops = [r.getMessage() for r in caplog.records if r.name == "railplan.solver" and "stop=" in r.getMessage()]
+    assert len(stops) == 2
+    assert "stop=proven" in stops[0]
+    assert "stop=nodes nodes=2 " in stops[1]
+    assert all("wall=" in s for s in stops)
+
+
+def test_vectorised_repair_rounding_matches_per_variable_loop():
+    import numpy as np
+
+    from railplan.model import infer_gate_values
+    from railplan.solver import INT_TOL, _try_repair
+
+    def loop_repair(m, x):
+        # The per-variable rounding _try_repair used before it was vectorised.
+        values = {}
+        for i, var in enumerate(m.variables):
+            if var.family != "x":
+                continue
+            v = x[i]
+            if abs(v - round(v)) > INT_TOL:
+                return None
+            values[var.id] = int(round(v))
+        rho = m.network.instance.costs.rho_u
+        for var in m.variables:
+            if var.family in ("yso", "ypu"):
+                values[var.id] = int(values.get(f"x:{var.subject}", 0) > 0)
+            elif var.family == "u":
+                values[var.id] = math.ceil(values.get(f"x:{var.subject}", 0) / rho)
+        values.update(infer_gate_values(m, values))
+        if len(values) != len(m.variables) or check_feasibility(m, values):
+            return None
+        return values
+
+    _net, model = _assemble(generate_synthetic(1, 4, 8, 2))
+    opt = solve_bb(model, SolveBudget(max_seconds=60))
+    base = np.array([opt.values[v.id] for v in model.variables], dtype=float)
+    cols = np.array([i for i, v in enumerate(model.variables) if v.family == "x"])
+    ids = [model.variables[i].id for i in cols]
+    rng = np.random.default_rng(5)
+    points = [base + rng.uniform(-s, s, base.size) for s in (0.0, 4e-7, 9e-7, 2e-6, 0.3) for _ in range(4)]
+    for k in rng.choice(cols, 6):
+        for shift in (0.5, 1.0, -1.0):
+            x = base.copy()
+            x[k] += shift
+            points.append(x)
+    outcomes = []
+    for x in points:
+        got = _try_repair(model, x[cols], ids)
+        assert got == loop_repair(model, x)
+        if got is not None:
+            assert list(got) == list(loop_repair(model, x))
+        outcomes.append(got is None)
+    assert any(outcomes) and not all(outcomes)

@@ -15,9 +15,7 @@ from railplan import (
     compute_kpis,
     export_mps,
     generate_synthetic,
-    read_mps,
     solve_bb,
-    solve_enumeration,
 )
 
 inst = generate_synthetic(seed=12, n_terminals=3, n_trains=4, max_legs=2)
@@ -38,16 +36,10 @@ for key, share in kpis.activity_shares.items():
     print(f"  {key:>14}: {100 * share:6.2f}%")
 assert abs(sum(kpis.activity_shares.values()) - 1.0) < 1e-9
 
-# Models export to free-format MPS for external solvers; the round trip is
-# exact, including the enumeration-oracle optimum on micro models.
+# Models export to free-format MPS for external solvers; row names are the
+# constraint tags and column names the variable ids.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "model.mps"
     export_mps(model, path)
-    again = read_mps(path)
-    print(f"\nMPS round trip: {len(again.variables)} variables, {len(again.constraints)} rows")
-
-# On tiny models an exhaustive oracle certifies the branch-and-bound answer.
-tiny = generate_synthetic(seed=3, n_terminals=2, n_trains=2, max_legs=1)
-_net, _specs, tiny_model = assemble(tiny)
-assert solve_enumeration(tiny_model).objective == solve_bb(tiny_model).objective
-print("enumeration oracle agrees with branch-and-bound on the micro model")
+    print(f"\nMPS export: {path.stat().st_size} bytes for {len(model.variables)} columns, "
+          f"{len(model.constraints)} rows")

@@ -23,7 +23,6 @@ from .lighttravel import (
     LightArcSpec,
     McfError,
     McfProblem,
-    ReductionComparison,
     build_mcf,
     enumerate_full_arcs,
     full_pairwise_arcs,
@@ -32,7 +31,6 @@ from .lighttravel import (
     mcf_insert_arcs,
     reduce_exact,
     solve_mcf,
-    verify_reduction_optimality,
 )
 from .model import (
     ConfigError,
@@ -47,7 +45,7 @@ from .model import (
     rc_penalty_terms,
     warm_start_from,
 )
-from .mps import export_mps, read_mps
+from .mps import export_mps
 from .report import (
     KpiReport,
     SweepConfig,
@@ -61,7 +59,6 @@ from .report import (
     run_sweep,
 )
 from .solver import (
-    EnumerationCapError,
     MissingVariableError,
     Solution,
     SolveBudget,
@@ -70,7 +67,6 @@ from .solver import (
     load_solution,
     save_solution,
     solve_bb,
-    solve_enumeration,
 )
 from .spacetime import (
     Arc,

@@ -61,15 +61,27 @@ def _normalize_version(text: str) -> str:
         raise argparse.ArgumentTypeError(f"unknown extension version {text!r}") from None
 
 
-def _add_build_flags(p: argparse.ArgumentParser) -> None:
+def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--lt-method", choices=("exact", "mcf", "full"), default="exact")
+
+
+def _add_mcf_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mcf-window", type=int, default=480, help="window minutes for MCF arc insertion")
     p.add_argument("--mcf-threshold", type=int, default=1, help="insert arcs only for flow strictly above this")
     p.add_argument("--mcf-alpha", type=float, default=None, help="penalization factor (default: mean train count)")
+
+
+def _add_theta_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--theta", type=float, default=6, help="daily work-event cap per terminal ('inf' allowed)")
+
+
+def _add_build_flags(p: argparse.ArgumentParser) -> None:
+    _add_instance_flags(p)
+    _add_mcf_flags(p)
     p.add_argument("--extension", type=_normalize_version, default="V0", help="V0|V1|V1prime|V2|V3|V4|V5")
     p.add_argument("--lambda", dest="lambda_", type=int, default=0, help="extra events per baseline-active pair (V1)")
-    p.add_argument("--theta", type=float, default=6, help="daily work-event cap per terminal ('inf' allowed)")
+    _add_theta_flag(p)
     p.add_argument("--alpha", type=int, default=None, help="activation budget for V2-V5")
     p.add_argument("--no-mutual-exclusion", action="store_true", help="drop the per-stop pick-up/set-out exclusivity rows")
 
@@ -268,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="run a cost-sensitivity sweep")
-    _add_build_flags(p)
+    _add_instance_flags(p)
+    _add_mcf_flags(p)
     _add_budget_flags(p)
     _add_output_flags(p)
     p.add_argument("--param", choices=("q", "e", "c", "g"), required=True)
@@ -276,8 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=int, default=0, help="worker processes for independent cells")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("ladder", help="run the extension ladder")
-    _add_build_flags(p)
+    # No abbreviations: --alpha, which ladder does not take, would otherwise
+    # be read as --alphas.
+    p = sub.add_parser("ladder", help="run the extension ladder", allow_abbrev=False)
+    _add_instance_flags(p)
+    _add_theta_flag(p)
     _add_budget_flags(p)
     _add_output_flags(p)
     p.add_argument("--versions", default="V2,V3,V4,V5", help="comma-separated versions")

@@ -19,7 +19,7 @@ import statistics
 from dataclasses import dataclass
 
 from .instance import Instance, net_power_balance
-from .spacetime import Node, SpaceTimeNetwork, with_light_arcs
+from .spacetime import Node, SpaceTimeNetwork
 
 log = logging.getLogger(__name__)
 
@@ -43,9 +43,9 @@ class LightArcSpec:
     ``transit`` is the pure travel time delta(tail terminal, head terminal);
     ``span`` additionally includes the wait at the destination until the head
     event, plus a full horizon for arcs whose head cannot be reached within
-    the same cycle (the deceptive wrap case).  Costs are proportional to the
-    transit time, so all arcs between the same terminal pair share identical
-    costs regardless of departure time.
+    the same cycle (the deceptive wrap case).  A spec carries no prices: the
+    model charges each light arc the cost rates times ``transit``, so all arcs
+    between the same terminal pair cost the same regardless of departure time.
     """
 
     tail: str
@@ -56,8 +56,6 @@ class LightArcSpec:
     span: int
     wrap: bool
     crossings: int
-    fixed_cost: float | int  # e_l
-    unit_cost: float | int  # g_l
 
 
 def _spec_sort_key(spec: LightArcSpec) -> tuple:
@@ -66,7 +64,6 @@ def _spec_sort_key(spec: LightArcSpec) -> tuple:
 
 def _make_spec(net: SpaceTimeNetwork, tail: Node, head: Node, delta: int) -> LightArcSpec:
     H = net.horizon
-    costs = net.instance.costs
     wait = (head.time - (tail.time + delta)) % H
     span = delta + wait
     crossings = (tail.time + span) // H
@@ -79,8 +76,6 @@ def _make_spec(net: SpaceTimeNetwork, tail: Node, head: Node, delta: int) -> Lig
         span=span,
         wrap=crossings > 0,
         crossings=crossings,
-        fixed_cost=costs.e_rate * delta,
-        unit_cost=costs.g_rate * delta,
     )
 
 
@@ -454,7 +449,7 @@ def mcf_insert_arcs(
 
 
 # ---------------------------------------------------------------------------
-# Method dispatch and the reduction-optimality check
+# Method dispatch
 
 
 def generate_light_arcs(
@@ -474,62 +469,3 @@ def generate_light_arcs(
         flow = solve_mcf(problem)
         return mcf_insert_arcs(net, flow, window_minutes=mcf_window, threshold=mcf_threshold)
     raise ValueError(f"unknown light-travel method {method!r}")
-
-
-@dataclass(frozen=True)
-class ReductionComparison:
-    objective_full: float | int | None
-    objective_reduced: float | int | None
-    status_full: str
-    status_reduced: str
-    n_full_arcs: int
-    n_reduced_arcs: int
-
-    @property
-    def equal(self) -> bool:
-        return (
-            self.status_full == "optimal"
-            and self.status_reduced == "optimal"
-            and self.objective_full == self.objective_reduced
-        )
-
-
-def verify_reduction_optimality(
-    inst: Instance,
-    budget=None,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-    candidates: str = "full",
-) -> ReductionComparison:
-    """Solve the model once with a dense candidate arc set and once with the
-    exact reduction; both proven optima must coincide.
-
-    ``candidates`` selects the dense side: ``"pairwise"`` uses every
-    arrival-to-departure pair (lossless for any crew capacity), ``"full"``
-    additionally allows departures from preparation and week-start nodes,
-    for which the no-loss guarantee requires per-unit crews (rho_u = 1).
-    """
-    from .model import build_base_model
-    from .solver import solve_bb
-
-    from .spacetime import build_network
-
-    net = build_network(inst)
-    if candidates == "pairwise":
-        full = full_pairwise_arcs(net, max_ground_nodes=enumeration_cap)
-    elif candidates == "full":
-        full = enumerate_full_arcs(net, max_ground_nodes=enumeration_cap)
-    else:
-        raise ValueError(f"unknown candidate set {candidates!r}")
-    reduced = reduce_exact(net)
-    results = []
-    for specs in (full, reduced):
-        model = build_base_model(with_light_arcs(net, specs), specs, inst.costs)
-        results.append(solve_bb(model, budget=budget))
-    return ReductionComparison(
-        objective_full=results[0].objective,
-        objective_reduced=results[1].objective,
-        status_full=results[0].status,
-        status_reduced=results[1].status,
-        n_full_arcs=len(full),
-        n_reduced_arcs=len(reduced),
-    )

@@ -222,8 +222,8 @@ def build_base_model(
     """Assemble the base assignment model over a network plus light arcs.
 
     ``light_arcs`` are merged into the network if not already present.  Light
-    arc costs are recomputed here from ``costs`` and each arc's transit time,
-    so sweeps can rescale rates without regenerating arcs.
+    arcs are priced here, from ``costs`` and each arc's transit time, so
+    sweeps can rescale rates without regenerating arcs.
     """
     if light_arcs and not any(a.kind == "light" for a in net.arcs.values()):
         net = with_light_arcs(net, light_arcs)

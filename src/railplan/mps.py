@@ -1,21 +1,20 @@
-"""Free-format MPS export and import.
+"""Free-format MPS export.
 
 Row names are the model's constraint tags and column names are variable ids,
 so external tooling can map rows back to the formulation.  Output is
 byte-deterministic for a fixed model.  Minimization is implied (no OBJSENSE
 record); the objective constant is stored, by the usual convention, as the
 negated RHS entry of the objective row.  Every variable appears in COLUMNS
-(a zero objective entry is emitted for otherwise empty columns) so the
-variable order round-trips exactly.
+(a zero objective entry is emitted for otherwise empty columns) so a
+reader recovers the variable order exactly.
 """
 
 from __future__ import annotations
 
-from .model import LinearConstraint, MilpModel, VarRef
+from .model import MilpModel
 
 OBJ_ROW = "OBJ"
 _SENSE_TO_ROW = {"=": "E", "<=": "L", ">=": "G"}
-_ROW_TO_SENSE = {v: k for k, v in _SENSE_TO_ROW.items()}
 
 
 def _fmt(value) -> str:
@@ -27,13 +26,6 @@ def _fmt(value) -> str:
     if f.is_integer():
         return str(int(f))
     return repr(f)
-
-
-def _num(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        return float(token)
 
 
 def export_mps(m: MilpModel, path) -> None:
@@ -79,98 +71,3 @@ def export_mps(m: MilpModel, path) -> None:
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_mps(path) -> MilpModel:
-    """Parse a free-format MPS file written by :func:`export_mps`."""
-    name = "model"
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
-    obj_row: str | None = None
-    columns: dict[str, list[tuple[str, object]]] = {}
-    col_order: list[str] = []
-    rhs: dict[str, object] = {}
-    bounds: dict[str, dict[str, object]] = {}
-    section = None
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip()
-            if not line or line.startswith("*"):
-                continue
-            tokens = line.split()
-            if not raw[0].isspace():
-                section = tokens[0]
-                if section == "NAME" and len(tokens) > 1:
-                    name = tokens[1]
-                continue
-            if section == "ROWS":
-                kind, row = tokens[0], tokens[1]
-                if kind == "N":
-                    if obj_row is None:
-                        obj_row = row
-                    continue
-                row_sense[row] = _ROW_TO_SENSE[kind]
-                row_order.append(row)
-            elif section == "COLUMNS":
-                if "'MARKER'" in tokens:
-                    continue  # all variables are integer in this toolkit
-                var = tokens[0]
-                if var not in columns:
-                    columns[var] = []
-                    col_order.append(var)
-                pairs = tokens[1:]
-                for i in range(0, len(pairs), 2):
-                    columns[var].append((pairs[i], _num(pairs[i + 1])))
-            elif section == "RHS":
-                pairs = tokens[1:]
-                for i in range(0, len(pairs), 2):
-                    rhs[pairs[i]] = _num(pairs[i + 1])
-            elif section == "BOUNDS":
-                btype, var = tokens[0], tokens[2]
-                spec = bounds.setdefault(var, {})
-                if btype == "BV":
-                    spec["binary"] = True
-                elif btype in ("LO", "LI"):
-                    spec["lower"] = _num(tokens[3])
-                elif btype in ("UP", "UI"):
-                    spec["upper"] = _num(tokens[3])
-                elif btype == "FX":
-                    spec["lower"] = spec["upper"] = _num(tokens[3])
-
-    variables = []
-    for var_id in col_order:
-        spec = bounds.get(var_id, {})
-        binary = bool(spec.get("binary", False))
-        lower = 0 if binary else int(spec.get("lower", 0))
-        upper = 1 if binary else int(spec.get("upper", 0))
-        family = var_id.split(":", 1)[0]
-        subject = var_id.split(":", 1)[1] if ":" in var_id else var_id
-        variables.append(
-            VarRef(id=var_id, family=family, subject=subject, lower=lower, upper=upper, binary=binary)
-        )
-
-    objective: dict[str, object] = {}
-    row_terms: dict[str, list[tuple[str, object]]] = {r: [] for r in row_order}
-    for var_id in col_order:
-        for row, coef in columns[var_id]:
-            if row == obj_row:
-                if coef != 0:
-                    objective[var_id] = objective.get(var_id, 0) + coef
-            else:
-                row_terms[row].append((var_id, coef))
-
-    constraints = [
-        LinearConstraint(terms=tuple(row_terms[r]), sense=row_sense[r], rhs=rhs.get(r, 0), tag=r)
-        for r in row_order
-    ]
-    offset = -rhs.get(obj_row, 0) if obj_row is not None else 0
-    return MilpModel(
-        name=name,
-        variables=tuple(variables),
-        constraints=tuple(constraints),
-        objective=objective,
-        offset=offset,
-        decomposition={},
-        network=None,
-    )

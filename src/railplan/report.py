@@ -13,8 +13,9 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
-from .instance import Instance, instance_from_dict, instance_to_dict
+from .instance import Instance
 from .lighttravel import generate_light_arcs
 from .model import (
     ConfigError,
@@ -316,6 +317,8 @@ class SweepConfig:
             raise ValueError("factors must be positive")
         if list(self.factors) != sorted(self.factors):
             raise ValueError("factors must be sorted ascending")
+        if self.parallel < 0:
+            raise ValueError("parallel must be non-negative")
 
 
 def _solution_row(sol: Solution, net, model) -> dict:
@@ -334,32 +337,10 @@ def _solution_row(sol: Solution, net, model) -> dict:
     return row
 
 
-def _sweep_cell(payload: dict) -> dict:
-    inst = instance_from_dict(payload["instance"])
-    cfg = SweepConfig(
-        parameter=payload["parameter"],
-        factors=(payload["factor"],),
-        lt_method=payload["lt_method"],
-        mcf_window=payload["mcf_window"],
-        mcf_threshold=payload["mcf_threshold"],
-        mcf_alpha=payload["mcf_alpha"],
-    )
-    budget = SolveBudget(**payload["budget"]) if payload["budget"] else None
-    return _run_one_factor(inst, cfg, payload["factor"], budget)
-
-
-def _run_one_factor(inst: Instance, cfg: SweepConfig, factor: float, budget) -> dict:
-    costs = scaled_costs(inst.costs, cfg.parameter, factor)
-    net, _specs, model = assemble(
-        inst,
-        lt_method=cfg.lt_method,
-        costs=costs,
-        mcf_window=cfg.mcf_window,
-        mcf_threshold=cfg.mcf_threshold,
-        mcf_alpha=cfg.mcf_alpha,
-    )
+def _sweep_row(net, specs, base_costs, parameter: str, budget, factor: float) -> dict:
+    model = build_base_model(net, specs, scaled_costs(base_costs, parameter, factor))
     sol = solve_bb(model, budget=budget)
-    row = {"parameter": cfg.parameter, "factor": factor}
+    row = {"parameter": parameter, "factor": factor}
     row.update(_solution_row(sol, net, model))
     return row
 
@@ -367,33 +348,12 @@ def _run_one_factor(inst: Instance, cfg: SweepConfig, factor: float, budget) -> 
 def run_sweep(inst: Instance, cfg: SweepConfig) -> list[dict]:
     """One proven (or budget-limited) solve per factor, rows in factor order.
 
-    Per-cell budget exhaustion is recorded in the row; the sweep continues.
+    Light arcs do not depend on cost rates, so the network and its light arcs
+    are built once and only the model is rebuilt per factor.  With
+    ``parallel > 1`` the factors are solved in a process pool of at most
+    ``parallel`` workers and never more workers than factors.  Per-cell
+    budget exhaustion is recorded in the row; the sweep continues.
     """
-    if cfg.parallel and cfg.parallel > 1:
-        payloads = [
-            {
-                "instance": instance_to_dict(inst),
-                "parameter": cfg.parameter,
-                "factor": factor,
-                "lt_method": cfg.lt_method,
-                "mcf_window": cfg.mcf_window,
-                "mcf_threshold": cfg.mcf_threshold,
-                "mcf_alpha": cfg.mcf_alpha,
-                "budget": {
-                    "max_seconds": cfg.budget.max_seconds,
-                    "max_nodes": cfg.budget.max_nodes,
-                    "rel_gap": cfg.budget.rel_gap,
-                }
-                if cfg.budget
-                else None,
-            }
-            for factor in cfg.factors
-        ]
-        with ProcessPoolExecutor(max_workers=cfg.parallel) as pool:
-            return list(pool.map(_sweep_cell, payloads))
-
-    # Light arcs do not depend on cost rates, so generate once and rebuild
-    # only the model per factor.
     base_net = build_network(inst)
     specs = generate_light_arcs(
         base_net,
@@ -402,16 +362,14 @@ def run_sweep(inst: Instance, cfg: SweepConfig) -> list[dict]:
         mcf_threshold=cfg.mcf_threshold,
         mcf_alpha=cfg.mcf_alpha,
     )
-    merged = with_light_arcs(base_net, specs)
-    rows = []
-    for factor in cfg.factors:
-        costs = scaled_costs(inst.costs, cfg.parameter, factor)
-        model = build_base_model(merged, specs, costs)
-        sol = solve_bb(model, budget=cfg.budget)
-        row = {"parameter": cfg.parameter, "factor": factor}
-        row.update(_solution_row(sol, merged, model))
-        rows.append(row)
-    return rows
+    solve_cell = partial(
+        _sweep_row, with_light_arcs(base_net, specs), specs, inst.costs, cfg.parameter, cfg.budget
+    )
+    workers = min(cfg.parallel, len(cfg.factors))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(solve_cell, cfg.factors))
+    return [solve_cell(factor) for factor in cfg.factors]
 
 
 # ---------------------------------------------------------------------------

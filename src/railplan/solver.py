@@ -1,14 +1,12 @@
-"""Reference solvers for the assignment model.
+"""Reference branch-and-bound solver and exact checkers for the assignment model.
 
 ``solve_bb`` is a deterministic branch-and-bound over LP relaxations
 (scipy's HiGHS simplex does the bounding), branching on the most fractional
 variable with ties to the lowest variable index, depth-first with periodic
 best-first restarts.  Each solve loads its LP into HiGHS once; a node only
 changes column bounds and re-solves cold, so the tree is the one a fresh
-``linprog`` call per node would give.  ``solve_enumeration`` is an independent oracle for
-micro models: an exhaustive scan of the integer box with interval pruning,
-used as ground truth in tests.  Feasibility and objective evaluation are
-exact integer arithmetic so proven optima can be compared across models.
+``linprog`` call per node would give.  Feasibility and objective evaluation
+are exact integer arithmetic so proven optima can be compared across models.
 """
 
 from __future__ import annotations
@@ -28,10 +26,6 @@ log = logging.getLogger(__name__)
 
 INT_TOL = 1e-6
 FEAS_TOL = 1e-7
-
-
-class EnumerationCapError(RuntimeError):
-    """Raised when a model exceeds the enumeration oracle's variable cap."""
 
 
 class MissingVariableError(KeyError):
@@ -480,105 +474,6 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
         node_count,
         wall,
     )
-
-
-# ---------------------------------------------------------------------------
-# Enumeration oracle
-
-
-def solve_enumeration(m: MilpModel, cap: int = 24) -> Solution:
-    """Exhaustive scan over the box of variable bounds.
-
-    Interval propagation discards provably infeasible assignments early but
-    never an optimal one, so the returned optimum is ground truth.  Intended
-    for micro models only; refuses models beyond ``cap`` variables.
-    """
-    t0 = perf_counter()
-    n = len(m.variables)
-    if n > cap:
-        raise EnumerationCapError(f"enumeration oracle capped at {cap} variables, model has {n}")
-    for var in m.variables:
-        if not (math.isfinite(var.lower) and math.isfinite(var.upper)):
-            raise EnumerationCapError(f"variable {var.id} has unbounded range")
-
-    index = {v.id: i for i, v in enumerate(m.variables)}
-    cons = [
-        ([(index[v], coef) for v, coef in c.terms], c.sense, c.rhs)
-        for c in m.constraints
-    ]
-    obj = [(index[v], coef) for v, coef in m.objective.items()]
-
-    best_vals: list[int] | None = None
-    best_obj = math.inf
-    visited = 0
-
-    def propagate(lo: list, hi: list) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for terms, sense, rhs in cons:
-                min_l = sum(c * (lo[j] if c > 0 else hi[j]) for j, c in terms)
-                max_l = sum(c * (hi[j] if c > 0 else lo[j]) for j, c in terms)
-                if sense in ("<=", "=") and min_l > rhs + 1e-9:
-                    return False
-                if sense in (">=", "=") and max_l < rhs - 1e-9:
-                    return False
-                for j, c in terms:
-                    if c > 0:
-                        rest_min = min_l - c * lo[j]
-                        rest_max = max_l - c * hi[j]
-                    else:
-                        rest_min = min_l - c * hi[j]
-                        rest_max = max_l - c * lo[j]
-                    if sense in ("<=", "="):
-                        limit = (rhs - rest_min) / c
-                        if c > 0 and limit < hi[j] - 1e-9:
-                            hi[j] = math.floor(limit + 1e-9)
-                            changed = True
-                        elif c < 0 and limit > lo[j] + 1e-9:
-                            lo[j] = math.ceil(limit - 1e-9)
-                            changed = True
-                    if sense in (">=", "="):
-                        limit = (rhs - rest_max) / c
-                        if c > 0 and limit > lo[j] + 1e-9:
-                            lo[j] = math.ceil(limit - 1e-9)
-                            changed = True
-                        elif c < 0 and limit < hi[j] - 1e-9:
-                            hi[j] = math.floor(limit + 1e-9)
-                            changed = True
-                    if lo[j] > hi[j]:
-                        return False
-        min_obj = m.offset + sum(c * (lo[j] if c > 0 else hi[j]) for j, c in obj)
-        if best_vals is not None and min_obj > best_obj + 1e-9:
-            return False
-        return True
-
-    def dfs(lo: list, hi: list) -> None:
-        nonlocal best_vals, best_obj, visited
-        visited += 1
-        if visited > 20_000_000:
-            raise RuntimeError("enumeration oracle exceeded its expansion guard")
-        if not propagate(lo, hi):
-            return
-        open_vars = [(hi[j] - lo[j], j) for j in range(n) if lo[j] < hi[j]]
-        if not open_vars:
-            value = m.offset + sum(c * lo[j] for j, c in obj)
-            if value < best_obj:
-                best_obj = value
-                best_vals = list(lo)
-            return
-        _, j = min(open_vars)
-        for v in range(lo[j], hi[j] + 1):
-            nlo, nhi = list(lo), list(hi)
-            nlo[j] = nhi[j] = v
-            dfs(nlo, nhi)
-
-    dfs([v.lower for v in m.variables], [v.upper for v in m.variables])
-    wall = perf_counter() - t0
-    if best_vals is None:
-        return Solution("infeasible", None, None, (math.inf, math.inf), visited, wall)
-    values = {v.id: best_vals[i] for i, v in enumerate(m.variables)}
-    return Solution("optimal", values, best_obj, (best_obj, best_obj), visited, wall)
 
 
 # ---------------------------------------------------------------------------

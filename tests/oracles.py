@@ -1,17 +1,25 @@
 """Independent oracles used by the tests.
 
 Each function here recomputes a quantity by a different route than the
-library (direct summation, literal enumeration, or an LP on the node-arc
-incidence matrix) so expected values in tests are never produced by the code
-path under test.
+library (direct summation, literal enumeration, an LP on the node-arc
+incidence matrix, an exhaustive scan of a model's integer box, HiGHS's own
+MPS reader and MIP solver, or the model over a denser light-arc set) so
+expected values in tests are never produced by the code path under test.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from time import perf_counter
 
 import numpy as np
 from scipy.optimize import linprog
+
+from railplan.lighttravel import reduce_exact
+from railplan.model import MilpModel, build_base_model
+from railplan.solver import Solution, SolveBudget, solve_bb
+from railplan.spacetime import build_network, with_light_arcs
 
 
 def balance_by_summation(instance_dict: dict) -> dict[str, int]:
@@ -72,3 +80,187 @@ def mcf_cost_by_lp(supplies: dict, costs: dict) -> float:
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+# ---------------------------------------------------------------------------
+# Enumeration oracle
+
+
+class EnumerationCapError(RuntimeError):
+    """Raised when a model exceeds the enumeration oracle's variable cap."""
+
+
+
+def solve_enumeration(m: MilpModel, cap: int = 24) -> Solution:
+    """Exhaustive scan over the box of variable bounds.
+
+    Interval propagation discards provably infeasible assignments early but
+    never an optimal one, so the returned optimum is ground truth.  Intended
+    for micro models only; refuses models beyond ``cap`` variables.
+    """
+    t0 = perf_counter()
+    n = len(m.variables)
+    if n > cap:
+        raise EnumerationCapError(f"enumeration oracle capped at {cap} variables, model has {n}")
+    for var in m.variables:
+        if not (math.isfinite(var.lower) and math.isfinite(var.upper)):
+            raise EnumerationCapError(f"variable {var.id} has unbounded range")
+
+    index = {v.id: i for i, v in enumerate(m.variables)}
+    cons = [
+        ([(index[v], coef) for v, coef in c.terms], c.sense, c.rhs)
+        for c in m.constraints
+    ]
+    obj = [(index[v], coef) for v, coef in m.objective.items()]
+
+    best_vals: list[int] | None = None
+    best_obj = math.inf
+    visited = 0
+
+    def propagate(lo: list, hi: list) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for terms, sense, rhs in cons:
+                min_l = sum(c * (lo[j] if c > 0 else hi[j]) for j, c in terms)
+                max_l = sum(c * (hi[j] if c > 0 else lo[j]) for j, c in terms)
+                if sense in ("<=", "=") and min_l > rhs + 1e-9:
+                    return False
+                if sense in (">=", "=") and max_l < rhs - 1e-9:
+                    return False
+                for j, c in terms:
+                    if c > 0:
+                        rest_min = min_l - c * lo[j]
+                        rest_max = max_l - c * hi[j]
+                    else:
+                        rest_min = min_l - c * hi[j]
+                        rest_max = max_l - c * lo[j]
+                    if sense in ("<=", "="):
+                        limit = (rhs - rest_min) / c
+                        if c > 0 and limit < hi[j] - 1e-9:
+                            hi[j] = math.floor(limit + 1e-9)
+                            changed = True
+                        elif c < 0 and limit > lo[j] + 1e-9:
+                            lo[j] = math.ceil(limit - 1e-9)
+                            changed = True
+                    if sense in (">=", "="):
+                        limit = (rhs - rest_max) / c
+                        if c > 0 and limit > lo[j] + 1e-9:
+                            lo[j] = math.ceil(limit - 1e-9)
+                            changed = True
+                        elif c < 0 and limit < hi[j] - 1e-9:
+                            hi[j] = math.floor(limit + 1e-9)
+                            changed = True
+                    if lo[j] > hi[j]:
+                        return False
+        min_obj = m.offset + sum(c * (lo[j] if c > 0 else hi[j]) for j, c in obj)
+        if best_vals is not None and min_obj > best_obj + 1e-9:
+            return False
+        return True
+
+    def dfs(lo: list, hi: list) -> None:
+        nonlocal best_vals, best_obj, visited
+        visited += 1
+        if visited > 20_000_000:
+            raise RuntimeError("enumeration oracle exceeded its expansion guard")
+        if not propagate(lo, hi):
+            return
+        open_vars = [(hi[j] - lo[j], j) for j in range(n) if lo[j] < hi[j]]
+        if not open_vars:
+            value = m.offset + sum(c * lo[j] for j, c in obj)
+            if value < best_obj:
+                best_obj = value
+                best_vals = list(lo)
+            return
+        _, j = min(open_vars)
+        for v in range(lo[j], hi[j] + 1):
+            nlo, nhi = list(lo), list(hi)
+            nlo[j] = nhi[j] = v
+            dfs(nlo, nhi)
+
+    dfs([v.lower for v in m.variables], [v.upper for v in m.variables])
+    wall = perf_counter() - t0
+    if best_vals is None:
+        return Solution("infeasible", None, None, (math.inf, math.inf), visited, wall)
+    values = {v.id: best_vals[i] for i, v in enumerate(m.variables)}
+    return Solution("optimal", values, best_obj, (best_obj, best_obj), visited, wall)
+
+
+# ---------------------------------------------------------------------------
+# MPS files read back by HiGHS
+
+
+def read_mps_with_highs(path):
+    """Load an MPS file into a HiGHS object through HiGHS's own reader.
+
+    That reader shares no code with railplan's writer, so a model that comes
+    back field for field proves the file says what the writer meant.  Uses
+    scipy's private HiGHS binding, the one the solver itself loads.
+    """
+    from scipy.optimize._highspy import _core
+
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == _core.HighsStatus.kOk
+    return highs
+
+
+def highs_model_fields(highs):
+    """The model loaded in ``highs`` as (columns, costs, offset, rows, matrix).
+
+    Columns are (name, lower, upper, is_integer), rows are (name, lower,
+    upper), and the matrix maps (row, column) to each nonzero.
+    """
+    from scipy.optimize._highspy import _core
+
+    lp = highs.getLp()
+    a = lp.a_matrix_
+    assert a.format_ == _core.MatrixFormat.kColwise
+    matrix = {}
+    for j, col in enumerate(lp.col_names_):
+        for k in range(a.start_[j], a.start_[j + 1]):
+            if a.value_[k] != 0:
+                matrix[(lp.row_names_[a.index_[k]], col)] = a.value_[k]
+    return (
+        [
+            (name, lo, hi, kind == _core.HighsVarType.kInteger)
+            for name, lo, hi, kind in zip(lp.col_names_, lp.col_lower_, lp.col_upper_, lp.integrality_)
+        ],
+        list(lp.col_cost_),
+        lp.offset_,
+        list(zip(lp.row_names_, lp.row_lower_, lp.row_upper_)),
+        matrix,
+    )
+
+
+def highs_mip_optimum(highs):
+    """Proven optimum of the model loaded in ``highs``, at zero relative gap."""
+    from scipy.optimize._highspy import _core
+
+    highs.setOptionValue("mip_rel_gap", 0.0)
+    highs.run()
+    status = highs.getModelStatus()
+    assert status == _core.HighsModelStatus.kOptimal, highs.modelStatusToString(status)
+    return highs.getInfo().objective_function_value
+
+
+# ---------------------------------------------------------------------------
+# Light-arc reduction against a dense candidate set
+
+
+def dense_and_reduced_optima(inst, dense_generator):
+    """Proven optima of the model over ``dense_generator``'s light arcs and
+    over the exact reduction, in that order; equal when the reduction loses
+    nothing."""
+    net = build_network(inst)
+    started = perf_counter()
+    objectives = []
+    for generator in (dense_generator, reduce_exact):
+        specs = generator(net)
+        model = build_base_model(with_light_arcs(net, specs), specs, inst.costs)
+        sol = solve_bb(model, SolveBudget(max_seconds=60.0))
+        assert sol.status == "optimal", f"expected proven optimum, got {sol.status}"
+        objectives.append(sol.objective)
+    elapsed = perf_counter() - started
+    assert elapsed < 60.0, f"pair of solves took {elapsed:.1f}s"
+    return objectives

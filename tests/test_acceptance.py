@@ -29,10 +29,11 @@ from railplan.model import (
     rc_penalty_terms,
 )
 from railplan.report import SweepConfig, compute_kpis, run_sweep
-from railplan.solver import SolveBudget, check_feasibility, solve_bb, solve_enumeration
+from railplan.solver import SolveBudget, check_feasibility, solve_bb
 from railplan.spacetime import arcs_of_kind, build_network, pickup_arcs, setout_arcs, with_light_arcs
 
 from .conftest import make_instance
+from .oracles import dense_and_reduced_optima, solve_enumeration
 
 BUDGET = SolveBudget(max_seconds=60.0)
 
@@ -53,26 +54,13 @@ def _optimal(model, budget=BUDGET):
     return sol
 
 
-def _equal_optima(inst, dense_generator):
-    net = build_network(inst)
-    started = perf_counter()
-    objectives = []
-    for generator in (dense_generator, reduce_exact):
-        specs = generator(net)
-        model = build_base_model(with_light_arcs(net, specs), specs, inst.costs)
-        objectives.append(_optimal(model).objective)
-    elapsed = perf_counter() - started
-    assert elapsed < 60.0, f"pair of solves took {elapsed:.1f}s"
-    return objectives
-
-
 def test_reduction_optimality_pairwise_universe():
     """The reduction loses nothing against every arrival-to-departure pair,
     at the default crew capacity; exact integer equality."""
     assert len(REDUCTION_SUITE) >= 20
     for seed, n_k, n_t, n_l in REDUCTION_SUITE:
         inst = generate_synthetic(seed, n_k, n_t, n_l)
-        full, reduced = _equal_optima(inst, full_pairwise_arcs)
+        full, reduced = dense_and_reduced_optima(inst, full_pairwise_arcs)
         assert full == reduced, f"seed {seed}: pairwise {full} != reduced {reduced}"
     print(
         f"\nACCEPTANCE PASS reduction-optimality(pairwise): {len(REDUCTION_SUITE)} seeded instances, exact equality"
@@ -88,7 +76,7 @@ def test_reduction_optimality_densest_set_per_unit_crews():
     for seed, n_k, n_t, n_l in REDUCTION_SUITE:
         inst = generate_synthetic(seed, n_k, n_t, n_l)
         inst = replace(inst, costs=replace(inst.costs, rho_u=1))
-        full, reduced = _equal_optima(inst, enumerate_full_arcs)
+        full, reduced = dense_and_reduced_optima(inst, enumerate_full_arcs)
         assert full == reduced, f"seed {seed}: full {full} != reduced {reduced}"
     print(
         f"\nACCEPTANCE PASS reduction-optimality(densest,rho=1): {len(REDUCTION_SUITE)} seeded instances, exact equality"

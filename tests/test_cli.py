@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from railplan.cli import main
 from railplan.instance import instance_to_dict, save_instance
 from railplan.report import read_report
@@ -140,3 +142,35 @@ def test_mcf_knobs_accepted(tmp_path, strict_dominance_instance):
         == 0
     )
     assert out.read_text().startswith("NAME")
+
+
+_SWEEP_ARGS = ["sweep", "--param", "q", "--factors", "1.0"]
+_LADDER_ARGS = ["ladder", "--versions", "V3", "--steps", "1"]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (_SWEEP_ARGS, ["--extension", "V3"]),
+        (_SWEEP_ARGS, ["--lambda", "1"]),
+        (_SWEEP_ARGS, ["--theta", "4"]),
+        (_SWEEP_ARGS, ["--alpha", "2"]),
+        (_SWEEP_ARGS, ["--no-mutual-exclusion"]),
+        (_LADDER_ARGS, ["--mcf-window", "480"]),
+        (_LADDER_ARGS, ["--mcf-threshold", "1"]),
+        (_LADDER_ARGS, ["--mcf-alpha", "1.5"]),
+        (_LADDER_ARGS, ["--extension", "V3"]),
+        (_LADDER_ARGS, ["--lambda", "1"]),
+        (_LADDER_ARGS, ["--alpha", "2"]),
+        (_LADDER_ARGS, ["--no-mutual-exclusion"]),
+    ],
+    ids=lambda v: v[0],
+)
+def test_flags_a_subcommand_ignores_are_rejected(tmp_path, capsys, ladder_instance, command, flag):
+    inst_path = _write(tmp_path, ladder_instance)
+    argv = command + ["--instance", inst_path, "--out", str(tmp_path / "rows.csv")] + flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()

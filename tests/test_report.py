@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from railplan.instance import generate_synthetic
 from railplan.lighttravel import reduce_exact
 from railplan.model import build_base_model
 from railplan.report import (
@@ -212,13 +213,53 @@ def test_sweep_continues_past_budget_exhaustion(ladder_instance):
             assert row["fleet_size"] is None  # KPI columns stay present but empty
 
 
-def test_sweep_parallel_matches_serial(round_trip_instance):
-    cfg = dict(parameter="q", factors=(0.5, 1.0), budget=SolveBudget(max_seconds=60))
-    serial = run_sweep(round_trip_instance, SweepConfig(**cfg))
-    parallel = run_sweep(round_trip_instance, SweepConfig(**cfg, parallel=2))
-    for a, b in zip(serial, parallel):
-        assert a["objective"] == b["objective"]
-        assert a["factor"] == b["factor"]
+def test_sweep_parallel_matches_serial():
+    """Pooled cells give the serial rows, column for column, also for cells
+    that stop at the node cap."""
+    inst = generate_synthetic(1, 5, 12, 3)
+    budget = SolveBudget(max_seconds=60, max_nodes=20)
+    for lt_method in ("exact", "mcf"):
+        cfg = dict(parameter="q", factors=(0.5, 1.0, 2.0), lt_method=lt_method, budget=budget)
+        serial = run_sweep(inst, SweepConfig(**cfg))
+        parallel = run_sweep(inst, SweepConfig(**cfg, parallel=2))
+        assert any(r["status"] == "budget_exceeded" for r in serial), lt_method
+        for row in serial + parallel:
+            del row["wall_time"]
+        assert parallel == serial, lt_method
+
+
+def test_sweep_pool_never_wider_than_factors(monkeypatch, round_trip_instance):
+    widths = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its width, runs in-process."""
+
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("railplan.report.ProcessPoolExecutor", RecordingPool)
+    factors = (0.5, 1.0)
+    budget = SolveBudget(max_seconds=60)
+    rows = run_sweep(round_trip_instance, SweepConfig(parameter="q", factors=factors, budget=budget, parallel=64))
+    assert widths == [2]
+    assert [r["factor"] for r in rows] == list(factors)
+    # One factor needs no pool at all.
+    run_sweep(round_trip_instance, SweepConfig(parameter="q", factors=(1.0,), budget=budget, parallel=4))
+    assert widths == [2]
+
+
+def test_sweep_config_rejects_negative_parallel():
+    with pytest.raises(ValueError, match="parallel"):
+        SweepConfig(parameter="q", parallel=-1)
 
 
 def test_event_heatmap_rows(ladder_instance):

@@ -6,7 +6,6 @@ from railplan.instance import generate_synthetic
 from railplan.lighttravel import reduce_exact
 from railplan.model import LinearConstraint, MilpModel, VarRef, build_base_model
 from railplan.solver import (
-    EnumerationCapError,
     MissingVariableError,
     SolveBudget,
     check_feasibility,
@@ -14,11 +13,11 @@ from railplan.solver import (
     load_solution,
     save_solution,
     solve_bb,
-    solve_enumeration,
 )
 from railplan.spacetime import build_network, with_light_arcs
 
 from .conftest import make_instance
+from .oracles import EnumerationCapError, solve_enumeration
 
 
 def _assemble(inst):

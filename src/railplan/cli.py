@@ -20,6 +20,7 @@ from .instance import (
     save_instance,
     validate_instance,
 )
+from .lighttravel import CapExceededError, McfError
 from .model import ConfigError, ExtensionConfig
 from .mps import export_mps
 from .report import (
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, ConfigError, FileNotFoundError, ValueError) as exc:
+    except (InstanceError, ConfigError, FileNotFoundError, ValueError, CapExceededError, McfError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -20,10 +20,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+from scipy import sparse
+
 from .instance import MINUTES_PER_DAY, BaselinePlan, CostParams
 from .spacetime import SpaceTimeNetwork, with_light_arcs
 
 VAR_FAMILIES = ("x", "yso", "ypu", "u", "z1", "z2", "w1", "w2")
+
+# Row senses as stored in a ModelMatrix.
+SENSE_LE, SENSE_EQ, SENSE_GE = 1, 0, -1
+_SENSE_CODES = {"<=": SENSE_LE, "=": SENSE_EQ, ">=": SENSE_GE}
+
+# Largest magnitude of a bound, coefficient row sum times value, or
+# right-hand side in an integral ModelMatrix: every row value and slack then
+# fits int64 and is exact in float64.
+EXACT_INT_LIMIT = 2**52
 
 
 class ConfigError(ValueError):
@@ -92,6 +104,7 @@ class MilpModel:
     extension: ExtensionConfig | None = None
     start: dict[str, int] | None = None
     _index: dict[str, int] = field(default_factory=dict, repr=False)
+    _matrix: "ModelMatrix | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._index:
@@ -117,6 +130,12 @@ class MilpModel:
     def vars_of_family(self, family: str) -> list[VarRef]:
         return [v for v in self.variables if v.family == family]
 
+    def matrix(self) -> "ModelMatrix":
+        """The compiled rows and column bounds, built on first use."""
+        if self._matrix is None:
+            self._matrix = ModelMatrix(self)
+        return self._matrix
+
     def extended(
         self,
         new_vars: list[VarRef],
@@ -135,6 +154,52 @@ class MilpModel:
             extension=extension,
             start=None,
         )
+
+
+class ModelMatrix:
+    """A model's column bounds and rows as arrays, in model order.
+
+    ``A`` is a CSR matrix whose row i is constraint i (its terms in the
+    constraint's own order), with ``sense`` coded as SENSE_LE/EQ/GE and
+    ``rhs`` its right-hand sides.  ``integral`` holds when every bound,
+    coefficient and right-hand side is a Python int within EXACT_INT_LIMIT;
+    the arrays are int64 then and float64 otherwise.  Integer points whose
+    entries stay within ``value_limit`` have exact int64 row values.  The
+    objective is not compiled: sweeps rebuild models, and costs are cheap.
+    """
+
+    def __init__(self, m: MilpModel):
+        self.ids = tuple(v.id for v in m.variables)
+        self.column = m._index
+        indptr = [0]
+        indices: list[int] = []
+        data: list = []
+        rhs: list = []
+        max_row_abs = 0
+        for con in m.constraints:
+            row_abs = 0
+            for var, coef in con.terms:
+                indices.append(self.column[var])
+                data.append(coef)
+                row_abs += abs(coef)
+            max_row_abs = max(max_row_abs, row_abs)
+            indptr.append(len(indices))
+            rhs.append(con.rhs)
+        lower = [v.lower for v in m.variables]
+        upper = [v.upper for v in m.variables]
+        self.integral = all(
+            isinstance(x, int) and abs(x) <= EXACT_INT_LIMIT for seq in (lower, upper, data, rhs) for x in seq
+        )
+        dtype = np.int64 if self.integral else float
+        self.lower = np.array(lower, dtype=dtype)
+        self.upper = np.array(upper, dtype=dtype)
+        self.rhs = np.array(rhs, dtype=dtype)
+        self.sense = np.array([_SENSE_CODES[con.sense] for con in m.constraints], dtype=np.int8)
+        self.A = sparse.csr_matrix(
+            (np.array(data, dtype=dtype), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+            shape=(len(m.constraints), len(self.ids)),
+        )
+        self.value_limit = EXACT_INT_LIMIT // max(1, max_row_abs) if self.integral else 0
 
 
 # Variable-id helpers keep the naming convention in one place.
@@ -542,4 +607,6 @@ def warm_start_from(m: MilpModel, sol) -> MilpModel:
     violations = check_feasibility(m, values)
     if violations:
         raise InfeasibleStartError([v.tag for v in violations])
-    return replace(m, start=values)
+    warm = replace(m, start=values)
+    warm._matrix = m._matrix  # same rows, same bounds
+    return warm

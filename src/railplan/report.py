@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
+import logging
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -29,6 +31,8 @@ from .model import (
 )
 from .solver import Solution, SolveBudget, check_feasibility, evaluate_objective, solve_bb
 from .spacetime import SpaceTimeNetwork, build_network, pickup_arcs, setout_arcs, with_light_arcs
+
+log = logging.getLogger(__name__)
 
 SHARE_KEYS = (
     "active",
@@ -415,24 +419,27 @@ def run_extension_ladder(
     """Solve the capacity-doubling reference first, then each requested
     version across its activation-budget grid, warm-chaining consecutive
     rungs when enabled.  Objective improvement is reported relative to the
-    reference solve."""
+    reference solve.
+
+    The versions' chains depend only on the reference, so they are solved
+    side by side on threads (HiGHS releases the GIL), at most one per chain
+    and per core; rows come back in the order of ``versions``.
+    """
     if inst.baseline is None:
         raise ConfigError("extension ladders require an instance with a baseline plan")
     net, _specs, base_model = assemble(inst, lt_method=lt_method)
 
-    rows: list[dict] = []
     v1p_model = apply_extension(base_model, ExtensionConfig(version="V1prime", theta=theta))
     v1p_sol = solve_bb(v1p_model, budget=budget)
+    _log_rung("V1prime", None, False, v1p_sol)
     row = {"version": "V1prime", "alpha": None, "warm_started": False}
     row.update(_solution_row(v1p_sol, net, v1p_model))
     row["improvement_vs_v1prime_pct"] = 0.0
-    rows.append(row)
     reference = v1p_sol.objective
 
-    for version in versions:
-        if version == "V1prime":
-            continue
+    def chain(version: str) -> list[dict]:
         grid = budgets if budgets is not None else default_alpha_grid(version, inst.baseline, steps)
+        rows: list[dict] = []
         prev_sol = None
         for alpha in grid:
             model = apply_extension(base_model, _config_for(version, alpha, theta))
@@ -448,6 +455,7 @@ def run_extension_ladder(
                     except InfeasibleStartError:
                         continue
             sol = solve_bb(model, budget=budget)
+            _log_rung(version, alpha, warm_used, sol)
             row = {"version": version, "alpha": alpha, "warm_started": warm_used}
             row.update(_solution_row(sol, net, model))
             if reference and sol.objective is not None:
@@ -457,7 +465,24 @@ def run_extension_ladder(
             rows.append(row)
             if sol.values is not None:
                 prev_sol = sol
-    return rows
+        return rows
+
+    chains = [version for version in versions if version != "V1prime"]
+    workers = min(len(chains), os.cpu_count() or 1)
+    log.debug("ladder: %d version chains on %d threads", len(chains), workers)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chain_rows = list(pool.map(chain, chains))
+    else:
+        chain_rows = [chain(version) for version in chains]
+    return [row] + [r for rows in chain_rows for r in rows]
+
+
+def _log_rung(version: str, alpha, warm_used: bool, sol: Solution) -> None:
+    log.debug(
+        "rung %s alpha=%s warm_started=%s: status=%s nodes=%d wall=%.3fs",
+        version, alpha, warm_used, sol.status, sol.node_count, sol.wall_time,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,14 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .model import InfeasibleStartError, MilpModel, infer_gate_values
+from .model import (
+    SENSE_EQ,
+    SENSE_GE,
+    InfeasibleStartError,
+    MilpModel,
+    ModelMatrix,
+    group_events_by_terminal_day,
+)
 
 log = logging.getLogger(__name__)
 
@@ -87,8 +94,35 @@ def evaluate_objective(m: MilpModel, values: dict[str, int]):
     return total, breakdown
 
 
+def _exact_verdict(mx: ModelMatrix, v: np.ndarray) -> bool | None:
+    """Whether the int64 point ``v`` passes ``check_feasibility``, decided
+    with one ``A @ v``: the same bound tests and the same slack tolerance,
+    exact because every row value fits.  ``None`` when that is not assured
+    (a float model, or an entry past ``value_limit``)."""
+    if not mx.integral or v.size == 0 or v.min() < -mx.value_limit or v.max() > mx.value_limit:
+        return None
+    if (v < mx.lower).any() or (v > mx.upper).any():
+        return False
+    diff = mx.rhs - mx.A @ v
+    slack = np.where(mx.sense == SENSE_EQ, -np.abs(diff), np.where(mx.sense == SENSE_GE, -diff, diff))
+    return not (slack < -FEAS_TOL * np.maximum(1.0, np.abs(mx.rhs.astype(float)))).any()
+
+
 def check_feasibility(m: MilpModel, values: dict[str, int]) -> list[ConstraintViolation]:
-    """Every bound, integrality and constraint check; empty list iff feasible."""
+    """Every bound, integrality and constraint check; empty list iff feasible.
+
+    Integer points of an integral model are first checked in one int64
+    matrix product; only a point that fails it is walked row by row to
+    name its violations.
+    """
+    mx = m.matrix()
+    if mx.integral:
+        try:
+            v = np.array([values[var_id] for var_id in mx.ids])
+        except KeyError:
+            v = None  # the walk below names the first missing variable
+        if v is not None and v.dtype.kind in "ib" and _exact_verdict(mx, v.astype(np.int64, copy=False)):
+            return []
     out: list[ConstraintViolation] = []
     net = m.network
     for var in m.variables:
@@ -156,40 +190,33 @@ class _LpFailed(Exception):
 
 class _LpData:
     def __init__(self, m: MilpModel):
-        self.n = len(m.variables)
-        index = {v.id: i for i, v in enumerate(m.variables)}
+        mx = m.matrix()
+        self.n = len(mx.ids)
         self.c = np.zeros(self.n)
         for var_id, coef in m.objective.items():
-            self.c[index[var_id]] = coef
+            self.c[mx.column[var_id]] = coef
 
-        eq_rows, eq_rhs, ub_rows, ub_rhs = [], [], [], []
-        for con in m.constraints:
-            cols = [(index[v], coef) for v, coef in con.terms]
-            if con.sense == "=":
-                eq_rows.append(cols)
-                eq_rhs.append(con.rhs)
-            elif con.sense == "<=":
-                ub_rows.append(cols)
-                ub_rhs.append(con.rhs)
-            else:
-                ub_rows.append([(j, -coef) for j, coef in cols])
-                ub_rhs.append(-con.rhs)
+        # linprog's form: equality rows, and <= rows with >= rows negated.
+        A = mx.A
+        row_of = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        ge = mx.sense == SENSE_GE
+        data = np.where(ge[row_of], -A.data, A.data).astype(float)
+        rhs = np.where(ge, -mx.rhs, mx.rhs).astype(float) + 0.0  # no -0.0
 
         def pack(rows):
-            data, ri, ci = [], [], []
-            for r, cols in enumerate(rows):
-                for j, coef in cols:
-                    ri.append(r)
-                    ci.append(j)
-                    data.append(float(coef))
-            return sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), self.n))
+            keep = rows[row_of]
+            rank = np.cumsum(rows) - 1
+            return sparse.csr_matrix(
+                (data[keep], (rank[row_of[keep]], A.indices[keep])), shape=(int(rows.sum()), self.n)
+            )
 
-        self.A_eq = pack(eq_rows) if eq_rows else None
-        self.b_eq = np.array(eq_rhs, dtype=float) if eq_rows else None
-        self.A_ub = pack(ub_rows) if ub_rows else None
-        self.b_ub = np.array(ub_rhs, dtype=float) if ub_rows else None
-        self.lo = np.array([v.lower for v in m.variables], dtype=float)
-        self.hi = np.array([v.upper for v in m.variables], dtype=float)
+        eq = mx.sense == SENSE_EQ
+        self.A_eq = pack(eq) if eq.any() else None
+        self.b_eq = rhs[eq] if eq.any() else None
+        self.A_ub = pack(~eq) if (~eq).any() else None
+        self.b_ub = rhs[~eq] if (~eq).any() else None
+        self.lo = mx.lower.astype(float)
+        self.hi = mx.upper.astype(float)
         self._highs = self._open_session() if _HIGHS is not None else None
 
     def _open_session(self):
@@ -311,34 +338,83 @@ class _Node:
     hi: np.ndarray = field(repr=False, default=None)
 
 
-def _try_repair(m: MilpModel, flows: np.ndarray, flow_ids: list[str]) -> dict[str, int] | None:
-    """Complete near-integral flows into a feasible candidate.
+class _Repair:
+    """Completes near-integral LP flows into a candidate; built once per solve.
 
-    ``flows`` are the LP values of the x-family variables named by
-    ``flow_ids``.  Given integral x values, activation binaries and
-    light-train counts have cheapest feasible completions (y = 1 iff flow
-    positive, u = ceil(x/rho), gates from event usage); the candidate is
-    verified exactly before use.
+    Given integral x values, activation binaries and light-train counts have
+    cheapest feasible completions: y = 1 iff flow positive, u = ceil(x/rho),
+    and each gate 1 iff its terminal or terminal-day holds an event.  The
+    candidate is an int64 column vector, checked exactly before use.
     """
-    net = m.network
-    if net is None:
-        return None
-    rho = net.instance.costs.rho_u
-    rounded = np.round(flows)
-    if np.any(np.abs(flows - rounded) > INT_TOL):
-        return None
-    values: dict[str, int] = dict(zip(flow_ids, rounded.astype(int).tolist()))
-    for var in m.variables:
-        if var.family in ("yso", "ypu"):
-            values[var.id] = int(values.get(f"x:{var.subject}", 0) > 0)
-        elif var.family == "u":
-            values[var.id] = math.ceil(values.get(f"x:{var.subject}", 0) / rho)
-    values.update(infer_gate_values(m, values))
-    if len(values) != len(m.variables):
-        return None
-    if check_feasibility(m, values):
-        return None
-    return values
+
+    def __init__(self, m: MilpModel):
+        self.m = m
+        self.mx = mx = m.matrix()
+        self.n = n = len(mx.ids)
+        net = m.network
+        self.usable = net is not None
+        if net is None:
+            return
+        self.rho = net.instance.costs.rho_u
+        groups = group_events_by_terminal_day(net)
+        # Column n of the work vector stays 0: a variable the model lacks
+        # counts as 0.
+        col = lambda var_id: mx.column.get(var_id, n)
+        flow_cols, y_cols, y_src, u_cols, u_src, gate_cols = [], [], [], [], [], []
+        gate_rows: list[int] = []
+        gate_events: list[int] = []
+        for j, var in enumerate(m.variables):
+            if var.family == "x":
+                flow_cols.append(j)
+            elif var.family in ("yso", "ypu"):
+                y_cols.append(j)
+                y_src.append(col(f"x:{var.subject}"))
+            elif var.family == "u":
+                u_cols.append(j)
+                u_src.append(col(f"x:{var.subject}"))
+            elif var.family in ("z1", "w1", "z2", "w2"):
+                if var.family in ("z1", "w1"):
+                    keys = [key for key in groups if key[0] == var.subject]
+                else:
+                    k, d = var.subject.rsplit(":", 1)
+                    keys = [(k, int(d))]
+                events = [col(e) for key in keys for pair in groups.get(key, []) for e in pair]
+                gate_rows += [len(gate_cols)] * len(events)
+                gate_events += events
+                gate_cols.append(j)
+            else:
+                self.usable = False  # a family without a cheapest completion
+                return
+        index = lambda cols: np.array(cols, dtype=np.intp)
+        self.flow_cols, self.y_cols, self.y_src = index(flow_cols), index(y_cols), index(y_src)
+        self.u_cols, self.u_src, self.gate_cols = index(u_cols), index(u_src), index(gate_cols)
+        # Row g counts the events under gate g.
+        self.gates = sparse.csr_matrix(
+            (np.ones(len(gate_events), dtype=np.int64), (gate_rows, gate_events)), shape=(len(gate_cols), n + 1)
+        )
+
+    def __call__(self, x: np.ndarray) -> dict[str, int] | None:
+        """The completed candidate of LP point ``x``, in variable order, or
+        ``None`` when its flows are not integral or it is infeasible."""
+        if not self.usable:
+            return None
+        flows = x[self.flow_cols]
+        rounded = np.round(flows)
+        if np.any(np.abs(flows - rounded) > INT_TOL):
+            return None
+        v = np.zeros(self.n + 1, dtype=np.int64)
+        v[self.flow_cols] = rounded
+        v[self.y_cols] = v[self.y_src] > 0
+        v[self.u_cols] = np.ceil(v[self.u_src] / self.rho)
+        v[self.gate_cols] = self.gates @ v > 0
+        point = v[: self.n]
+        verdict = _exact_verdict(self.mx, point)
+        if verdict is False:
+            return None
+        values = dict(zip(self.mx.ids, point.tolist()))
+        if verdict is None and check_feasibility(self.m, values):
+            return None
+        return values
 
 
 def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
@@ -352,8 +428,7 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
     budget = budget or SolveBudget()
     t0 = perf_counter()
     lp = _LpData(m)
-    flow_cols = np.array([i for i, var in enumerate(m.variables) if var.family == "x"], dtype=np.intp)
-    flow_ids = [m.variables[i].id for i in flow_cols]
+    repair = _Repair(m)
 
     incumbent: dict[str, int] | None = None
     incumbent_obj = math.inf
@@ -426,7 +501,7 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
             split = math.floor(x[j])
             split = min(max(split, int(node.lo[j])), int(node.hi[j]) - 1)
         else:
-            repaired = _try_repair(m, x[flow_cols], flow_ids)
+            repaired = repair(x)
             if repaired is not None:
                 exact, _ = evaluate_objective(m, repaired)
                 if exact < incumbent_obj:

@@ -3,8 +3,9 @@
 Each function here recomputes a quantity by a different route than the
 library (direct summation, literal enumeration, an LP on the node-arc
 incidence matrix, an exhaustive scan of a model's integer box, HiGHS's own
-MPS reader and MIP solver, or the model over a denser light-arc set) so
-expected values in tests are never produced by the code path under test.
+MPS reader and MIP solver, the model over a denser light-arc set, or a walk
+over the model's constraint objects) so expected values in tests are never
+produced by the code path under test.
 """
 
 from __future__ import annotations
@@ -14,11 +15,19 @@ import math
 from time import perf_counter
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from railplan.lighttravel import reduce_exact
 from railplan.model import MilpModel, build_base_model
-from railplan.solver import Solution, SolveBudget, solve_bb
+from railplan.solver import (
+    FEAS_TOL,
+    ConstraintViolation,
+    MissingVariableError,
+    Solution,
+    SolveBudget,
+    solve_bb,
+)
 from railplan.spacetime import build_network, with_light_arcs
 
 
@@ -184,6 +193,91 @@ def solve_enumeration(m: MilpModel, cap: int = 24) -> Solution:
         return Solution("infeasible", None, None, (math.inf, math.inf), visited, wall)
     values = {v.id: best_vals[i] for i, v in enumerate(m.variables)}
     return Solution("optimal", values, best_obj, (best_obj, best_obj), visited, wall)
+
+
+# ---------------------------------------------------------------------------
+# The model's rows walked one constraint object at a time
+
+
+def check_feasibility_by_row_walk(m: MilpModel, values: dict) -> list[ConstraintViolation]:
+    """``check_feasibility`` as a plain walk over variables and constraints,
+    summing each row in Python; the reference for the matrix checker."""
+    out: list[ConstraintViolation] = []
+    net = m.network
+    for var in m.variables:
+        if var.id not in values:
+            raise MissingVariableError(var.id)
+        v = values[var.id]
+        if v != int(round(v)):
+            out.append(ConstraintViolation(f"int:{var.id}", 0.0, f"value {v} not integral"))
+            continue
+        if not (var.lower <= v <= var.upper):
+            if (
+                var.family == "x"
+                and net is not None
+                and var.subject in net.arcs
+                and net.arcs[var.subject].kind == "train"
+            ):
+                tag = f"cap:{var.subject}"
+                msg = f"power window [{var.lower}, {var.upper}] violated by {v}"
+            else:
+                tag = f"bounds:{var.id}"
+                msg = f"bounds [{var.lower}, {var.upper}] violated by {v}"
+            out.append(ConstraintViolation(tag, min(v - var.lower, var.upper - v), msg))
+    for con in m.constraints:
+        lhs = sum(coef * values[var] for var, coef in con.terms)
+        scale = max(1.0, abs(float(con.rhs)))
+        if con.sense == "<=":
+            slack = con.rhs - lhs
+        elif con.sense == ">=":
+            slack = lhs - con.rhs
+        else:
+            slack = -abs(lhs - con.rhs)
+        if slack < -FEAS_TOL * scale:
+            out.append(ConstraintViolation(con.tag, slack, f"lhs={lhs} {con.sense} {con.rhs}"))
+    return out
+
+
+def list_built_lp(m: MilpModel) -> dict:
+    """The LP relaxation in ``linprog``'s form, built from Python lists row
+    by row: costs ``c``, ``A_ub``/``b_ub`` (>= rows negated), ``A_eq``/
+    ``b_eq`` and column bounds ``lo``/``hi``."""
+    n = len(m.variables)
+    index = {v.id: i for i, v in enumerate(m.variables)}
+    c = np.zeros(n)
+    for var_id, coef in m.objective.items():
+        c[index[var_id]] = coef
+    eq_rows, eq_rhs, ub_rows, ub_rhs = [], [], [], []
+    for con in m.constraints:
+        cols = [(index[v], coef) for v, coef in con.terms]
+        if con.sense == "=":
+            eq_rows.append(cols)
+            eq_rhs.append(con.rhs)
+        elif con.sense == "<=":
+            ub_rows.append(cols)
+            ub_rhs.append(con.rhs)
+        else:
+            ub_rows.append([(j, -coef) for j, coef in cols])
+            ub_rhs.append(-con.rhs)
+
+    def pack(rows):
+        data, ri, ci = [], [], []
+        for r, cols in enumerate(rows):
+            for j, coef in cols:
+                ri.append(r)
+                ci.append(j)
+                data.append(float(coef))
+        return sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
+
+    return {
+        "c": c,
+        "A_eq": pack(eq_rows) if eq_rows else None,
+        "b_eq": np.array(eq_rhs, dtype=float) if eq_rows else None,
+        "A_ub": pack(ub_rows) if ub_rows else None,
+        "b_ub": np.array(ub_rhs, dtype=float) if ub_rows else None,
+        "lo": np.array([v.lower for v in m.variables], dtype=float),
+        "hi": np.array([v.upper for v in m.variables], dtype=float),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -174,3 +174,25 @@ def test_flags_a_subcommand_ignores_are_rejected(tmp_path, capsys, ladder_instan
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "rows.csv").exists()
+
+
+def test_build_reports_light_arc_enumeration_cap(tmp_path, capsys):
+    from railplan.instance import generate_synthetic
+
+    inst_path = _write(tmp_path, generate_synthetic(1, 10, 80, 4))
+    code = main(["build", "--instance", inst_path, "--lt-method", "full", "--out", str(tmp_path / "m.mps")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "capped at 200 ground nodes, instance has 422" in err
+    assert not (tmp_path / "m.mps").exists()
+
+
+def test_build_reports_mcf_without_a_way_back(tmp_path, capsys):
+    from .conftest import make_instance
+
+    one_way = make_instance(["A", "B"], {("A", "B"): 600}, [("t1", [("A", "B", 600, 1)], [])])
+    inst_path = _write(tmp_path, one_way)
+    code = main(["build", "--instance", inst_path, "--lt-method", "mcf", "--out", str(tmp_path / "m.mps")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no repositioning path from B to deficit terminals ['A']" in err

@@ -1,0 +1,277 @@
+"""The compiled model matrix against walks over the constraint objects.
+
+``check_feasibility`` decides integer points of an integral model with one
+int64 matrix product and walks the rows only to name violations; the LP
+relaxation is built from the same matrix.  Both must give exactly what the
+row walks in ``tests/oracles.py`` give.
+"""
+
+from datetime import timedelta
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from railplan.instance import attach_synthetic_baseline, generate_synthetic
+from railplan.model import (
+    EXACT_INT_LIMIT,
+    ExtensionConfig,
+    LinearConstraint,
+    MilpModel,
+    VarRef,
+    apply_extension,
+)
+from railplan.report import assemble, default_alpha_grid
+from railplan.solver import SolveBudget, _exact_verdict, _LpData, check_feasibility, solve_bb
+
+from .oracles import check_feasibility_by_row_walk, list_built_lp
+
+
+def _extension_configs(baseline):
+    grid = lambda version: default_alpha_grid(version, baseline, 3)[1]
+    return [
+        None,
+        ExtensionConfig(version="V1", lambda_=1),
+        ExtensionConfig(version="V1prime"),
+        ExtensionConfig(version="V1prime", theta=float("inf")),
+        ExtensionConfig(version="V2", alpha_c=1),
+        ExtensionConfig(version="V3", alpha_d=grid("V3")),
+        ExtensionConfig(version="V3", alpha_d=grid("V3"), theta=4.5),  # float rows
+        ExtensionConfig(version="V4", alpha_e=grid("V4")),
+        ExtensionConfig(version="V5", alpha_f=grid("V5")),
+    ]
+
+
+def _hand_model(constraints, variables=None):
+    variables = variables or (
+        VarRef(id="a", family="x", subject="a", lower=0, upper=4),
+        VarRef(id="b", family="x", subject="b", lower=-2, upper=3),
+        VarRef(id="c", family="u", subject="c", lower=0, upper=1, binary=True),
+    )
+    return MilpModel(
+        name="hand",
+        variables=tuple(variables),
+        constraints=tuple(constraints),
+        objective={"a": 1, "c": 2.5},
+        offset=0,
+        decomposition={},
+        network=None,
+    )
+
+
+def _hand_models():
+    """(model, point) pairs built by hand: >= rows, float rows, an empty row,
+    and rows whose right-hand sides are large enough that the checker's
+    relative tolerance forgives a slack of -1."""
+    point = {"a": 1, "b": 0, "c": 1}
+    wide = (
+        VarRef(id="a", family="x", subject="a", lower=0, upper=10**9),
+        VarRef(id="b", family="x", subject="b", lower=-(10**8), upper=10**8),
+        VarRef(id="c", family="u", subject="c", lower=0, upper=1, binary=True),
+    )
+    return [
+        (_hand_model([]), point),
+        (
+            _hand_model([
+                LinearConstraint((("a", 1), ("b", 2)), ">=", 0, "ge0"),
+                LinearConstraint((("a", 1), ("c", -3)), "<=", 1, "le"),
+                LinearConstraint((("b", 1), ("c", 1)), "=", 1, "eq"),
+                LinearConstraint((("a", 2), ("b", -1)), ">=", -3, "ge"),
+            ]),
+            point,
+        ),
+        (
+            _hand_model([
+                LinearConstraint((("a", 0.5), ("b", 1)), ">=", 1.5, "float_ge"),
+                LinearConstraint((("a", 1),), "<=", 3, "le"),
+                LinearConstraint((("b", 1), ("c", 2)), ">=", 0, "int_ge0"),  # b_ub gets 0.0, not -0.0
+            ]),
+            point,
+        ),
+        (_hand_model([LinearConstraint((), "<=", 0, "empty")]), point),
+        (
+            _hand_model(
+                [
+                    LinearConstraint((("a", 1), ("b", 1)), "<=", 20_000_000, "big_le"),
+                    LinearConstraint((("a", 1),), "=", 30_000_000, "big_eq"),
+                    LinearConstraint((("a", -1), ("b", -1)), ">=", -20_000_000, "big_ge"),
+                ],
+                variables=wide,
+            ),
+            {"a": 30_000_001, "b": -10_000_000, "c": 0},  # every slack -1, forgiven
+        ),
+        (
+            # Bounds at the exact-integer limit: 4096 * a can pass int64.
+            _hand_model(
+                [LinearConstraint((("a", 4096), ("b", 1)), "<=", 2**40, "steep")],
+                variables=(
+                    VarRef(id="a", family="x", subject="a", lower=0, upper=EXACT_INT_LIMIT),
+                    VarRef(id="b", family="x", subject="b", lower=-EXACT_INT_LIMIT, upper=EXACT_INT_LIMIT),
+                    VarRef(id="c", family="u", subject="c", lower=0, upper=1, binary=True),
+                ),
+            ),
+            {"a": 1, "b": 0, "c": 0},
+        ),
+    ]
+
+
+def _solve_point(model):
+    sol = solve_bb(model, SolveBudget(max_seconds=60, max_nodes=200))
+    return sol.values
+
+
+@pytest.fixture(scope="module")
+def models():
+    """(model, a point of it) pairs: seeded V0-V5 models with the solver's
+    incumbent (feasible) or else the base optimum completed with zero gates."""
+    out = []
+    for seed, shape, method in ((1, (4, 8, 2), "exact"), (2, (5, 12, 3), "mcf")):
+        inst = attach_synthetic_baseline(generate_synthetic(seed, *shape), seed)
+        _net, _specs, base = assemble(inst, lt_method=method)
+        base_point = _solve_point(base)
+        for cfg in _extension_configs(inst.baseline):
+            model = base if cfg is None else apply_extension(base, cfg)
+            point = _solve_point(model)
+            if point is None:
+                point = {v.id: base_point.get(v.id, 0) for v in model.variables}
+            out.append((model, point))
+    return out + _hand_models()
+
+
+def _outcome(check, model, values):
+    """The violation list with every field's type, or the exception raised."""
+    try:
+        return [(type(v.tag), v.tag, type(v.slack), v.slack, v.message) for v in check(model, values)]
+    except Exception as exc:  # noqa: BLE001 - the same exception is the expected outcome
+        return (type(exc), exc.args)
+
+
+def _assert_same_as_row_walk(model, values):
+    want = _outcome(check_feasibility_by_row_walk, model, values)
+    assert _outcome(check_feasibility, model, values) == want
+    # The int64 verdict alone must agree too: the repair trusts a False.
+    mx = model.matrix()
+    if all(type(values.get(i)) is int and -(2**63) <= values[i] < 2**63 for i in mx.ids):
+        verdict = _exact_verdict(mx, np.array([values[i] for i in mx.ids], dtype=np.int64))
+        assert verdict is None or verdict == (want == [])
+
+
+def test_integral_flag_and_fast_verdict(models):
+    integral = [model.matrix().integral for model, _ in models]
+    names = [model.name for model, _ in models]
+    # theta=4.5 on both instances, and the hand model with float rows.
+    assert integral.count(False) == 3, names
+    decided = 0
+    for (model, point), flag in zip(models, integral):
+        if flag and not check_feasibility_by_row_walk(model, point):
+            v = np.array([point[i] for i in model.matrix().ids], dtype=np.int64)
+            assert _exact_verdict(model.matrix(), v) is True  # decided without a walk
+            decided += 1
+    assert decided >= 10
+
+
+_EDGE_VALUES = (
+    EXACT_INT_LIMIT,
+    EXACT_INT_LIMIT + 1,
+    -EXACT_INT_LIMIT - 1,
+    2**62,
+    2**63 - 1,
+    2**63,
+    -(2**63),
+    2**70,
+    -(2**70),
+)
+
+
+def test_check_feasibility_edge_points_match_row_walk(models):
+    for model, point in models:
+        _assert_same_as_row_walk(model, point)
+        ids = list(point)
+        for var_id in (ids[0], ids[len(ids) // 2], ids[-1]):
+            var = model.var(var_id)
+            for value in (*_EDGE_VALUES, var.upper + 1, var.lower - 1, float(var.upper), var.upper - 0.5, True):
+                _assert_same_as_row_walk(model, {**point, var_id: value})
+            missing = dict(point)
+            del missing[var_id]
+            _assert_same_as_row_walk(model, missing)
+            with pytest.raises(KeyError):
+                check_feasibility(model, missing)
+
+
+_EDIT = st.one_of(
+    st.tuples(st.just("add"), st.integers(-3, 3)),
+    st.tuples(st.just("set"), st.integers(-5, 12)),
+    st.tuples(st.just("float"), st.floats(-5, 12, allow_nan=False)),
+    st.tuples(st.just("past_bound"), st.sampled_from((-1, 1))),
+    st.tuples(st.just("huge"), st.sampled_from(_EDGE_VALUES)),
+    st.tuples(st.just("numpy"), st.integers(-3, 12)),
+    st.tuples(st.just("missing"), st.none()),
+)
+
+
+@settings(
+    max_examples=400,
+    deadline=timedelta(seconds=2),
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_check_feasibility_matches_row_walk(models, data):
+    model, point = models[data.draw(st.integers(0, len(models) - 1), label="model")]
+    ids = list(point)
+    if data.draw(st.booleans(), label="random box point"):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = {
+            var.id: int(rng.integers(max(var.lower, -5), min(var.upper, 12) + 1)) for var in model.variables
+        }
+    else:
+        values = dict(point)
+    for index, (op, arg) in data.draw(
+        st.lists(st.tuples(st.integers(0, len(ids) - 1), _EDIT), max_size=6), label="edits"
+    ):
+        var = model.var(ids[index])
+        if op == "missing":
+            values.pop(var.id, None)
+        elif op == "add" and var.id in values and isinstance(values[var.id], int):
+            values[var.id] += arg
+        elif op == "past_bound":
+            values[var.id] = var.upper + 1 if arg > 0 else var.lower - 1
+        elif op == "numpy":
+            values[var.id] = np.int64(arg)
+        elif op != "add":
+            values[var.id] = arg
+    _assert_same_as_row_walk(model, values)
+
+
+def _bits(a):
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+
+def _csr_bits(a):
+    if a is None:
+        return None
+    return (a.shape, _bits(a.indptr), _bits(a.indices), _bits(a.data))
+
+
+def test_lp_arrays_equal_list_built_lp(models):
+    for model, _ in models:
+        lp = _LpData(model)
+        want = list_built_lp(model)
+        for key in ("c", "b_eq", "b_ub", "lo", "hi"):
+            assert _bits(getattr(lp, key)) == _bits(want[key]), (model.name, key)
+        for key in ("A_eq", "A_ub"):
+            assert _csr_bits(getattr(lp, key)) == _csr_bits(want[key]), (model.name, key)
+
+
+def test_warm_start_shares_the_matrix():
+    from railplan.model import warm_start_from
+
+    inst = attach_synthetic_baseline(generate_synthetic(1, 4, 8, 2), 1)
+    _net, _specs, base = assemble(inst)
+    v1p = solve_bb(apply_extension(base, ExtensionConfig(version="V1prime")), SolveBudget(max_nodes=50))
+    rung = apply_extension(base, ExtensionConfig(version="V3", alpha_d=5))
+    warm = warm_start_from(rung, v1p)
+    assert warm.matrix() is rung.matrix()
+    assert warm.start is not None and not check_feasibility(warm, warm.start)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -277,3 +278,95 @@ def test_assemble_pipeline_smoke(ladder_instance):
     assert model.network is merged
     assert len(model.vars_of_family("u")) == len(specs)
     assert math.isfinite(sum(model.objective.values()))
+
+
+def _ladder_rows_without_wall_time(rows):
+    return [{k: v for k, v in row.items() if k != "wall_time"} for row in rows]
+
+
+def _ladder_case():
+    from railplan.instance import attach_synthetic_baseline
+
+    return attach_synthetic_baseline(generate_synthetic(1, 5, 12, 3), 1), SolveBudget(max_seconds=60, max_nodes=25)
+
+
+def test_ladder_chains_on_threads_match_single_version_ladders():
+    inst, budget = _ladder_case()
+    versions = ["V2", "V3", "V4", "V5"]
+    together = run_extension_ladder(inst, versions, steps=3, budget=budget)
+    # One version per call is one chain, which runs without a pool.
+    apart = [run_extension_ladder(inst, [version], steps=3, budget=budget) for version in versions]
+    expected = apart[0][:1] + [row for rows in apart for row in rows[1:]]
+    assert [r["version"] for r in together] == ["V1prime"] + [v for v in versions for _ in range(3)]
+    assert any(r["status"] == "budget_exceeded" for r in together)
+    assert _ladder_rows_without_wall_time(together) == _ladder_rows_without_wall_time(expected)
+
+
+def test_ladder_rows_repeat_exactly(monkeypatch):
+    """Threaded ladders give the serial rows, run after run, also with more
+    threads than cores and a short interpreter switch interval."""
+    import sys
+
+    inst, budget = _ladder_case()
+    versions = ["V2", "V3", "V4", "V5"]
+    monkeypatch.setattr("railplan.report.os.cpu_count", lambda: 1)
+    serial = _ladder_rows_without_wall_time(run_extension_ladder(inst, versions, steps=2, budget=budget))
+    monkeypatch.setattr("railplan.report.os.cpu_count", lambda: 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = [
+            _ladder_rows_without_wall_time(run_extension_ladder(inst, versions, steps=2, budget=budget))
+            for _ in range(3)
+        ]
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2] == serial
+
+
+def test_ladder_pool_never_wider_than_chains(monkeypatch, ladder_instance):
+    widths = []
+
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor: records its width, runs in order."""
+
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("railplan.report.ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr("railplan.report.os.cpu_count", lambda: 64)
+    budget = SolveBudget(max_seconds=60)
+    rows = run_extension_ladder(ladder_instance, ["V2", "V1prime", "V3"], steps=1, budget=budget)
+    assert widths == [2]
+    assert [r["version"] for r in rows] == ["V1prime", "V2", "V3"]
+    # One chain needs no pool; neither does a single core.
+    run_extension_ladder(ladder_instance, ["V3"], steps=1, budget=budget)
+    monkeypatch.setattr("railplan.report.os.cpu_count", lambda: None)
+    run_extension_ladder(ladder_instance, ["V2", "V3"], steps=1, budget=budget)
+    assert widths == [2]
+
+
+def test_ladder_logs_pool_width_and_each_rung(caplog, ladder_instance):
+    import logging
+
+    caplog.set_level(logging.DEBUG, logger="railplan.report")
+    rows = run_extension_ladder(ladder_instance, ["V2", "V3"], steps=2, budget=SolveBudget(max_seconds=60))
+    lines = [r.getMessage() for r in caplog.records if r.name == "railplan.report"]
+    workers = min(2, os.cpu_count() or 1)
+    assert f"ladder: 2 version chains on {workers} threads" in lines
+    rungs = sorted(line for line in lines if line.startswith("rung "))
+    assert len(rungs) == len(rows) == 5
+    for row in rows:
+        prefix = f"rung {row['version']} alpha={row['alpha']} warm_started={row['warm_started']}: "
+        match = [line for line in rungs if line.startswith(prefix)]
+        assert len(match) == 1
+        assert f"status={row['status']} nodes={row['node_count']} wall=" in match[0]

@@ -17,7 +17,7 @@ from railplan.solver import (
 from railplan.spacetime import build_network, with_light_arcs
 
 from .conftest import make_instance
-from .oracles import EnumerationCapError, solve_enumeration
+from .oracles import EnumerationCapError, check_feasibility_by_row_walk, solve_enumeration
 
 
 def _assemble(inst):
@@ -506,50 +506,96 @@ def test_solve_bb_logs_stop_reason(caplog):
     assert all("wall=" in s for s in stops)
 
 
-def test_vectorised_repair_rounding_matches_per_variable_loop():
+def _loop_repair(m, x):
+    """The per-variable completion _Repair used before it was vectorised,
+    checked by the oracle's row walk."""
+    from railplan.model import infer_gate_values
+    from railplan.solver import INT_TOL
+
+    values = {}
+    for i, var in enumerate(m.variables):
+        if var.family != "x":
+            continue
+        v = x[i]
+        if abs(v - round(v)) > INT_TOL:
+            return None
+        values[var.id] = int(round(v))
+    rho = m.network.instance.costs.rho_u
+    for var in m.variables:
+        if var.family in ("yso", "ypu"):
+            values[var.id] = int(values.get(f"x:{var.subject}", 0) > 0)
+        elif var.family == "u":
+            values[var.id] = math.ceil(values.get(f"x:{var.subject}", 0) / rho)
+    values.update(infer_gate_values(m, values))
+    if len(values) != len(m.variables) or check_feasibility_by_row_walk(m, values):
+        return None
+    return values
+
+
+def _repair_points(model, values, seed):
+    """LP-like points around ``values``: jittered within and past the
+    integrality tolerance, then single flows shifted by a half or a whole."""
     import numpy as np
 
-    from railplan.model import infer_gate_values
-    from railplan.solver import INT_TOL, _try_repair
-
-    def loop_repair(m, x):
-        # The per-variable rounding _try_repair used before it was vectorised.
-        values = {}
-        for i, var in enumerate(m.variables):
-            if var.family != "x":
-                continue
-            v = x[i]
-            if abs(v - round(v)) > INT_TOL:
-                return None
-            values[var.id] = int(round(v))
-        rho = m.network.instance.costs.rho_u
-        for var in m.variables:
-            if var.family in ("yso", "ypu"):
-                values[var.id] = int(values.get(f"x:{var.subject}", 0) > 0)
-            elif var.family == "u":
-                values[var.id] = math.ceil(values.get(f"x:{var.subject}", 0) / rho)
-        values.update(infer_gate_values(m, values))
-        if len(values) != len(m.variables) or check_feasibility(m, values):
-            return None
-        return values
-
-    _net, model = _assemble(generate_synthetic(1, 4, 8, 2))
-    opt = solve_bb(model, SolveBudget(max_seconds=60))
-    base = np.array([opt.values[v.id] for v in model.variables], dtype=float)
+    base = np.array([values[v.id] for v in model.variables], dtype=float)
     cols = np.array([i for i, v in enumerate(model.variables) if v.family == "x"])
-    ids = [model.variables[i].id for i in cols]
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     points = [base + rng.uniform(-s, s, base.size) for s in (0.0, 4e-7, 9e-7, 2e-6, 0.3) for _ in range(4)]
     for k in rng.choice(cols, 6):
         for shift in (0.5, 1.0, -1.0):
             x = base.copy()
             x[k] += shift
             points.append(x)
+    return points
+
+
+def _assert_repair_matches_loop(model, points):
+    from railplan.solver import _Repair
+
+    repair = _Repair(model)
     outcomes = []
     for x in points:
-        got = _try_repair(model, x[cols], ids)
-        assert got == loop_repair(model, x)
+        got = repair(x)
+        want = _loop_repair(model, x)
+        assert got == want
         if got is not None:
-            assert list(got) == list(loop_repair(model, x))
+            assert list(got) == list(want)
         outcomes.append(got is None)
     assert any(outcomes) and not all(outcomes)
+
+
+def test_vectorised_repair_rounding_matches_per_variable_loop():
+    _net, model = _assemble(generate_synthetic(1, 4, 8, 2))
+    opt = solve_bb(model, SolveBudget(max_seconds=60))
+    points = _repair_points(model, opt.values, 5)
+    assert len(points) == 38
+    _assert_repair_matches_loop(model, points)
+
+
+@pytest.mark.parametrize("version", ["V2", "V3", "V4", "V5"])
+def test_repair_gate_completion_matches_per_variable_loop(version):
+    from dataclasses import replace
+
+    from railplan.instance import attach_synthetic_baseline
+    from railplan.model import apply_extension
+    from railplan.report import _config_for, assemble, default_alpha_grid
+    from railplan.solver import _Repair
+
+    inst = attach_synthetic_baseline(generate_synthetic(1, 4, 8, 2), 1)
+    _net, _specs, base = assemble(inst)
+    alpha = default_alpha_grid(version, inst.baseline, 3)[-1]
+    model = apply_extension(base, _config_for(version, alpha, 6))
+    # The optimum schedules no work events, so every gate would stay 0.  A
+    # feasible point of the same rows that rewards set-out and pick-up flow
+    # opens some gates.
+    rewarded = dict(model.objective)
+    for var in model.variables:
+        if var.family in ("yso", "ypu"):
+            rewarded[f"x:{var.subject}"] = rewarded.get(f"x:{var.subject}", 0) - 20000
+    sol = solve_bb(replace(model, objective=rewarded), SolveBudget(max_seconds=60, max_nodes=200))
+    assert sol.values is not None
+    points = _repair_points(model, sol.values, 7)
+    _assert_repair_matches_loop(model, points)
+    gates = [v.id for v in model.variables if v.family in ("z1", "z2", "w1", "w2")]
+    passed = [got for got in map(_Repair(model), points) if got is not None]
+    assert any(got[g] == 1 for got in passed for g in gates)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .instance import (
@@ -73,8 +74,20 @@ def _add_mcf_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mcf-alpha", type=float, default=None, help="penalization factor (default: mean train count)")
 
 
+def _theta(text: str) -> float | int:
+    """A daily work-event cap: a non-negative number or 'inf'.  An integral
+    value is kept as an int, so the model's rows stay integral."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid theta {text!r}") from None
+    if math.isnan(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"theta must be non-negative or 'inf', got {text!r}")
+    return int(value) if value.is_integer() else value
+
+
 def _add_theta_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=float, default=6, help="daily work-event cap per terminal ('inf' allowed)")
+    p.add_argument("--theta", type=_theta, default=6, help="daily work-event cap per terminal ('inf' allowed)")
 
 
 def _add_build_flags(p: argparse.ArgumentParser) -> None:
@@ -287,7 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.add_argument("--param", choices=("q", "e", "c", "g"), required=True)
     p.add_argument("--factors", default=None, help="comma-separated factors (default 0.1..1 by 0.1, 1..10 by 1)")
-    p.add_argument("--parallel", type=int, default=0, help="worker processes for independent cells")
+    p.add_argument(
+        "--parallel",
+        type=int,
+        default=0,
+        help="accepted for compatibility and not used: cells run on one thread per core",
+    )
     p.set_defaults(func=cmd_sweep)
 
     # No abbreviations: --alpha, which ladder does not take, would otherwise

@@ -165,7 +165,8 @@ class ModelMatrix:
     coefficient and right-hand side is a Python int within EXACT_INT_LIMIT;
     the arrays are int64 then and float64 otherwise.  Integer points whose
     entries stay within ``value_limit`` have exact int64 row values.  The
-    objective is not compiled: sweeps rebuild models, and costs are cheap.
+    objective is not compiled: a sweep reprices one model per cost factor
+    and shares its matrix across them.
     """
 
     def __init__(self, m: MilpModel):
@@ -277,24 +278,15 @@ def flow_upper_bound(net: SpaceTimeNetwork) -> int:
     return max(f, f * n_legs, 1)
 
 
-def build_base_model(
-    net: SpaceTimeNetwork,
-    light_arcs,
-    costs: CostParams,
-    mutual_exclusion: bool = True,
-    name: str = "railplan",
-) -> MilpModel:
-    """Assemble the base assignment model over a network plus light arcs.
+def _price(net: SpaceTimeNetwork, costs: CostParams):
+    """Objective coefficients, constant offset and cost decomposition of the
+    base model over ``net`` (light arcs merged) at ``costs``.
 
-    ``light_arcs`` are merged into the network if not already present.  Light
-    arcs are priced here, from ``costs`` and each arc's transit time, so
-    sweeps can rescale rates without regenerating arcs.
+    Only the rates q, g_rate, e_rate and c1-c3 enter here; f and rho_u shape
+    bounds and rows instead.  Insertion order is part of the result:
+    ``evaluate_objective`` sums in dict order, so terms go in per arc (x),
+    then per light arc (u), then the work-event penalties.
     """
-    if light_arcs and not any(a.kind == "light" for a in net.arcs.values()):
-        net = with_light_arcs(net, light_arcs)
-
-    variables: list[VarRef] = []
-    constraints: list[LinearConstraint] = []
     objective: dict[str, float | int] = {}
     decomposition: dict[str, dict[str, float | int]] = {
         "ownership": {},
@@ -311,16 +303,9 @@ def build_base_model(
         bucket = decomposition[category]
         bucket[var] = bucket.get(var, 0) + coef
 
-    U = flow_upper_bound(net)
-    u_cap = max(1, math.ceil(U / costs.rho_u))
-
+    light_arcs = []
     for arc in net.arcs_in_order():
-        if arc.kind == "train":
-            lower, upper = arc.b, costs.f
-        else:
-            lower, upper = 0, U
         xv = x_id(arc.id)
-        variables.append(VarRef(id=xv, family="x", subject=arc.id, lower=lower, upper=upper))
         if arc.crossings > 0:
             add_obj("ownership", xv, costs.q * arc.crossings)
         if arc.kind == "train":
@@ -329,6 +314,41 @@ def build_base_model(
             offset -= g_l * arc.b
         elif arc.kind == "light":
             add_obj("light_travel", xv, costs.g_rate * arc.transit)
+            light_arcs.append(arc)
+    for arc in light_arcs:
+        add_obj("light_travel", u_id(arc.id), costs.e_rate * arc.transit)
+    for var, coef in rc_penalty_terms(net, costs):
+        add_obj("work_events", var, coef)
+    return objective, offset, decomposition
+
+
+def build_base_model(
+    net: SpaceTimeNetwork,
+    light_arcs,
+    costs: CostParams,
+    mutual_exclusion: bool = True,
+    name: str = "railplan",
+) -> MilpModel:
+    """Assemble the base assignment model over a network plus light arcs.
+
+    ``light_arcs`` are merged into the network if not already present.  Light
+    arcs are priced from ``costs`` and each arc's transit time, so sweeps
+    can rescale rates without regenerating arcs.
+    """
+    if light_arcs and not any(a.kind == "light" for a in net.arcs.values()):
+        net = with_light_arcs(net, light_arcs)
+
+    variables: list[VarRef] = []
+    constraints: list[LinearConstraint] = []
+    U = flow_upper_bound(net)
+    u_cap = max(1, math.ceil(U / costs.rho_u))
+
+    for arc in net.arcs_in_order():
+        if arc.kind == "train":
+            lower, upper = arc.b, costs.f
+        else:
+            lower, upper = 0, U
+        variables.append(VarRef(id=x_id(arc.id), family="x", subject=arc.id, lower=lower, upper=upper))
 
     for arc in net.arcs_in_order():
         if arc.kind == "arrival_ground" and arc.decision:
@@ -341,12 +361,7 @@ def build_base_model(
             )
     for arc in net.arcs_in_order():
         if arc.kind == "light":
-            uv = u_id(arc.id)
-            variables.append(VarRef(id=uv, family="u", subject=arc.id, lower=0, upper=u_cap))
-            add_obj("light_travel", uv, costs.e_rate * arc.transit)
-
-    for var, coef in rc_penalty_terms(net, costs):
-        add_obj("work_events", var, coef)
+            variables.append(VarRef(id=u_id(arc.id), family="u", subject=arc.id, lower=0, upper=u_cap))
 
     for node_id in net.node_order:
         terms = [(x_id(a), 1) for a in net.in_arcs[node_id]] + [
@@ -401,6 +416,7 @@ def build_base_model(
                 )
             )
 
+    objective, offset, decomposition = _price(net, costs)
     return MilpModel(
         name=name,
         variables=tuple(variables),

@@ -13,7 +13,7 @@ import csv
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -24,6 +24,7 @@ from .model import (
     ExtensionConfig,
     InfeasibleStartError,
     MilpModel,
+    _price,
     apply_extension,
     build_base_model,
     group_events_by_terminal_day,
@@ -305,6 +306,13 @@ def default_factors() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A cost-sensitivity sweep: ``parameter`` scaled by each of ``factors``.
+
+    ``parallel`` is still accepted and must be non-negative, but it selects
+    nothing: a sweep solves its cells on threads, one per core and never
+    more than there are factors.
+    """
+
     parameter: str  # one of q, e, c, g
     factors: tuple[float, ...] = field(default_factory=default_factors)
     lt_method: str = "exact"
@@ -341,22 +349,32 @@ def _solution_row(sol: Solution, net, model) -> dict:
     return row
 
 
-def _sweep_row(net, specs, base_costs, parameter: str, budget, factor: float) -> dict:
-    model = build_base_model(net, specs, scaled_costs(base_costs, parameter, factor))
+def _cell_model(base: MilpModel, costs) -> MilpModel:
+    """``base`` repriced at ``costs``.  A sweep's rates move no bound or row,
+    so the cell keeps base's variables, rows and compiled matrix."""
+    objective, offset, decomposition = _price(base.network, costs)
+    model = replace(base, objective=objective, offset=offset, decomposition=decomposition)
+    model._matrix = base.matrix()
+    return model
+
+
+def _sweep_row(base: MilpModel, base_costs, parameter: str, budget, factor: float) -> dict:
+    model = _cell_model(base, scaled_costs(base_costs, parameter, factor))
     sol = solve_bb(model, budget=budget)
     row = {"parameter": parameter, "factor": factor}
-    row.update(_solution_row(sol, net, model))
+    row.update(_solution_row(sol, base.network, model))
     return row
 
 
 def run_sweep(inst: Instance, cfg: SweepConfig) -> list[dict]:
     """One proven (or budget-limited) solve per factor, rows in factor order.
 
-    Light arcs do not depend on cost rates, so the network and its light arcs
-    are built once and only the model is rebuilt per factor.  With
-    ``parallel > 1`` the factors are solved in a process pool of at most
-    ``parallel`` workers and never more workers than factors.  Per-cell
-    budget exhaustion is recorded in the row; the sweep continues.
+    Light arcs and the rows do not depend on cost rates, so the network, its
+    light arcs and the model with its compiled matrix are built once; each
+    cell reprices only the objective.  The cells are independent, so they are
+    solved side by side on threads (HiGHS releases the GIL), at most one per
+    factor and per core.  Per-cell budget exhaustion is recorded in the row;
+    the sweep continues.
     """
     base_net = build_network(inst)
     specs = generate_light_arcs(
@@ -366,12 +384,13 @@ def run_sweep(inst: Instance, cfg: SweepConfig) -> list[dict]:
         mcf_threshold=cfg.mcf_threshold,
         mcf_alpha=cfg.mcf_alpha,
     )
-    solve_cell = partial(
-        _sweep_row, with_light_arcs(base_net, specs), specs, inst.costs, cfg.parameter, cfg.budget
-    )
-    workers = min(cfg.parallel, len(cfg.factors))
+    base = build_base_model(with_light_arcs(base_net, specs), specs, inst.costs)
+    base.matrix()  # compiled here, not raced for by the threads
+    solve_cell = partial(_sweep_row, base, inst.costs, cfg.parameter, cfg.budget)
+    workers = min(len(cfg.factors), os.cpu_count() or 1)
+    log.debug("sweep %s: %d cells on %d threads", cfg.parameter, len(cfg.factors), workers)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(solve_cell, cfg.factors))
     return [solve_cell(factor) for factor in cfg.factors]
 

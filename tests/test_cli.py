@@ -105,6 +105,16 @@ def test_sweep_cli_writes_rows(tmp_path, round_trip_instance):
     assert all(r["status"] == "optimal" for r in rows)
 
 
+def test_sweep_cli_parallel_is_accepted_and_validated(tmp_path, capsys, round_trip_instance):
+    inst_path = _write(tmp_path, round_trip_instance)
+    argv = ["sweep", "--instance", inst_path, "--param", "q", "--factors", "0.5,1.0", "--budget-seconds", "60"]
+    out = tmp_path / "sweep.json"
+    assert main(argv + ["--format", "json", "--out", str(out), "--parallel", "3"]) == 0
+    assert [r["factor"] for r in read_report(out, "json")] == [0.5, 1.0]
+    assert main(argv + ["--out", str(out), "--parallel", "-1"]) == 2
+    assert "parallel must be non-negative" in capsys.readouterr().err
+
+
 def test_ladder_cli_writes_rows(tmp_path, ladder_instance):
     inst_path = _write(tmp_path, ladder_instance)
     out = tmp_path / "ladder.json"
@@ -196,3 +206,52 @@ def test_build_reports_mcf_without_a_way_back(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no repositioning path from B to deficit terminals ['A']" in err
+
+
+def _models_solved(monkeypatch, namespace):
+    """Wraps ``solve_bb`` in ``namespace`` to record every model it is given."""
+    from railplan.solver import solve_bb
+
+    models = []
+
+    def recording(model, *args, **kwargs):
+        models.append(model)
+        return solve_bb(model, *args, **kwargs)
+
+    monkeypatch.setattr(f"{namespace}.solve_bb", recording)
+    return models
+
+
+@pytest.mark.parametrize("theta, integral", [("6", True), ("5.5", False)])
+@pytest.mark.parametrize("command", ["ladder", "solve"])
+def test_integral_theta_keeps_rows_integral(monkeypatch, tmp_path, ladder_instance, command, theta, integral):
+    inst_path = _write(tmp_path, ladder_instance)
+    if command == "ladder":
+        models = _models_solved(monkeypatch, "railplan.report")
+        argv = _LADDER_ARGS + ["--out", str(tmp_path / "rows.csv")]
+    else:
+        models = _models_solved(monkeypatch, "railplan.cli")
+        argv = ["solve", "--extension", "V3", "--alpha", "1"]
+    assert main(argv + ["--instance", inst_path, "--theta", theta, "--budget-seconds", "60"]) == 0
+    assert models
+    for model in models:
+        assert model.extension.theta == float(theta)
+        assert type(model.extension.theta) is (int if integral else float)
+        assert [con.rhs for con in model.constraints if con.tag.startswith("V1p:(15):")] == [model.extension.theta]
+        assert model.matrix().integral is integral
+
+
+@pytest.mark.parametrize("theta", ["-3", "nan", "six"])
+@pytest.mark.parametrize("command", [_LADDER_ARGS, ["solve", "--extension", "V3", "--alpha", "1"]], ids=lambda v: v[0])
+def test_bad_theta_is_rejected(tmp_path, capsys, ladder_instance, command, theta):
+    inst_path = _write(tmp_path, ladder_instance)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--instance", inst_path, "--out", str(tmp_path / "out"), "--theta", theta])
+    assert exc.value.code == 2
+    assert "argument --theta" in capsys.readouterr().err
+
+
+def test_theta_inf_is_accepted(tmp_path, ladder_instance):
+    inst_path = _write(tmp_path, ladder_instance)
+    argv = _LADDER_ARGS + ["--instance", inst_path, "--out", str(tmp_path / "rows.csv"), "--theta", "inf"]
+    assert main(argv) == 0

@@ -76,6 +76,20 @@ def test_model_size_invariants():
     assert len(flow_rows) == len(merged.nodes)
 
 
+def test_objective_terms_in_pricing_order():
+    """evaluate_objective sums in dict order, so the order is pinned: x terms
+    in arc order, then u terms, then the work-event penalties by variable
+    id; each cost bucket keeps that order too."""
+    inst = generate_synthetic(5, 4, 6, 2)
+    merged, model = _build(inst)
+    priced = [v.id for v in model.variables if v.family in ("x", "u") and v.id in model.objective]
+    penalties = [var for var, coef in rc_penalty_terms(merged, inst.costs) if coef != 0]
+    assert model.vars_of_family("u") and penalties
+    assert list(model.objective) == priced + penalties
+    for bucket in model.decomposition.values():
+        assert list(bucket) == [var for var in model.objective if var in bucket]
+
+
 @pytest.mark.parametrize("costs", [(1, 5, 9), (2, 3, 7), (10, 10, 10)])
 def test_work_event_cost_truth_table(costs):
     c1, c2, c3 = costs

@@ -214,26 +214,38 @@ def test_sweep_continues_past_budget_exhaustion(ladder_instance):
             assert row["fleet_size"] is None  # KPI columns stay present but empty
 
 
-def test_sweep_parallel_matches_serial():
-    """Pooled cells give the serial rows, column for column, also for cells
-    that stop at the node cap."""
+def _rows_without_wall_time(rows):
+    return [{k: v for k, v in row.items() if k != "wall_time"} for row in rows]
+
+
+def test_sweep_parallel_matches_serial(monkeypatch):
+    """Threaded cells give the serial rows, column for column and run after
+    run, also for cells that stop at the node cap, with more threads than
+    cores and a short interpreter switch interval."""
+    import sys
+
     inst = generate_synthetic(1, 5, 12, 3)
     budget = SolveBudget(max_seconds=60, max_nodes=20)
     for lt_method in ("exact", "mcf"):
-        cfg = dict(parameter="q", factors=(0.5, 1.0, 2.0), lt_method=lt_method, budget=budget)
-        serial = run_sweep(inst, SweepConfig(**cfg))
-        parallel = run_sweep(inst, SweepConfig(**cfg, parallel=2))
+        cfg = SweepConfig(parameter="q", factors=(0.5, 1.0, 2.0), lt_method=lt_method, budget=budget, parallel=2)
+        monkeypatch.setattr("railplan.report.os.cpu_count", lambda: 1)
+        serial = _rows_without_wall_time(run_sweep(inst, cfg))
         assert any(r["status"] == "budget_exceeded" for r in serial), lt_method
-        for row in serial + parallel:
-            del row["wall_time"]
-        assert parallel == serial, lt_method
+        monkeypatch.setattr("railplan.report.os.cpu_count", lambda: 64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [_rows_without_wall_time(run_sweep(inst, cfg)) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] == runs[2] == serial, lt_method
 
 
 def test_sweep_pool_never_wider_than_factors(monkeypatch, round_trip_instance):
     widths = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records its width, runs in-process."""
+        """Stands in for ThreadPoolExecutor: records its width, runs in order."""
 
         def __init__(self, max_workers):
             widths.append(max_workers)
@@ -247,15 +259,63 @@ def test_sweep_pool_never_wider_than_factors(monkeypatch, round_trip_instance):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("railplan.report.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("railplan.report.ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr("railplan.report.os.cpu_count", lambda: 64)
     factors = (0.5, 1.0)
     budget = SolveBudget(max_seconds=60)
-    rows = run_sweep(round_trip_instance, SweepConfig(parameter="q", factors=factors, budget=budget, parallel=64))
+    rows = run_sweep(round_trip_instance, SweepConfig(parameter="q", factors=factors, budget=budget, parallel=1))
     assert widths == [2]
     assert [r["factor"] for r in rows] == list(factors)
-    # One factor needs no pool at all.
+    monkeypatch.setattr("railplan.report.os.cpu_count", lambda: 3)
+    run_sweep(round_trip_instance, SweepConfig(parameter="q", factors=(0.5, 1.0, 2.0, 4.0), budget=budget))
+    assert widths == [2, 3]
+    # One factor needs no pool at all; neither does a single core.
     run_sweep(round_trip_instance, SweepConfig(parameter="q", factors=(1.0,), budget=budget, parallel=4))
-    assert widths == [2]
+    monkeypatch.setattr("railplan.report.os.cpu_count", lambda: None)
+    run_sweep(round_trip_instance, SweepConfig(parameter="q", factors=factors, budget=budget, parallel=4))
+    assert widths == [2, 3]
+
+
+def test_sweep_logs_cells_and_threads(caplog, round_trip_instance):
+    import logging
+
+    caplog.set_level(logging.DEBUG, logger="railplan.report")
+    run_sweep(round_trip_instance, SweepConfig(parameter="c", factors=(0.5, 1.0, 2.0), budget=SolveBudget(max_seconds=60)))
+    lines = [r.getMessage() for r in caplog.records if r.name == "railplan.report"]
+    workers = min(3, os.cpu_count() or 1)
+    assert lines == [f"sweep c: 3 cells on {workers} threads"]
+
+
+@pytest.mark.parametrize("lt_method", ["exact", "mcf"])
+def test_repriced_cell_model_matches_rebuilt_model(tmp_path, lt_method):
+    """A sweep cell reprices the base model; it must be the model a full
+    rebuild at the scaled costs gives: objective, offset and decomposition
+    in the same order with the same values and types, and the same MPS."""
+    from railplan.mps import export_mps
+    from railplan.report import _cell_model
+
+    inst = generate_synthetic(1, 5, 12, 3)
+    net, specs, base = assemble(inst, lt_method=lt_method)
+    assert specs
+
+    def typed(items):
+        return [(k, v, type(v)) for k, v in items]
+
+    for parameter in ("q", "e", "c", "g"):
+        for factor in (0.1, 1, 10):
+            costs = scaled_costs(inst.costs, parameter, factor)
+            cell = _cell_model(base, costs)
+            rebuilt = build_base_model(net, specs, costs)
+            case = (parameter, factor)
+            assert typed(cell.objective.items()) == typed(rebuilt.objective.items()), case
+            assert (cell.offset, type(cell.offset)) == (rebuilt.offset, type(rebuilt.offset)), case
+            assert list(cell.decomposition) == list(rebuilt.decomposition), case
+            for category, coefs in rebuilt.decomposition.items():
+                assert typed(cell.decomposition[category].items()) == typed(coefs.items()), case
+            assert cell.matrix() is base.matrix(), case
+            export_mps(cell, tmp_path / "cell.mps")
+            export_mps(rebuilt, tmp_path / "rebuilt.mps")
+            assert (tmp_path / "cell.mps").read_bytes() == (tmp_path / "rebuilt.mps").read_bytes(), case
 
 
 def test_sweep_config_rejects_negative_parallel():
@@ -280,10 +340,6 @@ def test_assemble_pipeline_smoke(ladder_instance):
     assert math.isfinite(sum(model.objective.values()))
 
 
-def _ladder_rows_without_wall_time(rows):
-    return [{k: v for k, v in row.items() if k != "wall_time"} for row in rows]
-
-
 def _ladder_case():
     from railplan.instance import attach_synthetic_baseline
 
@@ -299,7 +355,7 @@ def test_ladder_chains_on_threads_match_single_version_ladders():
     expected = apart[0][:1] + [row for rows in apart for row in rows[1:]]
     assert [r["version"] for r in together] == ["V1prime"] + [v for v in versions for _ in range(3)]
     assert any(r["status"] == "budget_exceeded" for r in together)
-    assert _ladder_rows_without_wall_time(together) == _ladder_rows_without_wall_time(expected)
+    assert _rows_without_wall_time(together) == _rows_without_wall_time(expected)
 
 
 def test_ladder_rows_repeat_exactly(monkeypatch):
@@ -310,13 +366,13 @@ def test_ladder_rows_repeat_exactly(monkeypatch):
     inst, budget = _ladder_case()
     versions = ["V2", "V3", "V4", "V5"]
     monkeypatch.setattr("railplan.report.os.cpu_count", lambda: 1)
-    serial = _ladder_rows_without_wall_time(run_extension_ladder(inst, versions, steps=2, budget=budget))
+    serial = _rows_without_wall_time(run_extension_ladder(inst, versions, steps=2, budget=budget))
     monkeypatch.setattr("railplan.report.os.cpu_count", lambda: 64)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         runs = [
-            _ladder_rows_without_wall_time(run_extension_ladder(inst, versions, steps=2, budget=budget))
+            _rows_without_wall_time(run_extension_ladder(inst, versions, steps=2, budget=budget))
             for _ in range(3)
         ]
     finally:

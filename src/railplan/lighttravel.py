@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 import statistics
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .instance import Instance, net_power_balance
 from .spacetime import Node, SpaceTimeNetwork
@@ -97,6 +99,30 @@ def _ground_nodes_by_terminal(net: SpaceTimeNetwork) -> dict[str, list[Node]]:
     }
 
 
+def _of_kind(nodes: list[Node], kind: str) -> list[Node]:
+    return [n for n in nodes if n.kind == kind]
+
+
+def _terminal_pairs(net: SpaceTimeNetwork, max_ground_nodes: int | None = None, what: str = ""):
+    """Yield ``(origin ground nodes, destination ground nodes, transit)`` for
+    every ordered pair of distinct terminals with a transit entry, in
+    terminal-id order.  With ``max_ground_nodes`` set, an instance with more
+    ground nodes raises CapExceededError before the first pair."""
+    ground = _ground_nodes_by_terminal(net)
+    if max_ground_nodes is not None:
+        total = sum(len(v) for v in ground.values())
+        if total > max_ground_nodes:
+            raise CapExceededError(
+                f"{what} enumeration capped at {max_ground_nodes} ground nodes, instance has {total}"
+            )
+    transit = net.instance.transit
+    for term_from in sorted(ground):
+        for term_to in sorted(ground):
+            delta = transit.get(term_from, term_to)
+            if term_to != term_from and delta is not None:
+                yield ground[term_from], ground[term_to], delta
+
+
 # ---------------------------------------------------------------------------
 # Exact reduction and full enumeration
 
@@ -121,28 +147,13 @@ def enumerate_full_arcs(
     guaranteed only under per-unit crews (rho_u = 1); see
     :func:`full_pairwise_arcs` for the capacity-independent comparison.
     """
-    ground = _ground_nodes_by_terminal(net)
-    total = sum(len(v) for v in ground.values())
-    if total > max_ground_nodes:
-        raise CapExceededError(
-            f"full enumeration capped at {max_ground_nodes} ground nodes, instance has {total}"
-        )
-    transit = net.instance.transit
     H = net.horizon
     specs: list[LightArcSpec] = []
-    for term_from in sorted(ground):
-        for tail in ground[term_from]:
-            for term_to in sorted(ground):
-                if term_to == term_from:
-                    continue
-                delta = transit.get(term_from, term_to)
-                if delta is None:
-                    continue
-                gd_nodes = [n for n in ground[term_to] if n.kind == "ground_departure"]
-                head = _first_at_or_after(gd_nodes, (tail.time + delta) % H, H)
-                if head is None:
-                    head = next(n for n in ground[term_to] if n.kind == "initial")
-                specs.append(_make_spec(net, tail, head, delta))
+    for origin, dest, delta in _terminal_pairs(net, max_ground_nodes, "full"):
+        heads = _of_kind(dest, "ground_departure")
+        for tail in origin:
+            head = _first_at_or_after(heads, tail.time + delta, H) or _of_kind(dest, "initial")[0]
+            specs.append(_make_spec(net, tail, head, delta))
     return sorted(specs, key=_spec_sort_key)
 
 
@@ -158,51 +169,12 @@ def full_pairwise_arcs(
     so this is the densest arrival-based set.  The reduction provably loses
     nothing against it for any crew capacity.
     """
-    ground = _ground_nodes_by_terminal(net)
-    total = sum(len(v) for v in ground.values())
-    if total > max_ground_nodes:
-        raise CapExceededError(
-            f"pairwise enumeration capped at {max_ground_nodes} ground nodes, instance has {total}"
-        )
-    transit = net.instance.transit
     specs: list[LightArcSpec] = []
-    for term_from in sorted(ground):
-        tails = [n for n in ground[term_from] if n.kind == "arrival_ground"]
-        for term_to in sorted(ground):
-            if term_to == term_from:
-                continue
-            delta = transit.get(term_from, term_to)
-            if delta is None:
-                continue
-            heads = [n for n in ground[term_to] if n.kind == "ground_departure"]
-            for tail in tails:
-                for head in heads:
-                    specs.append(_make_spec(net, tail, head, delta))
+    for origin, dest, delta in _terminal_pairs(net, max_ground_nodes, "pairwise"):
+        heads = _of_kind(dest, "ground_departure")
+        for tail in _of_kind(origin, "arrival_ground"):
+            specs += [_make_spec(net, tail, head, delta) for head in heads]
     return sorted(specs, key=_spec_sort_key)
-
-
-def _earliest_reachability(net: SpaceTimeNetwork) -> list[LightArcSpec]:
-    """Step 1 of the reduction: arrival-ground tails to the first reachable
-    ground-departure node at each other terminal."""
-    ground = _ground_nodes_by_terminal(net)
-    transit = net.instance.transit
-    H = net.horizon
-    candidates: list[LightArcSpec] = []
-    for term_from in sorted(ground):
-        tails = [n for n in ground[term_from] if n.kind == "arrival_ground"]
-        for term_to in sorted(ground):
-            if term_to == term_from:
-                continue
-            delta = transit.get(term_from, term_to)
-            if delta is None:
-                continue
-            gd_nodes = [n for n in ground[term_to] if n.kind == "ground_departure"]
-            if not gd_nodes:
-                continue
-            for tail in tails:
-                head = _first_at_or_after(gd_nodes, (tail.time + delta) % H, H)
-                candidates.append(_make_spec(net, tail, head, delta))
-    return candidates
 
 
 def reduce_exact(net: SpaceTimeNetwork) -> list[LightArcSpec]:
@@ -218,27 +190,21 @@ def reduce_exact(net: SpaceTimeNetwork) -> list[LightArcSpec]:
     the head lies numerically ahead of the tail but cannot be reached within
     the travel time, so it is only caught after the plan wraps around.
     """
-    candidates = _earliest_reachability(net)
-
-    # Latest origin filtering: minimal destination idle wins; ties go to the
-    # latest tail event in chain order.
-    best: dict[tuple[str, str], LightArcSpec] = {}
-    tail_node = {spec.tail: net.nodes[spec.tail] for spec in candidates}
-    for spec in candidates:
-        key = (spec.head, spec.tail_terminal)
-        idle = spec.span - spec.transit
-        cur = best.get(key)
-        if cur is None:
-            best[key] = spec
+    H = net.horizon
+    # Per (head, origin terminal): minimal destination idle wins; ties go to
+    # the latest tail event in chain order.
+    best: dict[tuple[str, str], tuple[tuple, LightArcSpec]] = {}
+    for origin, dest, delta in _terminal_pairs(net):
+        heads = _of_kind(dest, "ground_departure")
+        if not heads:
             continue
-        cur_idle = cur.span - cur.transit
-        if idle < cur_idle:
-            best[key] = spec
-        elif idle == cur_idle:
-            a, b = tail_node[spec.tail], tail_node[cur.tail]
-            if (a.time, a.id) > (b.time, b.id):
-                best[key] = spec
-    return sorted(best.values(), key=_spec_sort_key)
+        for tail in _of_kind(origin, "arrival_ground"):
+            spec = _make_spec(net, tail, _first_at_or_after(heads, tail.time + delta, H), delta)
+            rank = (spec.transit - spec.span, tail.time, tail.id)
+            key = (spec.head, spec.tail_terminal)
+            if key not in best or rank > best[key][0]:
+                best[key] = (rank, spec)
+    return sorted((spec for _rank, spec in best.values()), key=_spec_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -308,51 +274,54 @@ def solve_mcf(problem: McfProblem) -> dict[tuple[str, str], int]:
     """Integral min-cost flow via successive shortest paths with potentials.
 
     Deterministic: sources are drained in terminal-id order and shortest-path
-    ties break toward lower terminal ids.  A complementary-slackness check
-    runs before returning.
+    ties break toward lower terminal ids.  The pair costs are scaled exactly
+    to integers first, so distances and potentials carry no rounding error
+    that could make Dijkstra re-relax a residual cycle forever.  An exact
+    complementary-slackness check runs before returning.
     """
     if sum(problem.supplies.values()) != 0:
         raise McfError("supplies must sum to zero")
     ids = sorted(problem.supplies)
     index = {k: i for i, k in enumerate(ids)}
     n = len(ids)
+    scale = math.lcm(*(Fraction(cost).denominator for cost in problem.costs.values()))
 
     # Residual network: per edge (head, cost, cap, index of reverse edge).
     graph: list[list[list]] = [[] for _ in range(n)]
 
-    def add_edge(u: int, v: int, cost) -> None:
-        graph[u].append([v, cost, float("inf"), len(graph[v]), True])
+    def add_edge(u: int, v: int, cost: int) -> None:
+        graph[u].append([v, cost, math.inf, len(graph[v]), True])
         graph[v].append([u, -cost, 0, len(graph[u]) - 1, False])
 
     for (i, j) in sorted(problem.costs):
-        add_edge(index[i], index[j], problem.costs[(i, j)])
+        add_edge(index[i], index[j], int(Fraction(problem.costs[(i, j)]) * scale))
 
     remaining = {k: v for k, v in problem.supplies.items()}
-    potential = [0.0] * n
+    potential = [0] * n
 
     while True:
         sources = [k for k in ids if remaining[k] > 0]
         if not sources:
             break
         s = index[sources[0]]
-        dist = [float("inf")] * n
+        dist = [math.inf] * n
         prev: list[tuple[int, int] | None] = [None] * n
-        dist[s] = 0.0
-        heap = [(0.0, s)]
+        dist[s] = 0
+        heap = [(0, s)]
         while heap:
             d, u = heapq.heappop(heap)
-            if d > dist[u] + 1e-12:
+            if d > dist[u]:
                 continue
             for ei, edge in enumerate(graph[u]):
                 v, cost, cap, _rev, _fwd = edge
                 if cap <= 0:
                     continue
                 nd = d + cost + potential[u] - potential[v]
-                if nd < dist[v] - 1e-12:
+                if nd < dist[v]:
                     dist[v] = nd
                     prev[v] = (u, ei)
                     heapq.heappush(heap, (nd, v))
-        sinks = [k for k in ids if remaining[k] < 0 and dist[index[k]] < float("inf")]
+        sinks = [k for k in ids if remaining[k] < 0 and dist[index[k]] < math.inf]
         if not sinks:
             missing = [k for k in ids if remaining[k] < 0]
             raise McfError(
@@ -375,7 +344,7 @@ def solve_mcf(problem: McfProblem) -> dict[tuple[str, str], int]:
             graph[edge[0]][edge[3]][2] += amount
             v = u
         for k in range(n):
-            if dist[k] < float("inf"):
+            if dist[k] < math.inf:
                 potential[k] += dist[k]
         remaining[ids[s]] -= amount
         remaining[ids[t]] += amount
@@ -389,7 +358,7 @@ def solve_mcf(problem: McfProblem) -> dict[tuple[str, str], int]:
                 if flow > 0:
                     flows[(ids[u], ids[v])] = int(flow)
             # Complementary slackness: open residual edges cannot be improving.
-            if cap > 0 and cost + potential[u] - potential[v] < -1e-6:
+            if cap > 0 and cost + potential[u] - potential[v] < 0:
                 raise McfError("complementary slackness violated; flow is not optimal")
     return flows
 
@@ -458,12 +427,11 @@ def generate_light_arcs(
     mcf_window: int = DEFAULT_WINDOW_MINUTES,
     mcf_threshold: int = DEFAULT_FLOW_THRESHOLD,
     mcf_alpha: float | None = None,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[LightArcSpec]:
     if method == "exact":
         return reduce_exact(net)
     if method == "full":
-        return enumerate_full_arcs(net, max_ground_nodes=enumeration_cap)
+        return enumerate_full_arcs(net)
     if method == "mcf":
         problem = build_mcf(net.instance, mcf_alpha=mcf_alpha)
         flow = solve_mcf(problem)

@@ -121,12 +121,6 @@ class MilpModel:
     def var(self, var_id: str) -> VarRef:
         return self.variables[self._index[var_id]]
 
-    def var_ids(self) -> list[str]:
-        return [v.id for v in self.variables]
-
-    def has_var(self, var_id: str) -> bool:
-        return var_id in self._index
-
     def vars_of_family(self, family: str) -> list[VarRef]:
         return [v for v in self.variables if v.family == family]
 

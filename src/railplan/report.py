@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -261,8 +262,7 @@ def scaled_costs(costs, parameter: str, factor: float):
     """Scaling conventions: q scales ownership only, e the light-travel crew
     rate, c all three work-event costs jointly, g the relocation rate used by
     both deadheading and light travel."""
-    if factor <= 0:
-        raise ValueError("factors must be positive")
+    _check_factors((factor,))
     if parameter == "q":
         return replace(costs, q=costs.q * factor)
     if parameter == "e":
@@ -300,6 +300,12 @@ def assemble(
 # Sensitivity sweeps
 
 
+def _check_factors(factors) -> None:
+    # NaN fails every comparison, so test for what a factor must be.
+    if not all(math.isfinite(f) and f > 0 for f in factors):
+        raise ValueError("factors must be finite and positive")
+
+
 def default_factors() -> tuple[float, ...]:
     return tuple(round(0.1 * i, 1) for i in range(1, 10)) + tuple(float(i) for i in range(1, 11))
 
@@ -325,8 +331,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.parameter not in ("q", "e", "c", "g"):
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
-        if any(f <= 0 for f in self.factors):
-            raise ValueError("factors must be positive")
+        _check_factors(self.factors)
         if list(self.factors) != sorted(self.factors):
             raise ValueError("factors must be sorted ascending")
         if self.parallel < 0:
@@ -372,27 +377,30 @@ def run_sweep(inst: Instance, cfg: SweepConfig) -> list[dict]:
     Light arcs and the rows do not depend on cost rates, so the network, its
     light arcs and the model with its compiled matrix are built once; each
     cell reprices only the objective.  The cells are independent, so they are
-    solved side by side on threads (HiGHS releases the GIL), at most one per
-    factor and per core.  Per-cell budget exhaustion is recorded in the row;
-    the sweep continues.
+    solved side by side on threads.  Per-cell budget exhaustion is recorded
+    in the row; the sweep continues.
     """
-    base_net = build_network(inst)
-    specs = generate_light_arcs(
-        base_net,
-        method=cfg.lt_method,
+    _net, _specs, base = assemble(
+        inst,
+        lt_method=cfg.lt_method,
         mcf_window=cfg.mcf_window,
         mcf_threshold=cfg.mcf_threshold,
         mcf_alpha=cfg.mcf_alpha,
     )
-    base = build_base_model(with_light_arcs(base_net, specs), specs, inst.costs)
     base.matrix()  # compiled here, not raced for by the threads
     solve_cell = partial(_sweep_row, base, inst.costs, cfg.parameter, cfg.budget)
-    workers = min(len(cfg.factors), os.cpu_count() or 1)
-    log.debug("sweep %s: %d cells on %d threads", cfg.parameter, len(cfg.factors), workers)
+    return _thread_map(solve_cell, cfg.factors, f"sweep {cfg.parameter}", "cells")
+
+
+def _thread_map(fn, items, label: str, noun: str) -> list:
+    """``[fn(item) for item in items]``, side by side on threads (HiGHS
+    releases the GIL), at most one per item and per core."""
+    workers = min(len(items), os.cpu_count() or 1)
+    log.debug("%s: %d %s on %d threads", label, len(items), noun, workers)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(solve_cell, cfg.factors))
-    return [solve_cell(factor) for factor in cfg.factors]
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +449,7 @@ def run_extension_ladder(
     reference solve.
 
     The versions' chains depend only on the reference, so they are solved
-    side by side on threads (HiGHS releases the GIL), at most one per chain
-    and per core; rows come back in the order of ``versions``.
+    side by side on threads; rows come back in the order of ``versions``.
     """
     if inst.baseline is None:
         raise ConfigError("extension ladders require an instance with a baseline plan")
@@ -487,13 +494,7 @@ def run_extension_ladder(
         return rows
 
     chains = [version for version in versions if version != "V1prime"]
-    workers = min(len(chains), os.cpu_count() or 1)
-    log.debug("ladder: %d version chains on %d threads", len(chains), workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chain_rows = list(pool.map(chain, chains))
-    else:
-        chain_rows = [chain(version) for version in chains]
+    chain_rows = _thread_map(chain, chains, "ladder", "version chains")
     return [row] + [r for rows in chain_rows for r in rows]
 
 

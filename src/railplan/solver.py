@@ -83,15 +83,19 @@ def evaluate_objective(m: MilpModel, values: dict[str, int]):
     for var in m.variables:
         if var.id not in values:
             raise MissingVariableError(var.id)
+    breakdown = {cat: sum(coef * values[v] for v, coef in coefs.items()) for cat, coefs in m.decomposition.items()}
+    if breakdown:
+        breakdown["deadhead"] = breakdown.get("deadhead", 0) + m.offset
+    return _objective_value(m, values), breakdown
+
+
+def _objective_value(m: MilpModel, values: dict[str, int]):
+    """The objective at ``values``, which must cover every model variable,
+    summed in ``m.objective``'s order so that totals are reproducible."""
     total = m.offset
     for var_id, coef in m.objective.items():
         total += coef * values[var_id]
-    breakdown: dict[str, float | int] = {}
-    for category, coefs in m.decomposition.items():
-        breakdown[category] = sum(coef * values[v] for v, coef in coefs.items())
-    if breakdown:
-        breakdown["deadhead"] = breakdown.get("deadhead", 0) + m.offset
-    return total, breakdown
+    return total
 
 
 def _exact_verdict(mx: ModelMatrix, v: np.ndarray) -> bool | None:
@@ -189,6 +193,13 @@ class _LpFailed(Exception):
 
 
 class _LpData:
+    """A model's LP relaxation in ``linprog``'s row order, from its matrix.
+
+    ``A`` holds the ``<=`` rows with ``>=`` rows negated, then the ``=``
+    rows, each group in model order; ``rhs`` holds their right-hand sides
+    and the first ``n_ub`` rows are the inequalities.
+    """
+
     def __init__(self, m: MilpModel):
         mx = m.matrix()
         self.n = len(mx.ids)
@@ -196,25 +207,14 @@ class _LpData:
         for var_id, coef in m.objective.items():
             self.c[mx.column[var_id]] = coef
 
-        # linprog's form: equality rows, and <= rows with >= rows negated.
-        A = mx.A
-        row_of = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         ge = mx.sense == SENSE_GE
-        data = np.where(ge[row_of], -A.data, A.data).astype(float)
-        rhs = np.where(ge, -mx.rhs, mx.rhs).astype(float) + 0.0  # no -0.0
-
-        def pack(rows):
-            keep = rows[row_of]
-            rank = np.cumsum(rows) - 1
-            return sparse.csr_matrix(
-                (data[keep], (rank[row_of[keep]], A.indices[keep])), shape=(int(rows.sum()), self.n)
-            )
-
         eq = mx.sense == SENSE_EQ
-        self.A_eq = pack(eq) if eq.any() else None
-        self.b_eq = rhs[eq] if eq.any() else None
-        self.A_ub = pack(~eq) if (~eq).any() else None
-        self.b_ub = rhs[~eq] if (~eq).any() else None
+        order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
+        row_of = np.repeat(np.arange(mx.A.shape[0]), np.diff(mx.A.indptr))
+        data = np.where(ge[row_of], -mx.A.data, mx.A.data).astype(float)
+        self.A = sparse.csr_array((data, mx.A.indices, mx.A.indptr), shape=mx.A.shape)[order]
+        self.rhs = (np.where(ge, -mx.rhs, mx.rhs).astype(float) + 0.0)[order]  # no -0.0
+        self.n_ub = int((~eq).sum())
         self.lo = mx.lower.astype(float)
         self.hi = mx.upper.astype(float)
         self._highs = self._open_session() if _HIGHS is not None else None
@@ -222,28 +222,23 @@ class _LpData:
     def _open_session(self):
         """The LP exactly as ``linprog(method="highs")`` hands it to HiGHS.
 
-        Same column costs, rows (``A_ub`` then ``A_eq``) as ``lhs <= A x <=
-        rhs``, CSC layout and options, so a cold re-solve after a bounds
-        change walks the same simplex path as a fresh ``linprog`` call.
+        Same column costs, rows as ``lhs <= A x <= rhs``, CSC layout and
+        options, so a cold re-solve after a bounds change walks the same
+        simplex path as a fresh ``linprog`` call.
         """
-        b_ub = self.b_ub if self.b_ub is not None else np.zeros(0)
-        b_eq = self.b_eq if self.b_eq is not None else np.zeros(0)
-        self._n_ub = b_ub.size
-        self._rhs = np.concatenate((b_ub, b_eq))
-        blocks = [sparse.coo_array((0, self.n) if a is None else a, dtype=float) for a in (self.A_ub, self.A_eq)]
-        A = sparse.csc_array(sparse.vstack(blocks))
-
+        A = sparse.csc_array(self.A)
+        m = self.rhs.size
         lp = _HIGHS.HighsLp()
         lp.num_col_ = self.n
-        lp.num_row_ = self._rhs.size
+        lp.num_row_ = m
         lp.a_matrix_.num_col_ = self.n
-        lp.a_matrix_.num_row_ = self._rhs.size
+        lp.a_matrix_.num_row_ = m
         lp.a_matrix_.format_ = _HIGHS.MatrixFormat.kColwise
         lp.col_cost_ = self.c
         lp.col_lower_ = self.lo
         lp.col_upper_ = self.hi
-        lp.row_lower_ = np.concatenate((np.full(b_ub.size, -_HIGHS.kHighsInf), b_eq))
-        lp.row_upper_ = self._rhs
+        lp.row_lower_ = np.concatenate((np.full(self.n_ub, -_HIGHS.kHighsInf), self.rhs[self.n_ub :]))
+        lp.row_upper_ = self.rhs
         lp.a_matrix_.start_ = A.indptr
         lp.a_matrix_.index_ = A.indices
         lp.a_matrix_.value_ = A.data
@@ -279,12 +274,13 @@ class _LpData:
         return fun, x
 
     def _solve_linprog(self, lo, hi, time_limit):
+        k = self.n_ub
         res = linprog(
             self.c,
-            A_ub=self.A_ub,
-            b_ub=self.b_ub,
-            A_eq=self.A_eq,
-            b_eq=self.b_eq,
+            A_ub=self.A[:k],
+            b_ub=self.rhs[:k],
+            A_eq=self.A[k:],
+            b_eq=self.rhs[k:],
             bounds=np.column_stack((lo, hi)),
             method="highs",
             options={"time_limit": time_limit},
@@ -314,7 +310,7 @@ class _LpData:
         sol = highs.getSolution()
         x = np.array(sol.col_value)
         fun = highs.getInfo().objective_function_value
-        slack = self._rhs - np.array(sol.row_value)
+        slack = self.rhs - np.array(sol.row_value)
         tol = _CHECK_TOL
         accepted = not (
             np.isnan(x).any()
@@ -322,8 +318,8 @@ class _LpData:
             or np.isnan(slack).any()
             or (x < lo - tol).any()
             or (x > hi + tol).any()
-            or (slack[: self._n_ub] < -tol).any()
-            or (np.abs(slack[self._n_ub :]) > tol).any()
+            or (slack[: self.n_ub] < -tol).any()
+            or (np.abs(slack[self.n_ub :]) > tol).any()
         )
         if not accepted:
             return 4, None, None, "the point is outside linprog's tolerance"
@@ -344,12 +340,11 @@ class _Repair:
     Given integral x values, activation binaries and light-train counts have
     cheapest feasible completions: y = 1 iff flow positive, u = ceil(x/rho),
     and each gate 1 iff its terminal or terminal-day holds an event.  The
-    candidate is an int64 column vector, checked exactly before use.
+    candidate is an int64 column vector, for ``_accept`` to check.
     """
 
     def __init__(self, m: MilpModel):
-        self.m = m
-        self.mx = mx = m.matrix()
+        mx = m.matrix()
         self.n = n = len(mx.ids)
         net = m.network
         self.usable = net is not None
@@ -393,9 +388,9 @@ class _Repair:
             (np.ones(len(gate_events), dtype=np.int64), (gate_rows, gate_events)), shape=(len(gate_cols), n + 1)
         )
 
-    def __call__(self, x: np.ndarray) -> dict[str, int] | None:
-        """The completed candidate of LP point ``x``, in variable order, or
-        ``None`` when its flows are not integral or it is infeasible."""
+    def __call__(self, x: np.ndarray) -> np.ndarray | None:
+        """The completed candidate of LP point ``x`` in column order, or
+        ``None`` when its flows are not integral."""
         if not self.usable:
             return None
         flows = x[self.flow_cols]
@@ -407,14 +402,23 @@ class _Repair:
         v[self.y_cols] = v[self.y_src] > 0
         v[self.u_cols] = np.ceil(v[self.u_src] / self.rho)
         v[self.gate_cols] = self.gates @ v > 0
-        point = v[: self.n]
-        verdict = _exact_verdict(self.mx, point)
-        if verdict is False:
-            return None
-        values = dict(zip(self.mx.ids, point.tolist()))
-        if verdict is None and check_feasibility(self.m, values):
-            return None
-        return values
+        return v[: self.n]
+
+
+def _accept(m: MilpModel, point: np.ndarray | None) -> dict[str, int] | None:
+    """The int64 candidate ``point`` (column order) as values, or ``None``
+    when it is missing or infeasible.  One ``A @ v`` decides whenever it can;
+    only an undecided point is walked by ``check_feasibility``."""
+    if point is None:
+        return None
+    mx = m.matrix()
+    verdict = _exact_verdict(mx, point)
+    if verdict is False:
+        return None
+    values = dict(zip(mx.ids, point.tolist()))
+    if verdict is None and check_feasibility(m, values):
+        return None
+    return values
 
 
 def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
@@ -437,7 +441,7 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
         if viols:
             raise InfeasibleStartError([v.tag for v in viols])
         incumbent = dict(m.start)
-        incumbent_obj, _ = evaluate_objective(m, incumbent)
+        incumbent_obj = _objective_value(m, incumbent)
 
     stack = [_Node(bound=-math.inf, depth=0, lo=lp.lo.copy(), hi=lp.hi.copy())]
     node_count = 0
@@ -485,33 +489,24 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
 
         frac = np.abs(x - np.round(x))
         fractional = np.where(frac > INT_TOL)[0]
-        if fractional.size == 0:
-            values = {var.id: int(round(x[i])) for i, var in enumerate(m.variables)}
-            if not check_feasibility(m, values):
-                exact, _ = evaluate_objective(m, values)
-                if exact < incumbent_obj:
-                    incumbent, incumbent_obj = values, exact
+        values = _accept(m, repair(x) if fractional.size else np.round(x).astype(np.int64))
+        if values is not None:
+            exact = _objective_value(m, values)
+            if exact < incumbent_obj:
+                incumbent, incumbent_obj = values, exact
+            if fractional.size == 0 or bound >= incumbent_obj - prune_eps():
                 continue
+        if fractional.size == 0:
             # Numerically integral but exactly infeasible: split on the first
             # unfixed variable to make progress.
             unfixed = np.where(node.lo < node.hi)[0]
             if unfixed.size == 0:
                 continue
             j = int(unfixed[0])
-            split = math.floor(x[j])
-            split = min(max(split, int(node.lo[j])), int(node.hi[j]) - 1)
         else:
-            repaired = repair(x)
-            if repaired is not None:
-                exact, _ = evaluate_objective(m, repaired)
-                if exact < incumbent_obj:
-                    incumbent, incumbent_obj = repaired, exact
-                if bound >= incumbent_obj - prune_eps():
-                    continue
-            j = min(fractional, key=lambda i: (abs(frac[i] - 0.5), m.variables[i].id))
-            j = int(j)
-            split = math.floor(x[j])
-            split = min(max(split, int(node.lo[j])), int(node.hi[j]) - 1)
+            j = int(min(fractional, key=lambda i: (abs(frac[i] - 0.5), m.variables[i].id)))
+        split = math.floor(x[j])
+        split = min(max(split, int(node.lo[j])), int(node.hi[j]) - 1)
 
         hi_lo = node.lo.copy()
         hi_lo[j] = split + 1

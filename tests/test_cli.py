@@ -115,6 +115,30 @@ def test_sweep_cli_parallel_is_accepted_and_validated(tmp_path, capsys, round_tr
     assert "parallel must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("factors", ["nan", "1,nan", "inf"])
+def test_sweep_cli_rejects_non_finite_factors(tmp_path, factors):
+    # A NaN factor once priced the objective with NaN and hung the first node
+    # LP on this instance past any budget, so the command runs in a child
+    # under a wall clock.
+    import os
+    import subprocess
+    import sys
+
+    import railplan
+    from railplan.instance import generate_synthetic
+
+    inst_path = _write(tmp_path, generate_synthetic(3, 3, 4, 2))
+    argv = ["sweep", "--instance", inst_path, "--param", "q", "--factors", factors, "--budget-seconds", "2"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(railplan.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "railplan.cli", *argv, "--out", str(tmp_path / "rows.csv")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "error: factors must be finite and positive" in proc.stderr
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_ladder_cli_writes_rows(tmp_path, ladder_instance):
     inst_path = _write(tmp_path, ladder_instance)
     out = tmp_path / "ladder.json"

@@ -1,4 +1,10 @@
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from dataclasses import astuple
 
 import pytest
 
@@ -22,6 +28,10 @@ from railplan.spacetime import build_network, with_light_arcs
 
 from .conftest import make_instance
 from .oracles import dense_and_reduced_optima, mcf_cost_by_enumeration, mcf_cost_by_lp
+
+
+def _shape_id(shape):
+    return ",".join(map(str, shape))
 
 
 def _pairs(specs):
@@ -162,6 +172,48 @@ def test_full_enumeration_cap_guard():
         enumerate_full_arcs(net, max_ground_nodes=5)
 
 
+# sha256 of the exact, full and pairwise arc lists (one line per spec, its
+# fields space-separated, or the cap error) over seeds 1-40 of each shape,
+# recorded before the three generators shared one terminal-pair walk.
+_ARC_LIST_DIGESTS = {
+    (3, 4, 2): {
+        "exact": "1ee3573ff67dbeb2baa8637d735c10a69a58dafe7ce235881c2aa625c1911324",
+        "full": "de0b0281fe83ad556984ba34af3842786471ff3e253e6e57c6ae09106fca14dd",
+        "pairwise": "76820e4cd644ff8bcb44bce5fa7c3a238756f9bae59d5454aaf383c22294b89a",
+    },
+    (4, 8, 2): {
+        "exact": "7c1df3df6d5c9c8671fad5632e6ea34dac983eff1cac0bc0194bedd5573dc597",
+        "full": "eb0d87630da46f618a34a71c8555792daf5de523b911565b72a81205d9313abc",
+        "pairwise": "4bebe36614502e33424cb3a59295470f4cc529fd3baddfe30166fc333fb1a4b1",
+    },
+    (5, 12, 3): {
+        "exact": "291ee36bb20e413caeccbab06af6e83a7422e00abf650ec3376249a458fbd063",
+        "full": "36c20c43f7290a78fd9240966f68a9a5a6649c0703f07649c60e3777a0cf0814",
+        "pairwise": "d46f392634937f52c67c9e19f93f1816529da53a7d1f1dae79a91690abb3f4d5",
+    },
+    (10, 80, 4): {
+        "exact": "782a043d523275cd15e70ac5a243fe5dbf2607902ba682f820b1fa2ec107dd49",
+        "full": "204fc328f7ec1029fe37739bb796f010bc344bef983c6fd91c67711303336dc3",
+        "pairwise": "53f2e9691744d35f0a0baa3ec22036eea534003a452b0a0841719cab661d7161",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_ARC_LIST_DIGESTS), ids=_shape_id)
+def test_light_arc_lists_match_frozen_digests(shape):
+    generators = {"exact": reduce_exact, "full": enumerate_full_arcs, "pairwise": full_pairwise_arcs}
+    hashes = {name: hashlib.sha256() for name in generators}
+    for seed in range(1, 41):
+        net = build_network(generate_synthetic(seed, *shape))
+        for name, generate in generators.items():
+            try:
+                lines = [" ".join(map(str, astuple(spec))) for spec in generate(net)]
+            except CapExceededError as exc:
+                lines = [f"CapExceededError: {exc}"]
+            hashes[name].update(("\n".join(lines) + "\n\n").encode())
+    assert {name: h.hexdigest() for name, h in hashes.items()} == _ARC_LIST_DIGESTS[shape]
+
+
 def test_reduced_is_subset_of_full():
     for seed in range(6):
         inst = generate_synthetic(seed, 4, 5, 2)
@@ -298,6 +350,63 @@ def test_solve_mcf_matches_lp_oracle_four_terminals():
         problem = McfProblem(supplies=supplies, costs=costs, o_counts={}, mcf_alpha=3.0)
         flow = solve_mcf(problem)
         assert mcf_flow_cost(problem, flow) == pytest.approx(mcf_cost_by_lp(supplies, costs))
+
+
+# Flows on a seeded set, recorded from the float-potential solver where it
+# terminated; the exact integer solver must route the same units.
+_MCF_FLOWS = {
+    (1, 4, 8, 2): {("K0", "K3"): 1, ("K1", "K3"): 2, ("K2", "K3"): 2},
+    (2, 4, 8, 2): {("K0", "K1"): 2, ("K2", "K0"): 3},
+    (1, 5, 12, 3): {("K0", "K1"): 1, ("K0", "K3"): 5, ("K1", "K2"): 1, ("K4", "K3"): 1},
+    (2, 5, 12, 3): {("K0", "K4"): 3, ("K2", "K0"): 5, ("K2", "K1"): 3},
+    (1, 10, 80, 4): {
+        ("K1", "K8"): 6, ("K2", "K5"): 4, ("K3", "K5"): 5, ("K3", "K6"): 3,
+        ("K4", "K6"): 3, ("K4", "K7"): 8, ("K7", "K8"): 9, ("K9", "K4"): 13,
+    },
+}
+
+# sha256 of "<seed> <from>><to>:<units> ..." lines over seeds 1-40, recorded
+# the same way.
+_MCF_FLOW_DIGESTS = {
+    (4, 8, 2): "f8386ba372b6b6cf9190c0db47f6c266b3ef53c05ce1ae5e67c55292b898f2dd",
+    (5, 12, 3): "2e2115072e9c8c4aea229fc3dbd61239e67243ac202b4239d573e109724f10e8",
+    (10, 80, 4): "c21be8080a0af3030b9208e49b171fb915c8bd4ac9ca81dd8ae0668b6a22168b",
+    (13, 160, 4): "dc074bbf8766c5a51a767fc4ab18438f9e30a9a539416847f427d5c258c21ee7",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_MCF_FLOWS), ids=_shape_id)
+def test_solve_mcf_matches_frozen_flow_table(key):
+    assert solve_mcf(build_mcf(generate_synthetic(*key))) == _MCF_FLOWS[key]
+
+
+@pytest.mark.parametrize("shape", sorted(_MCF_FLOW_DIGESTS), ids=_shape_id)
+def test_solve_mcf_matches_frozen_flow_digest(shape):
+    h = hashlib.sha256()
+    for seed in range(1, 41):
+        flows = solve_mcf(build_mcf(generate_synthetic(seed, *shape)))
+        h.update((f"{seed} " + " ".join(f"{i}>{j}:{u}" for (i, j), u in sorted(flows.items())) + "\n").encode())
+    assert h.hexdigest() == _MCF_FLOW_DIGESTS[shape]
+
+
+def test_solve_mcf_terminates_on_large_instance():
+    # With float potentials this instance re-relaxed a residual cycle forever
+    # while its memory grew; a child process with a wall clock and an
+    # address-space cap turns such a regression into a failure.
+    import railplan
+
+    code = (
+        "import json, resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "import railplan as rp; "
+        "flows = rp.solve_mcf(rp.build_mcf(rp.generate_synthetic(1, 16, 320, 4))); "
+        "print(json.dumps(sorted([i, j, u] for (i, j), u in flows.items())))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(railplan.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    flows = {(i, j): u for i, j, u in json.loads(proc.stdout)}
+    problem = build_mcf(generate_synthetic(1, 16, 320, 4))
+    assert mcf_flow_cost(problem, flows) == pytest.approx(mcf_cost_by_lp(problem.supplies, problem.costs))
 
 
 def test_solve_mcf_reports_disconnection():

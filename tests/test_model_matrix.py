@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from railplan.instance import attach_synthetic_baseline, generate_synthetic
 from railplan.model import (
@@ -250,19 +251,29 @@ def _bits(a):
 
 
 def _csr_bits(a):
-    if a is None:
+    """Shape, row pointers, column indices and float64 values of a CSR
+    matrix in canonical index order; ``None`` for an absent or empty block."""
+    if a is None or a.shape[0] == 0:
         return None
-    return (a.shape, _bits(a.indptr), _bits(a.indices), _bits(a.data))
+    a = sparse.csr_matrix(a, copy=True)
+    a.sort_indices()
+    index = lambda v: _bits(v.astype(np.int64))
+    return (a.shape, index(a.indptr), index(a.indices), _bits(a.data))
 
 
 def test_lp_arrays_equal_list_built_lp(models):
     for model, _ in models:
         lp = _LpData(model)
         want = list_built_lp(model)
+        k = lp.n_ub
+        got = {"c": lp.c, "lo": lp.lo, "hi": lp.hi, "b_ub": lp.rhs[:k], "b_eq": lp.rhs[k:]}
         for key in ("c", "b_eq", "b_ub", "lo", "hi"):
-            assert _bits(getattr(lp, key)) == _bits(want[key]), (model.name, key)
-        for key in ("A_eq", "A_ub"):
-            assert _csr_bits(getattr(lp, key)) == _csr_bits(want[key]), (model.name, key)
+            if want[key] is None:
+                assert got[key].size == 0, (model.name, key)
+            else:
+                assert _bits(got[key]) == _bits(want[key]), (model.name, key)
+        for key, rows in (("A_eq", lp.A[k:]), ("A_ub", lp.A[:k])):
+            assert _csr_bits(rows) == _csr_bits(want[key]), (model.name, key)
 
 
 def test_warm_start_shares_the_matrix():

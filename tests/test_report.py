@@ -116,6 +116,15 @@ def test_scaled_costs_conventions(round_trip_instance):
     assert scaled_costs(c, "g", 4.0).g_rate == 4 * c.g_rate
     with pytest.raises(ValueError):
         scaled_costs(c, "z", 1.0)
+    for factor in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            scaled_costs(c, "q", factor)
+
+
+@pytest.mark.parametrize("factors", [(math.nan,), (1.0, math.nan), (math.inf,), (1.0, -math.inf), (0.0, 1.0)])
+def test_sweep_config_rejects_non_finite_or_non_positive_factors(factors):
+    with pytest.raises(ValueError, match="finite and positive"):
+        SweepConfig(parameter="q", factors=factors)
 
 
 def test_sweep_factor_one_matches_direct_solve(round_trip_instance):

@@ -232,16 +232,18 @@ def test_bb_matches_reference_milp_solver():
     from scipy.optimize import Bounds, LinearConstraint as ScipyLC, milp
 
     from railplan.lighttravel import generate_light_arcs
-    from railplan.solver import _LpData
+
+    from .oracles import list_built_lp
 
     def reference_objective(m):
-        lp = _LpData(m)
+        lp = list_built_lp(m)
         cons = []
-        if lp.A_eq is not None:
-            cons.append(ScipyLC(lp.A_eq, lp.b_eq, lp.b_eq))
-        if lp.A_ub is not None:
-            cons.append(ScipyLC(lp.A_ub, -np.inf, lp.b_ub))
-        res = milp(c=lp.c, constraints=cons, bounds=Bounds(lp.lo, lp.hi), integrality=np.ones(lp.n))
+        if lp["A_eq"] is not None:
+            cons.append(ScipyLC(lp["A_eq"], lp["b_eq"], lp["b_eq"]))
+        if lp["A_ub"] is not None:
+            cons.append(ScipyLC(lp["A_ub"], -np.inf, lp["b_ub"]))
+        integrality = np.ones(len(m.variables))
+        res = milp(c=lp["c"], constraints=cons, bounds=Bounds(lp["lo"], lp["hi"]), integrality=integrality)
         if res.status == 2:
             return None
         assert res.status == 0, res.message
@@ -549,13 +551,24 @@ def _repair_points(model, values, seed):
     return points
 
 
-def _assert_repair_matches_loop(model, points):
-    from railplan.solver import _Repair
+def _repaired(model, points):
+    """Each point completed by ``_Repair`` and judged by ``_accept``, the
+    path every candidate takes inside ``solve_bb``."""
+    import numpy as np
+
+    from railplan.solver import _accept, _Repair
 
     repair = _Repair(model)
-    outcomes = []
     for x in points:
-        got = repair(x)
+        point = repair(x)
+        if point is not None:
+            assert point.dtype == np.int64 and point.shape == (len(model.variables),)
+        yield _accept(model, point)
+
+
+def _assert_repair_matches_loop(model, points):
+    outcomes = []
+    for x, got in zip(points, _repaired(model, points)):
         want = _loop_repair(model, x)
         assert got == want
         if got is not None:
@@ -579,7 +592,6 @@ def test_repair_gate_completion_matches_per_variable_loop(version):
     from railplan.instance import attach_synthetic_baseline
     from railplan.model import apply_extension
     from railplan.report import _config_for, assemble, default_alpha_grid
-    from railplan.solver import _Repair
 
     inst = attach_synthetic_baseline(generate_synthetic(1, 4, 8, 2), 1)
     _net, _specs, base = assemble(inst)
@@ -597,5 +609,5 @@ def test_repair_gate_completion_matches_per_variable_loop(version):
     points = _repair_points(model, sol.values, 7)
     _assert_repair_matches_loop(model, points)
     gates = [v.id for v in model.variables if v.family in ("z1", "z2", "w1", "w2")]
-    passed = [got for got in map(_Repair(model), points) if got is not None]
+    passed = [got for got in _repaired(model, points) if got is not None]
     assert any(got[g] == 1 for got in passed for g in gates)

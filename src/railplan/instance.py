@@ -390,7 +390,10 @@ def validate_instance(inst: Instance, include_warnings: bool = False) -> list[Vi
     if not (c.c1 <= c.c2 <= c.c3):
         out.append(Violation("COST_ORDER", "costs", f"require c1 <= c2 <= c3, got ({c.c1}, {c.c2}, {c.c3})"))
     for name in ("q", "c1", "c2", "c3", "e_rate", "g_rate"):
-        if getattr(c, name) < 0:
+        value = getattr(c, name)
+        if not isinstance(value, int) and not math.isfinite(value):
+            out.append(Violation("NON_FINITE_COST", name, f"cost rates must be finite, got {value}"))
+        elif value < 0:
             out.append(Violation("NEGATIVE_COST", name, "cost rates must be non-negative"))
     if c.rho_u < 1:
         out.append(Violation("BAD_LIGHT_CAPACITY", "rho_u", "max units per light train must be >= 1"))

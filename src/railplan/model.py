@@ -26,8 +26,6 @@ from scipy import sparse
 from .instance import MINUTES_PER_DAY, BaselinePlan, CostParams
 from .spacetime import SpaceTimeNetwork, with_light_arcs
 
-VAR_FAMILIES = ("x", "yso", "ypu", "u", "z1", "z2", "w1", "w2")
-
 # Row senses as stored in a ModelMatrix.
 SENSE_LE, SENSE_EQ, SENSE_GE = 1, 0, -1
 _SENSE_CODES = {"<=": SENSE_LE, "=": SENSE_EQ, ">=": SENSE_GE}

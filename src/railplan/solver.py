@@ -18,7 +18,6 @@ from time import perf_counter
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from .model import (
     SENSE_EQ,
@@ -166,19 +165,20 @@ def check_feasibility(m: MilpModel, values: dict[str, int]) -> list[ConstraintVi
 # ---------------------------------------------------------------------------
 # LP relaxation machinery
 
-# One HiGHS object per solve needs scipy's private HiGHS binding.  Every use
-# of it stays in this module, behind this guard; on scipy releases without it
-# each node LP goes through ``linprog`` instead.
+# The one LP backend is scipy's private HiGHS binding: one HiGHS object per
+# solve, and every use of it stays in this module.
 _HIGHS_NAMES = (
     "_Highs", "HighsLp", "HighsOptions", "MatrixFormat", "HighsStatus",
     "HighsModelStatus", "HighsDebugLevel", "simplex_constants", "kHighsInf",
 )
+_HIGHS_REQUIRED = "railplan needs scipy's private HiGHS binding scipy.optimize._highspy._core (scipy>=1.17)"
 try:
-    from scipy.optimize._highspy import _core as _HIGHS
-except ImportError:
-    _HIGHS = None
-if _HIGHS is not None and not all(hasattr(_HIGHS, name) for name in _HIGHS_NAMES):
-    _HIGHS = None
+    import scipy.optimize._highspy._core as _HIGHS
+except ImportError as exc:
+    raise ImportError(_HIGHS_REQUIRED) from exc
+_missing = [name for name in _HIGHS_NAMES if not hasattr(_HIGHS, name)]
+if _missing:
+    raise ImportError(f"{_HIGHS_REQUIRED}; this scipy's binding lacks {', '.join(_missing)}")
 
 # linprog's acceptance tolerance for an optimal point (scipy's _check_result).
 _CHECK_TOL = math.sqrt(1e-9) * 10
@@ -193,11 +193,15 @@ class _LpFailed(Exception):
 
 
 class _LpData:
-    """A model's LP relaxation in ``linprog``'s row order, from its matrix.
+    """A model's LP relaxation in ``linprog``'s row order, from its matrix,
+    loaded once into a HiGHS object.
 
     ``A`` holds the ``<=`` rows with ``>=`` rows negated, then the ``=``
     rows, each group in model order; ``rhs`` holds their right-hand sides
-    and the first ``n_ub`` rows are the inequalities.
+    and the first ``n_ub`` rows are the inequalities.  HiGHS gets the same
+    column costs, rows as ``lhs <= A x <= rhs``, CSC layout and options as
+    ``linprog(method="highs")`` would give it, so a cold re-solve after a
+    bounds change walks the same simplex path as a fresh ``linprog`` call.
     """
 
     def __init__(self, m: MilpModel):
@@ -206,6 +210,8 @@ class _LpData:
         self.c = np.zeros(self.n)
         for var_id, coef in m.objective.items():
             self.c[mx.column[var_id]] = coef
+        if not np.isfinite(self.c).all():
+            raise ValueError(f"{m.name}: objective coefficients must be finite")
 
         ge = mx.sense == SENSE_GE
         eq = mx.sense == SENSE_EQ
@@ -217,22 +223,14 @@ class _LpData:
         self.n_ub = int((~eq).sum())
         self.lo = mx.lower.astype(float)
         self.hi = mx.upper.astype(float)
-        self._highs = self._open_session() if _HIGHS is not None else None
 
-    def _open_session(self):
-        """The LP exactly as ``linprog(method="highs")`` hands it to HiGHS.
-
-        Same column costs, rows as ``lhs <= A x <= rhs``, CSC layout and
-        options, so a cold re-solve after a bounds change walks the same
-        simplex path as a fresh ``linprog`` call.
-        """
         A = sparse.csc_array(self.A)
-        m = self.rhs.size
         lp = _HIGHS.HighsLp()
+        rows = self.rhs.size
         lp.num_col_ = self.n
-        lp.num_row_ = m
+        lp.num_row_ = rows
         lp.a_matrix_.num_col_ = self.n
-        lp.a_matrix_.num_row_ = m
+        lp.a_matrix_.num_row_ = rows
         lp.a_matrix_.format_ = _HIGHS.MatrixFormat.kColwise
         lp.col_cost_ = self.c
         lp.col_lower_ = self.lo
@@ -243,52 +241,27 @@ class _LpData:
         lp.a_matrix_.index_ = A.indices
         lp.a_matrix_.value_ = A.data
 
-        highs = _HIGHS._Highs()
+        self._highs = _HIGHS._Highs()
         options = _HIGHS.HighsOptions()
         options.presolve = "on"
         options.highs_debug_level = _HIGHS.HighsDebugLevel.kHighsDebugLevelNone
         options.log_to_console = False
         options.output_flag = False
         options.simplex_strategy = _HIGHS.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-        highs.passOptions(options)
-        if highs.passModel(lp) == _HIGHS.HighsStatus.kError:
-            return None  # use linprog, which turns the error into a node status
+        self._highs.passOptions(options)
+        if self._highs.passModel(lp) == _HIGHS.HighsStatus.kError:
+            raise ValueError(f"HiGHS rejected the LP relaxation of {m.name}")
         self._cols = np.arange(self.n, dtype=np.int32)
-        return highs
 
     def solve(self, lo: np.ndarray, hi: np.ndarray, time_limit: float):
         """``(objective, x)`` of the node LP, or ``(None, None)`` if infeasible.
 
-        Raises ``_LpFailed`` when HiGHS stops on ``time_limit`` or returns
+        One cold HiGHS run, judged the way ``linprog`` judges it.  Raises
+        ``_LpFailed`` when HiGHS stops on ``time_limit`` or ends with
         anything ``linprog`` would not report as optimal or infeasible.
         """
         if np.any(lo > hi):
             return None, None
-        solve = self._solve_linprog if self._highs is None else self._solve_session
-        status, fun, x, message = solve(lo, hi, max(time_limit, 0.0))
-        if status == 2:
-            return None, None
-        if status != 0:
-            reason = "time" if status == 1 else "lp_failed"
-            raise _LpFailed(reason, f"LP relaxation failed with status {status}: {message}")
-        return fun, x
-
-    def _solve_linprog(self, lo, hi, time_limit):
-        k = self.n_ub
-        res = linprog(
-            self.c,
-            A_ub=self.A[:k],
-            b_ub=self.rhs[:k],
-            A_eq=self.A[k:],
-            b_eq=self.rhs[k:],
-            bounds=np.column_stack((lo, hi)),
-            method="highs",
-            options={"time_limit": time_limit},
-        )
-        return res.status, float(res.fun) if res.status == 0 else None, res.x, res.message
-
-    def _solve_session(self, lo, hi, time_limit):
-        """One cold HiGHS run on the session LP, judged the way linprog does."""
         highs = self._highs
         highs.changeColsBounds(self.n, self._cols, lo, hi)
         # Dropping the parent's basis keeps every node's simplex path, and so
@@ -296,23 +269,21 @@ class _LpData:
         highs.clearSolver()
         # HiGHS measures time_limit against its run clock, which accumulates
         # over every run() of this object.
-        highs.setOptionValue("time_limit", highs.getRunTime() + time_limit)
+        highs.setOptionValue("time_limit", highs.getRunTime() + max(time_limit, 0.0))
         run_ok = highs.run() != _HIGHS.HighsStatus.kError
         ms = _HIGHS.HighsModelStatus
         status = highs.getModelStatus()
-        message = highs.modelStatusToString(status)
         if status in (ms.kInfeasible, ms.kModelError):
-            return 2, None, None, message
-        if status == ms.kTimeLimit:
-            return 1, None, None, message
+            return None, None
         if status != ms.kOptimal or not run_ok:
-            return 4, None, None, message
+            reason = "time" if status == ms.kTimeLimit else "lp_failed"
+            raise _LpFailed(reason, f"LP relaxation ended as {highs.modelStatusToString(status)}")
         sol = highs.getSolution()
         x = np.array(sol.col_value)
         fun = highs.getInfo().objective_function_value
         slack = self.rhs - np.array(sol.row_value)
         tol = _CHECK_TOL
-        accepted = not (
+        if (
             np.isnan(x).any()
             or np.isnan(fun)
             or np.isnan(slack).any()
@@ -320,10 +291,9 @@ class _LpData:
             or (x > hi + tol).any()
             or (slack[: self.n_ub] < -tol).any()
             or (np.abs(slack[self.n_ub :]) > tol).any()
-        )
-        if not accepted:
-            return 4, None, None, "the point is outside linprog's tolerance"
-        return 0, float(fun), x, message
+        ):
+            raise _LpFailed("lp_failed", "the LP point is outside linprog's tolerance")
+        return float(fun), x
 
 
 @dataclass
@@ -532,18 +502,12 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
             return Solution("infeasible", None, None, (math.inf, math.inf), node_count, wall)
         return Solution("optimal", incumbent, incumbent_obj, (incumbent_obj, incumbent_obj), node_count, wall)
 
-    open_bounds = [nd.bound for nd in stack]
-    lower = min(open_bounds) if open_bounds else (incumbent_obj if incumbent is not None else -math.inf)
-    lower = min(lower, incumbent_obj) if incumbent is not None else lower
+    # A stopped search always leaves an open node; incumbent_obj is inf
+    # without an incumbent.
+    lower = min(min(nd.bound for nd in stack), incumbent_obj)
     status = "feasible" if stopped == "gap" else "budget_exceeded"
-    return Solution(
-        status,
-        incumbent,
-        incumbent_obj if incumbent is not None else None,
-        (lower, incumbent_obj if incumbent is not None else math.inf),
-        node_count,
-        wall,
-    )
+    objective = incumbent_obj if incumbent is not None else None
+    return Solution(status, incumbent, objective, (lower, incumbent_obj), node_count, wall)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from .instance import Instance, RailcarFlags
 
-NODE_KINDS = ("departure", "arrival", "initial", "ground_departure", "arrival_ground")
 ARC_KINDS = ("train", "transition", "ground_departure", "arrival_ground", "ground", "light")
 
 GROUND_NODE_KINDS = ("initial", "arrival_ground", "ground_departure")

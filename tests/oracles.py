@@ -3,8 +3,9 @@
 Each function here recomputes a quantity by a different route than the
 library (direct summation, literal enumeration, an LP on the node-arc
 incidence matrix, an exhaustive scan of a model's integer box, HiGHS's own
-MPS reader and MIP solver, the model over a denser light-arc set, or a walk
-over the model's constraint objects) so expected values in tests are never
+MPS reader and MIP solver, the model over a denser light-arc set, a walk
+over the model's constraint objects, or a fresh ``linprog`` call per node
+LP) so expected values in tests are never
 produced by the code path under test.
 """
 
@@ -26,6 +27,7 @@ from railplan.solver import (
     MissingVariableError,
     Solution,
     SolveBudget,
+    _LpFailed,
     solve_bb,
 )
 from railplan.spacetime import build_network, with_light_arcs
@@ -278,6 +280,37 @@ def list_built_lp(m: MilpModel) -> dict:
         "lo": np.array([v.lower for v in m.variables], dtype=float),
         "hi": np.array([v.upper for v in m.variables], dtype=float),
     }
+
+
+def linprog_node_lp(lp, lo, hi, time_limit):
+    """One node LP of ``solve_bb`` through a fresh ``linprog`` call.
+
+    A drop-in for ``railplan.solver._LpData.solve`` with its contract:
+    ``(objective, x)``, ``(None, None)`` when infeasible, or ``_LpFailed``
+    with reason ``"time"`` or ``"lp_failed"``.  The library loads the LP into
+    one HiGHS object per solve and re-solves it cold at each node; this call
+    hands HiGHS the same LP from scratch every time, so a search tree that
+    differs between the two shows a node LP that is not bit-identical.
+    """
+    if np.any(lo > hi):
+        return None, None
+    k = lp.n_ub
+    res = linprog(
+        lp.c,
+        A_ub=lp.A[:k],
+        b_ub=lp.rhs[:k],
+        A_eq=lp.A[k:],
+        b_eq=lp.rhs[k:],
+        bounds=np.column_stack((lo, hi)),
+        method="highs",
+        options={"time_limit": max(time_limit, 0.0)},
+    )
+    if res.status == 2:
+        return None, None
+    if res.status != 0:
+        reason = "time" if res.status == 1 else "lp_failed"
+        raise _LpFailed(reason, f"LP relaxation failed with status {res.status}: {res.message}")
+    return float(res.fun), res.x
 
 
 # ---------------------------------------------------------------------------

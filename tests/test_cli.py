@@ -139,6 +139,36 @@ def test_sweep_cli_rejects_non_finite_factors(tmp_path, factors):
     assert not (tmp_path / "rows.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("name,value", [("q", "NaN"), ("q", "Infinity"), ("e_rate", "NaN"), ("g_rate", "Infinity")])
+def test_non_finite_cost_rate_is_rejected(tmp_path, command, name, value):
+    # A NaN q once passed validation and hung the first node LP past any
+    # budget, so the command runs in a child under a wall clock.
+    import os
+    import subprocess
+    import sys
+
+    import railplan
+    from railplan.instance import generate_synthetic
+
+    doc = instance_to_dict(generate_synthetic(1, 3, 4, 2))
+    doc["costs"][name] = float(value)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    assert f'"{name}": {value}' in inst_path.read_text()
+    argv = [command, "--instance", str(inst_path)]
+    if command == "solve":
+        argv += ["--budget-seconds", "2"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(railplan.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "railplan.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2
+    assert f"[NON_FINITE_COST] {name}: cost rates must be finite" in proc.stderr
+    if command == "solve":
+        assert proc.stderr.startswith("error: ")
+
+
 def test_ladder_cli_writes_rows(tmp_path, ladder_instance):
     inst_path = _write(tmp_path, ladder_instance)
     out = tmp_path / "ladder.json"

@@ -98,6 +98,18 @@ def test_validate_power_exceeds_cap():
     assert "POWER_EXCEEDS_CAP" in codes
 
 
+@pytest.mark.parametrize("name", ["q", "c1", "c2", "c3", "e_rate", "g_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_validate_non_finite_cost(name, value):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["costs"][name] = value
+    inst = instance_from_dict(doc, validate=False)
+    found = [v for v in validate_instance(inst) if v.code == "NON_FINITE_COST"]
+    assert [v.subject for v in found] == [name]
+    with pytest.raises(InstanceError, match="NON_FINITE_COST"):
+        instance_from_dict(doc)
+
+
 def test_validate_flags_not_exclusive():
     doc = json.loads(json.dumps(MINIMAL))
     doc["trains"] = [

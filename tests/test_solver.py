@@ -17,7 +17,7 @@ from railplan.solver import (
 from railplan.spacetime import build_network, with_light_arcs
 
 from .conftest import make_instance
-from .oracles import EnumerationCapError, check_feasibility_by_row_walk, solve_enumeration
+from .oracles import EnumerationCapError, check_feasibility_by_row_walk, linprog_node_lp, solve_enumeration
 
 
 def _assemble(inst):
@@ -332,12 +332,11 @@ def _outcome(sol):
 
 
 def _reference_solve(monkeypatch, model, budget):
-    """solve_bb with every node LP sent through linprog, as on scipy
-    releases that lack the private HiGHS binding."""
-    import railplan.solver as solver
+    """solve_bb with every node LP sent through a fresh linprog call."""
+    from railplan.solver import _LpData
 
     with monkeypatch.context() as mp:
-        mp.setattr(solver, "_HIGHS", None)
+        mp.setattr(_LpData, "solve", linprog_node_lp)
         return solve_bb(model, budget)
 
 
@@ -384,25 +383,102 @@ def test_session_matches_linprog_reference_on_warm_ladder_rung(monkeypatch):
     assert _outcome(session) == _outcome(reference)
 
 
+# sha256 over _FROZEN_CASES of each solve's status, objective, node count
+# and values in key order.  A node LP that is not bit-identical to a fresh
+# linprog call (a kept basis, another row order, an LP object shared across
+# models) moves a node count or an incumbent, and so this digest.
+_FROZEN_DIGEST = "dcb8619b03697f70413efd93ddf4d8ed518206d97f011167eb3469c5fec606ab"
+_FROZEN_CASES = [
+    (seed, shape, method) for seed in range(1, 7) for shape in ((4, 8, 2), (5, 12, 3)) for method in ("exact", "mcf")
+]
+
+
+def test_solve_bb_outcomes_are_frozen():
+    import hashlib
+
+    from railplan.report import assemble
+
+    digest = hashlib.sha256()
+    for seed, shape, method in _FROZEN_CASES:
+        _net, _specs, model = assemble(generate_synthetic(seed, *shape), lt_method=method)
+        sol = solve_bb(model, SolveBudget(max_seconds=3600, max_nodes=20))
+        values = None if sol.values is None else list(sol.values.items())
+        digest.update(repr((sol.status, sol.objective, sol.node_count, values)).encode())
+    assert digest.hexdigest() == _FROZEN_DIGEST
+
+
+_DROP_BINDING = 'sys.modules["scipy.optimize._highspy._core"] = None'
+# The binding without one of the names the solver uses.
+_STRIP_BINDING = """
+import types
+import scipy.optimize._highspy as pkg
+real = pkg._core
+fake = types.ModuleType(real.__name__)
+vars(fake).update({k: v for k, v in vars(real).items() if k != "kHighsInf"})
+sys.modules[real.__name__] = pkg._core = fake
+"""
+
+
+@pytest.mark.parametrize(
+    "setup,detail",
+    [(_DROP_BINDING, ""), (_STRIP_BINDING, "; this scipy's binding lacks kHighsInf")],
+    ids=["absent", "incomplete"],
+)
+def test_import_without_the_highs_binding_names_it(setup, detail):
+    import os
+    import subprocess
+    import sys
+
+    import railplan
+
+    code = f"import sys\n{setup}\ntry:\n    import railplan\nexcept ImportError as exc:\n    print(exc)\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(railplan.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    want = "railplan needs scipy's private HiGHS binding scipy.optimize._highspy._core (scipy>=1.17)"
+    assert proc.stdout.strip() == want + detail
+
+
+@pytest.mark.parametrize(
+    "name,value,q_factor",
+    [("q", math.nan, 1.0), ("g_rate", math.inf, 1.0), ("q", 1e308, 10.0)],
+    ids=["q=nan", "g_rate=inf", "q-sweep-overflow"],
+)
+def test_non_finite_objective_is_rejected(name, value, q_factor):
+    # A NaN cost once reached HiGHS and hung the first node LP past any
+    # budget; the LP must refuse it before any node is solved.
+    from dataclasses import replace
+
+    from railplan.report import assemble, scaled_costs
+    from railplan.solver import _LpData
+
+    inst = generate_synthetic(1, 3, 4, 2)
+    costs = scaled_costs(replace(inst.costs, **{name: value}), "q", q_factor)
+    _net, _specs, model = assemble(inst, costs=costs)
+    with pytest.raises(ValueError, match="objective coefficients must be finite"):
+        _LpData(model)
+    with pytest.raises(ValueError, match="objective coefficients must be finite"):
+        solve_bb(model, SolveBudget(max_seconds=2))
+
+
 # ---------------------------------------------------------------------------
 # Node LPs that end without an answer
 
 
 def _fail_lp_at(monkeypatch, k):
-    """Make the k-th node LP end as linprog's status 4 on either backend."""
-    from railplan.solver import _LpData
+    """Make the k-th node LP fail on whichever backend ``_LpData.solve`` is."""
+    from railplan.solver import _LpData, _LpFailed
 
     calls = [0]
-    for name in ("_solve_session", "_solve_linprog"):
-        orig = getattr(_LpData, name)
+    orig = _LpData.solve
 
-        def failing(self, lo, hi, time_limit, _orig=orig):
-            calls[0] += 1
-            if calls[0] == k:
-                return 4, None, None, "forced failure"
-            return _orig(self, lo, hi, time_limit)
+    def failing(self, lo, hi, time_limit):
+        calls[0] += 1
+        if calls[0] == k:
+            raise _LpFailed("lp_failed", "forced failure")
+        return orig(self, lo, hi, time_limit)
 
-        monkeypatch.setattr(_LpData, name, failing)
+    monkeypatch.setattr(_LpData, "solve", failing)
 
 
 def test_failed_root_lp_keeps_warm_start_and_unknown_bound(monkeypatch, caplog):
@@ -426,7 +502,7 @@ def test_failed_root_lp_keeps_warm_start_and_unknown_bound(monkeypatch, caplog):
 
 @pytest.mark.parametrize("reference", [False, True])
 def test_failed_node_lp_keeps_incumbent_and_parent_bound(monkeypatch, reference):
-    import railplan.solver as solver
+    from railplan.solver import _LpData
 
     inst = generate_synthetic(1, 4, 8, 2)
     _net, model = _assemble(inst)
@@ -435,7 +511,7 @@ def test_failed_node_lp_keeps_incumbent_and_parent_bound(monkeypatch, reference)
     capped = solve_bb(model, SolveBudget(max_seconds=600, max_nodes=k - 1))
     assert capped.status == "budget_exceeded" and capped.values is not None
     if reference:
-        monkeypatch.setattr(solver, "_HIGHS", None)
+        monkeypatch.setattr(_LpData, "solve", linprog_node_lp)
     _fail_lp_at(monkeypatch, k)
     sol = solve_bb(model, SolveBudget(max_seconds=600))
     assert sol.status == "budget_exceeded"
@@ -449,11 +525,10 @@ def test_failed_node_lp_keeps_incumbent_and_parent_bound(monkeypatch, reference)
 
 @pytest.mark.parametrize("reference", [False, True])
 def test_node_lp_time_limit_reports_time(monkeypatch, reference):
-    import railplan.solver as solver
     from railplan.solver import _LpData, _LpFailed
 
     if reference:
-        monkeypatch.setattr(solver, "_HIGHS", None)
+        monkeypatch.setattr(_LpData, "solve", linprog_node_lp)
     _net, model = _assemble(generate_synthetic(3, 5, 12, 3))
     lp = _LpData(model)
     with pytest.raises(_LpFailed) as exc:

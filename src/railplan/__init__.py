@@ -74,7 +74,6 @@ from .spacetime import (
     SpaceTimeNetwork,
     arcs_of_kind,
     build_network,
-    classify_wrap,
     pickup_arcs,
     save_network,
     setout_arcs,

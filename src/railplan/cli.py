@@ -22,7 +22,7 @@ from .instance import (
     validate_instance,
 )
 from .lighttravel import CapExceededError, McfError
-from .model import ConfigError, ExtensionConfig
+from .model import BUDGET_FIELD, ConfigError, ExtensionConfig
 from .mps import export_mps
 from .report import (
     KPI_COLUMNS,
@@ -86,6 +86,16 @@ def _theta(text: str) -> float | int:
     return int(value) if value.is_integer() else value
 
 
+def _steps(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_theta_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=_theta, default=6, help="daily work-event cap per terminal ('inf' allowed)")
 
@@ -118,8 +128,8 @@ def _extension_config(args) -> ExtensionConfig | None:
     if args.extension == "V0":
         return None
     kwargs = {"version": args.extension, "theta": args.theta, "lambda_": args.lambda_}
-    field = {"V2": "alpha_c", "V3": "alpha_d", "V4": "alpha_e", "V5": "alpha_f"}.get(args.extension)
-    if field is not None:
+    field = BUDGET_FIELD.get(args.extension)
+    if field not in (None, "lambda_"):  # V1 takes --lambda, V1prime no budget
         if args.alpha is None:
             raise ConfigError(f"{args.extension} requires --alpha")
         kwargs[field] = args.alpha
@@ -156,11 +166,7 @@ def cmd_validate(args) -> int:
         except json.JSONDecodeError as exc:
             print(f"parse error at line {exc.lineno}: {exc.msg}", file=sys.stderr)
             return EXIT_VALIDATION
-    try:
-        inst = instance_from_dict(data, validate=False)
-    except InstanceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
+    inst = instance_from_dict(data, validate=False)
     violations = validate_instance(inst, include_warnings=True)
     for v in violations:
         stream = sys.stderr if v.severity == "error" else sys.stdout
@@ -317,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.add_argument("--versions", default="V2,V3,V4,V5", help="comma-separated versions")
     p.add_argument("--alphas", default=None, help="explicit comma-separated activation budgets")
-    p.add_argument("--steps", type=int, default=4, help="grid length per version when --alphas is not given")
+    p.add_argument("--steps", type=_steps, default=4, help="grid length per version when --alphas is not given")
     p.add_argument("--no-warm-chain", action="store_true")
     p.set_defaults(func=cmd_ladder)
 

@@ -248,10 +248,38 @@ def instance_to_dict(inst: Instance) -> dict:
     return data
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
+_MISSING = object()
+
+
+def _field(mapping, key: str, where: str, default=_MISSING):
+    if not isinstance(mapping, dict):
+        raise InstanceError(f"{where}: expected a JSON object, got {json.dumps(mapping, default=repr)}")
+    if key in mapping:
+        return mapping[key]
+    if default is _MISSING:
         raise InstanceError(f"{where}: missing required field {key!r}")
-    return mapping[key]
+    return default
+
+
+def _entries(mapping, key: str, where: str, default=_MISSING) -> list:
+    value = _field(mapping, key, where, default)
+    if not isinstance(value, list):
+        raise InstanceError(f"{where}: {key!r} must be a JSON array, got {json.dumps(value, default=repr)}")
+    return value
+
+
+def _number(mapping, key: str, where: str, default=_MISSING, integral: bool = True):
+    """A JSON number that is not a bool.  With ``integral``, also a whole
+    number (``60`` or ``60.0``), returned as an int."""
+    value = _field(mapping, key, where, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (integral and isinstance(value, float) and not value.is_integer())
+    ):
+        kind = "an integer" if integral else "a number"
+        raise InstanceError(f"{where}: {key!r} must be {kind}, got {json.dumps(value, default=repr)}")
+    return int(value) if integral else value
 
 
 def instance_from_dict(data: dict, validate: bool = True) -> Instance:
@@ -262,36 +290,35 @@ def instance_from_dict(data: dict, validate: bool = True) -> Instance:
         raise InstanceError(f"unsupported schema_version {version}")
 
     terminals = tuple(
-        Terminal(id=str(_require(t, "id", "terminals")), name=str(t.get("name", "")))
-        for t in _require(data, "terminals", "instance")
+        Terminal(id=str(_field(t, "id", "terminals")), name=str(t.get("name", "")))
+        for t in _entries(data, "terminals", "instance")
     )
     transit = TransitTable(
         {
-            (str(_require(e, "from", "transit")), str(_require(e, "to", "transit"))): int(
-                _require(e, "minutes", "transit")
-            )
-            for e in _require(data, "transit", "instance")
+            (str(_field(e, "from", "transit")), str(_field(e, "to", "transit"))): _number(e, "minutes", "transit")
+            for e in _entries(data, "transit", "instance")
         }
     )
 
     trains = []
-    for tr in _require(data, "trains", "instance"):
-        tid = str(_require(tr, "id", "trains"))
+    for tr in _entries(data, "trains", "instance"):
+        tid = str(_field(tr, "id", "trains"))
+        where = f"train {tid} legs"
         legs = tuple(
             TrainLeg(
                 train_id=tid,
-                seq=int(_require(lg, "seq", f"train {tid} legs")),
-                origin=str(_require(lg, "from", f"train {tid} legs")),
-                dest=str(_require(lg, "to", f"train {tid} legs")),
-                dep=int(_require(lg, "dep", f"train {tid} legs")),
-                arr=int(_require(lg, "arr", f"train {tid} legs")),
-                b=int(_require(lg, "b", f"train {tid} legs")),
+                seq=_number(lg, "seq", where),
+                origin=str(_field(lg, "from", where)),
+                dest=str(_field(lg, "to", where)),
+                dep=_number(lg, "dep", where),
+                arr=_number(lg, "arr", where),
+                b=_number(lg, "b", where),
             )
-            for lg in _require(tr, "legs", f"train {tid}")
+            for lg in _entries(tr, "legs", f"train {tid}")
         )
         stop_entries = {
-            int(_require(s, "after_seq", f"train {tid} stops")): s.get("flags", {})
-            for s in tr.get("stops", [])
+            _number(s, "after_seq", f"train {tid} stops"): _field(s, "flags", f"train {tid} stops", {})
+            for s in _entries(tr, "stops", f"train {tid}", [])
         }
         out_of_range = [k for k in stop_entries if not (1 <= k < len(legs))]
         if out_of_range:
@@ -299,35 +326,36 @@ def instance_from_dict(data: dict, validate: bool = True) -> Instance:
         stops = []
         for i in range(1, len(legs)):
             raw = stop_entries.get(i, {"no": True})
-            flags = RailcarFlags(**{n: bool(raw.get(n, False)) for n in FLAG_NAMES})
+            flags = RailcarFlags(**{n: bool(_field(raw, n, f"train {tid} stop flags", False)) for n in FLAG_NAMES})
             stops.append(flags)
         trains.append(Train(id=tid, legs=legs, stops=tuple(stops)))
 
-    craw = _require(data, "costs", "instance")
+    craw = _field(data, "costs", "instance")
+    rate = lambda key, default: _number(craw, key, "costs", default, integral=False)
     costs = CostParams(
-        q=craw.get("q", 5000),
-        c1=craw.get("c1", 20),
-        c2=craw.get("c2", 100),
-        c3=craw.get("c3", 180),
-        e_rate=craw.get("e_rate", 2),
-        g_rate=craw.get("g_rate", 1),
-        f=int(craw.get("f", 4)),
-        rho_u=int(craw.get("rho_u", 3)),
-        prep_minutes=int(craw.get("prep", 60)),
-        inspect_minutes=int(craw.get("inspect", 120)),
-        horizon=int(craw.get("horizon", DEFAULT_HORIZON)),
+        q=rate("q", 5000),
+        c1=rate("c1", 20),
+        c2=rate("c2", 100),
+        c3=rate("c3", 180),
+        e_rate=rate("e_rate", 2),
+        g_rate=rate("g_rate", 1),
+        f=_number(craw, "f", "costs", 4),
+        rho_u=_number(craw, "rho_u", "costs", 3),
+        prep_minutes=_number(craw, "prep", "costs", 60),
+        inspect_minutes=_number(craw, "inspect", "costs", 120),
+        horizon=_number(craw, "horizon", "costs", DEFAULT_HORIZON),
     )
 
     baseline = None
     if data.get("baseline") is not None:
         braw = data["baseline"]
         baseline = BaselinePlan(
-            days=int(braw.get("days", costs.n_days)),
+            days=_number(braw, "days", "baseline", costs.n_days),
             h={
-                (str(_require(e, "terminal", "baseline")), int(_require(e, "day", "baseline"))): int(
-                    _require(e, "count", "baseline")
+                (str(_field(e, "terminal", "baseline")), _number(e, "day", "baseline")): _number(
+                    e, "count", "baseline"
                 )
-                for e in braw.get("events", [])
+                for e in _entries(braw, "events", "baseline", [])
             },
         )
 

@@ -56,8 +56,11 @@ class LightArcSpec:
     head_terminal: str
     transit: int
     span: int
-    wrap: bool
     crossings: int
+
+    @property
+    def wrap(self) -> bool:
+        return self.crossings > 0
 
 
 def _spec_sort_key(spec: LightArcSpec) -> tuple:
@@ -68,7 +71,6 @@ def _make_spec(net: SpaceTimeNetwork, tail: Node, head: Node, delta: int) -> Lig
     H = net.horizon
     wait = (head.time - (tail.time + delta)) % H
     span = delta + wait
-    crossings = (tail.time + span) // H
     return LightArcSpec(
         tail=tail.id,
         head=head.id,
@@ -76,8 +78,7 @@ def _make_spec(net: SpaceTimeNetwork, tail: Node, head: Node, delta: int) -> Lig
         head_terminal=head.terminal,
         transit=delta,
         span=span,
-        wrap=crossings > 0,
-        crossings=crossings,
+        crossings=(tail.time + span) // H,
     )
 
 

@@ -90,6 +90,14 @@ class ExtensionConfig:
     baseline: BaselinePlan | None = None
 
 
+# The ExtensionConfig field that holds each version's budget: the extra
+# events per baseline-active terminal-day (V1) or the activation budget.
+BUDGET_FIELD = {"V1": "lambda_", "V2": "alpha_c", "V3": "alpha_d", "V4": "alpha_e", "V5": "alpha_f"}
+
+# Activation gates per terminal (z1, w1) and per terminal-day (z2, w2).
+GATE_FAMILIES = ("z1", "w1", "z2", "w2")
+
+
 @dataclass
 class MilpModel:
     name: str
@@ -256,6 +264,15 @@ def group_events_by_terminal_day(net: SpaceTimeNetwork) -> dict[tuple[str, int],
             (yso_id(f"R:{arc.train_id}:{arc.seq}"), ypu_id(f"E:{arc.train_id}:{arc.seq + 1}"))
         )
     return groups
+
+
+def events_per_terminal_day(net: SpaceTimeNetwork, values: dict[str, int]) -> dict[tuple[str, int], int]:
+    """Set-out plus pick-up events at each (terminal, day) with a stop, in
+    the order of :func:`group_events_by_terminal_day`."""
+    return {
+        key: sum(values[so] + values[pu] for so, pu in pairs)
+        for key, pairs in group_events_by_terminal_day(net).items()
+    }
 
 
 def flow_upper_bound(net: SpaceTimeNetwork) -> int:
@@ -458,6 +475,9 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
     needs_baseline = cfg.version in ("V1", "V1prime", "V2", "V3")
     if needs_baseline and baseline is None:
         raise ConfigError(f"{cfg.version} requires a baseline work-event plan")
+    budget_field = BUDGET_FIELD.get(cfg.version)
+    if budget_field is not None and getattr(cfg, budget_field) is None:
+        raise ConfigError(f"{cfg.version} requires {budget_field}")
 
     new_vars: list[VarRef] = []
     rows: list[LinearConstraint] = []
@@ -501,8 +521,6 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
         zero_rows(baseline.inactive_pairs(terminals), "V1p:inactive")
 
     elif cfg.version == "V2":
-        if cfg.alpha_c is None:
-            raise ConfigError("V2 requires alpha_c")
         active_pair_rows("V1p", lambda h: 2 * h, "14", "15")
         inactive_terms = set(baseline.inactive_terminals(terminals))
         zero_rows(
@@ -523,8 +541,6 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
         )
 
     elif cfg.version == "V3":
-        if cfg.alpha_d is None:
-            raise ConfigError("V3 requires alpha_d")
         active_pair_rows("V1p", lambda h: 2 * h, "14", "15")
         inactive_pairs = baseline.inactive_pairs(terminals)
         for (k, d) in inactive_pairs:
@@ -539,8 +555,6 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
         gate_rows(inactive_pairs, lambda k, d: f"z2:{k}:{d}", "V3:(20)")
 
     elif cfg.version == "V4":
-        if cfg.alpha_e is None:
-            raise ConfigError("V4 requires alpha_e")
         for k in terminals:
             new_vars.append(VarRef(id=f"w1:{k}", family="w1", subject=k, lower=0, upper=1, binary=True))
         rows.append(LinearConstraint([(f"w1:{k}", 1) for k in terminals], "<=", cfg.alpha_e, "V4:(22)"))
@@ -551,8 +565,6 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
         )
 
     elif cfg.version == "V5":
-        if cfg.alpha_f is None:
-            raise ConfigError("V5 requires alpha_f")
         all_pairs = [(k, d) for k in terminals for d in range(n_days)]
         for (k, d) in all_pairs:
             new_vars.append(
@@ -569,47 +581,54 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
     return m.extended(new_vars, rows, cfg, name_suffix=f"+{cfg.version}")
 
 
-def infer_gate_values(m: MilpModel, values: dict[str, int]) -> dict[str, int]:
-    """Derive activation-variable values from event usage in ``values``."""
-    if m.network is None:
-        return {}
-    groups = group_events_by_terminal_day(m.network)
-    events_at: dict[tuple[str, int], int] = {
-        key: sum(values.get(so, 0) + values.get(pu, 0) for so, pu in pairs)
-        for key, pairs in groups.items()
-    }
-    out: dict[str, int] = {}
-    for var in m.variables:
-        if var.family in ("z1", "w1"):
-            k = var.subject
-            out[var.id] = int(any(v > 0 for (kk, _d), v in events_at.items() if kk == k))
-        elif var.family in ("z2", "w2"):
-            k, d = var.subject.rsplit(":", 1)
-            out[var.id] = int(events_at.get((k, int(d)), 0) > 0)
-    return out
+def gate_incidence(m: MilpModel) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The activation gates' columns and the events each gate covers.
+
+    Row g of the count matrix counts, per column, the set-out and pick-up
+    variables of gate g's terminal (z1, w1) or terminal-day (z2, w2).  The
+    matrix has one spare column past the model's: an event variable the
+    model lacks maps there, and a work vector keeps it 0.
+    """
+    mx = m.matrix()
+    n = len(mx.ids)
+    by_terminal: dict[str, list[tuple[str, str]]] = {}
+    by_day: dict[str, list[tuple[str, str]]] = {}
+    groups = group_events_by_terminal_day(m.network) if m.network is not None else {}
+    for (k, d), pairs in groups.items():
+        by_terminal.setdefault(k, []).extend(pairs)
+        by_day[f"{k}:{d}"] = pairs
+    covered = {"z1": by_terminal, "w1": by_terminal, "z2": by_day, "w2": by_day}
+    gate_cols, rows, events = [], [], []
+    for j, var in enumerate(m.variables):
+        if var.family in GATE_FAMILIES:
+            for pair in covered[var.family].get(var.subject, ()):
+                rows += [len(gate_cols)] * len(pair)
+                events += [mx.column.get(e, n) for e in pair]
+            gate_cols.append(j)
+    counts = sparse.csr_matrix(
+        (np.ones(len(events), dtype=np.int64), (rows, events)), shape=(len(gate_cols), n + 1)
+    )
+    return np.array(gate_cols, dtype=np.intp), counts
 
 
 def warm_start_from(m: MilpModel, sol) -> MilpModel:
     """Attach a prior solution as the solver's starting incumbent.
 
-    Activation variables absent from the source solution are inferred from
-    its event usage.  The start must be feasible for the (extended) model;
-    otherwise the violated constraint tags are reported.
+    Activation gates absent from the source solution are 1 iff an event
+    under them is used.  The start must be feasible for the (extended)
+    model; otherwise the violated constraint tags are reported.
     """
     from .solver import check_feasibility
 
     if sol.values is None:
         raise ValueError("source solution carries no values")
-    values: dict[str, int] = {}
-    missing: list[str] = []
-    inferred = infer_gate_values(m, sol.values)
-    for var in m.variables:
-        if var.id in sol.values:
-            values[var.id] = int(round(sol.values[var.id]))
-        elif var.id in inferred:
-            values[var.id] = inferred[var.id]
-        else:
-            missing.append(var.id)
+    ids = m.matrix().ids
+    known = {var_id: int(round(sol.values[var_id])) for var_id in ids if var_id in sol.values}
+    gate_cols, counts = gate_incidence(m)
+    used = counts @ np.array([known.get(var_id, 0) for var_id in ids] + [0], dtype=np.int64)
+    opened = {ids[j]: int(n > 0) for j, n in zip(gate_cols, used)}
+    values = {var_id: known.get(var_id, opened.get(var_id)) for var_id in ids}
+    missing = [var_id for var_id, v in values.items() if v is None]
     if missing:
         raise InfeasibleStartError([f"missing:{v}" for v in missing])
     violations = check_feasibility(m, values)

@@ -21,6 +21,7 @@ from functools import partial
 from .instance import Instance
 from .lighttravel import generate_light_arcs
 from .model import (
+    BUDGET_FIELD,
     ConfigError,
     ExtensionConfig,
     InfeasibleStartError,
@@ -28,7 +29,7 @@ from .model import (
     _price,
     apply_extension,
     build_base_model,
-    group_events_by_terminal_day,
+    events_per_terminal_day,
     warm_start_from,
 )
 from .solver import Solution, SolveBudget, check_feasibility, evaluate_objective, solve_bb
@@ -46,7 +47,10 @@ SHARE_KEYS = (
     "idle",
 )
 
-KPI_COLUMNS = (
+_COST_KEYS = ("ownership", "deadhead", "light_travel", "work_events")
+
+# The KpiReport fields that are one column each.
+_SCALAR_KPIS = (
     "fleet_size",
     "work_events",
     "pickups",
@@ -61,11 +65,12 @@ KPI_COLUMNS = (
     "light_od_pairs",
     "dh_minutes",
     "lt_minutes",
+)
+
+KPI_COLUMNS = (
+    *_SCALAR_KPIS,
     *(f"share_{k}" for k in SHARE_KEYS),
-    "cost_ownership",
-    "cost_deadhead",
-    "cost_light_travel",
-    "cost_work_events",
+    *(f"cost_{k}" for k in _COST_KEYS),
 )
 
 SWEEP_COLUMNS = (
@@ -121,26 +126,10 @@ class KpiReport:
         return {key: self.activity_minutes[key] / n_trains for key in SHARE_KEYS}
 
     def to_row(self) -> dict:
-        row = {
-            "fleet_size": self.fleet_size,
-            "work_events": self.work_events,
-            "pickups": self.pickups,
-            "setouts": self.setouts,
-            "pickup_units": self.pickup_units,
-            "setout_units": self.setout_units,
-            "active_terminals": self.active_terminals,
-            "active_terminal_days": self.active_terminal_days,
-            "coverage_ratio": self.coverage_ratio,
-            "light_arcs_used": self.light_arcs_used,
-            "light_trains": self.light_trains,
-            "light_od_pairs": self.light_od_pairs,
-            "dh_minutes": self.dh_minutes,
-            "lt_minutes": self.lt_minutes,
-        }
-        for key in SHARE_KEYS:
-            row[f"share_{key}"] = self.activity_shares[key]
-        for key in ("ownership", "deadhead", "light_travel", "work_events"):
-            row[f"cost_{key}"] = self.cost_breakdown.get(key, 0)
+        """The report as one row keyed by KPI_COLUMNS, in that order."""
+        row = {col: getattr(self, col) for col in _SCALAR_KPIS}
+        row.update((f"share_{k}", self.activity_shares[k]) for k in SHARE_KEYS)
+        row.update((f"cost_{k}", self.cost_breakdown.get(k, 0)) for k in _COST_KEYS)
         return row
 
 
@@ -202,11 +191,7 @@ def compute_kpis(net: SpaceTimeNetwork | None, model: MilpModel, sol: Solution) 
     opportunities = len(so_arcs) + len(pu_arcs)
     coverage = (setouts + pickups) / opportunities if opportunities else 0.0
 
-    groups = group_events_by_terminal_day(net)
-    events_at = {
-        key: sum(values[so] + values[pu] for so, pu in pairs) for key, pairs in groups.items()
-    }
-    active_days = [key for key, n in events_at.items() if n > 0]
+    active_days = [key for key, n in events_per_terminal_day(net, values).items() if n > 0]
     active_terminals = {k for (k, _d) in active_days}
 
     denom = fleet * H
@@ -243,14 +228,9 @@ def event_heatmap_rows(net: SpaceTimeNetwork, sol: Solution) -> list[dict]:
     """
     if sol.values is None:
         raise ValueError("solution carries no values")
-    groups = group_events_by_terminal_day(net)
     return [
-        {
-            "terminal": k,
-            "day": d,
-            "events": sum(sol.values[so] + sol.values[pu] for so, pu in pairs),
-        }
-        for (k, d), pairs in sorted(groups.items())
+        {"terminal": k, "day": d, "events": n}
+        for (k, d), n in sorted(events_per_terminal_day(net, sol.values).items())
     ]
 
 
@@ -410,9 +390,7 @@ def _thread_map(fn, items, label: str, noun: str) -> list:
 def default_alpha_grid(version: str, baseline, steps: int) -> list[int]:
     """Activation budget grids: terminals move in steps of one, terminal-days
     in steps of five; redesigns start from the baseline-active counts."""
-    if version == "V1":
-        return list(range(steps))
-    if version == "V2":
+    if version in ("V1", "V2"):
         return list(range(steps))
     if version == "V3":
         return [5 * i for i in range(steps)]
@@ -424,13 +402,6 @@ def default_alpha_grid(version: str, baseline, steps: int) -> list[int]:
         start = len(active_pairs)
         return [start + 5 * i for i in range(steps)]
     raise ConfigError(f"no ladder grid for version {version!r}")
-
-
-def _config_for(version: str, alpha: int, theta) -> ExtensionConfig:
-    kwargs = {"version": version, "theta": theta}
-    key = {"V1": "lambda_", "V2": "alpha_c", "V3": "alpha_d", "V4": "alpha_e", "V5": "alpha_f"}[version]
-    kwargs[key] = alpha
-    return ExtensionConfig(**kwargs)
 
 
 def run_extension_ladder(
@@ -453,6 +424,9 @@ def run_extension_ladder(
     """
     if inst.baseline is None:
         raise ConfigError("extension ladders require an instance with a baseline plan")
+    chains = [version for version in versions if version != "V1prime"]
+    if any(version not in BUDGET_FIELD for version in chains):
+        raise ConfigError(f"ladder versions must be among V1prime, {', '.join(BUDGET_FIELD)}; got {versions}")
     net, _specs, base_model = assemble(inst, lt_method=lt_method)
 
     v1p_model = apply_extension(base_model, ExtensionConfig(version="V1prime", theta=theta))
@@ -468,7 +442,8 @@ def run_extension_ladder(
         rows: list[dict] = []
         prev_sol = None
         for alpha in grid:
-            model = apply_extension(base_model, _config_for(version, alpha, theta))
+            cfg = ExtensionConfig(version=version, theta=theta, **{BUDGET_FIELD[version]: alpha})
+            model = apply_extension(base_model, cfg)
             warm_used = False
             if warm_chain:
                 for source in (prev_sol, v1p_sol):
@@ -493,7 +468,6 @@ def run_extension_ladder(
                 prev_sol = sol
         return rows
 
-    chains = [version for version in versions if version != "V1prime"]
     chain_rows = _thread_map(chain, chains, "ladder", "version chains")
     return [row] + [r for rows in chain_rows for r in rows]
 

@@ -20,12 +20,13 @@ import numpy as np
 from scipy import sparse
 
 from .model import (
+    GATE_FAMILIES,
     SENSE_EQ,
     SENSE_GE,
     InfeasibleStartError,
     MilpModel,
     ModelMatrix,
-    group_events_by_terminal_day,
+    gate_incidence,
 )
 
 log = logging.getLogger(__name__)
@@ -55,13 +56,17 @@ class SolveBudget:
     rel_gap: float = 0.0
 
     def __post_init__(self):
-        if self.max_seconds <= 0 or self.max_nodes <= 0 or self.rel_gap < 0:
+        # NaN fails every comparison, so test for what each field must be.
+        if not (self.max_seconds > 0 and self.max_nodes > 0 and self.rel_gap >= 0):
             raise ValueError("budget fields must be positive (rel_gap >= 0)")
+
+
+STATUSES = ("optimal", "feasible", "infeasible", "budget_exceeded")
 
 
 @dataclass
 class Solution:
-    status: str  # optimal | feasible | infeasible | budget_exceeded
+    status: str  # one of STATUSES
     values: dict[str, int] | None
     objective: float | int | None
     bounds: tuple[float, float]
@@ -321,13 +326,10 @@ class _Repair:
         if net is None:
             return
         self.rho = net.instance.costs.rho_u
-        groups = group_events_by_terminal_day(net)
         # Column n of the work vector stays 0: a variable the model lacks
         # counts as 0.
         col = lambda var_id: mx.column.get(var_id, n)
-        flow_cols, y_cols, y_src, u_cols, u_src, gate_cols = [], [], [], [], [], []
-        gate_rows: list[int] = []
-        gate_events: list[int] = []
+        flow_cols, y_cols, y_src, u_cols, u_src = [], [], [], [], []
         for j, var in enumerate(m.variables):
             if var.family == "x":
                 flow_cols.append(j)
@@ -337,26 +339,13 @@ class _Repair:
             elif var.family == "u":
                 u_cols.append(j)
                 u_src.append(col(f"x:{var.subject}"))
-            elif var.family in ("z1", "w1", "z2", "w2"):
-                if var.family in ("z1", "w1"):
-                    keys = [key for key in groups if key[0] == var.subject]
-                else:
-                    k, d = var.subject.rsplit(":", 1)
-                    keys = [(k, int(d))]
-                events = [col(e) for key in keys for pair in groups.get(key, []) for e in pair]
-                gate_rows += [len(gate_cols)] * len(events)
-                gate_events += events
-                gate_cols.append(j)
-            else:
+            elif var.family not in GATE_FAMILIES:
                 self.usable = False  # a family without a cheapest completion
                 return
         index = lambda cols: np.array(cols, dtype=np.intp)
         self.flow_cols, self.y_cols, self.y_src = index(flow_cols), index(y_cols), index(y_src)
-        self.u_cols, self.u_src, self.gate_cols = index(u_cols), index(u_src), index(gate_cols)
-        # Row g counts the events under gate g.
-        self.gates = sparse.csr_matrix(
-            (np.ones(len(gate_events), dtype=np.int64), (gate_rows, gate_events)), shape=(len(gate_cols), n + 1)
-        )
+        self.u_cols, self.u_src = index(u_cols), index(u_src)
+        self.gate_cols, self.gates = gate_incidence(m)
 
     def __call__(self, x: np.ndarray) -> np.ndarray | None:
         """The completed candidate of LP point ``x`` in column order, or
@@ -542,12 +531,20 @@ def load_solution(path) -> Solution:
 
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a solution file must hold a JSON object")
+    if data.get("status") not in STATUSES:
+        raise ValueError(f"{path}: solution field 'status' must be one of {', '.join(STATUSES)}")
+    values = data.get("values")
+    if values is not None and not (isinstance(values, dict) and all(type(v) is int for v in values.values())):
+        raise ValueError(f"{path}: solution field 'values' must be an object of integers")
     raw_bounds = data.get("bounds") or [None, None]
+    if not (isinstance(raw_bounds, list) and len(raw_bounds) == 2) or any(
+        isinstance(b, bool) or not isinstance(b, (int, float, type(None))) for b in raw_bounds
+    ):
+        raise ValueError(f"{path}: solution field 'bounds' must be two numbers or nulls")
     lo = -math.inf if raw_bounds[0] is None else raw_bounds[0]
     hi = math.inf if raw_bounds[1] is None else raw_bounds[1]
-    values = data.get("values")
-    if values is not None:
-        values = {k: int(v) for k, v in values.items()}
     return Solution(
         status=data["status"],
         values=values,

@@ -20,7 +20,7 @@ equals ``(head.time - tail.time) mod H``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .instance import Instance, RailcarFlags
 
@@ -47,7 +47,6 @@ class Arc:
     tail: str
     head: str
     duration: int  # physical span in minutes
-    wrap: bool  # member of the wrap-around set S
     crossings: int  # number of horizon-boundary crossings (0, 1 or 2)
     b: int = 0  # required active power (train arcs only)
     train_id: str | None = None
@@ -55,6 +54,11 @@ class Arc:
     decision: bool = False  # pick-up / set-out decision arc
     flags: RailcarFlags | None = None
     transit: int | None = None  # light arcs: pure travel minutes
+
+    @property
+    def wrap(self) -> bool:
+        """Member of the wrap-around set S: the activity crosses the week's end."""
+        return self.crossings > 0
 
 
 @dataclass(frozen=True)
@@ -86,18 +90,6 @@ class SpaceTimeNetwork:
         return out
 
 
-def classify_wrap(tail_time: int, head_time: int, duration: int, horizon: int = 10080) -> bool:
-    """True iff an activity starting at ``tail_time`` lasting ``duration``
-    crosses the week boundary.  ``head_time`` is implied by the other two
-    modulo the horizon and is kept for call-site clarity."""
-    del head_time
-    return tail_time + duration >= horizon
-
-
-def _crossings(tail_time: int, duration: int, horizon: int) -> int:
-    return (tail_time + duration) // horizon
-
-
 def _ground_sort_key(node: Node) -> tuple:
     return (node.time, _GROUND_ORDER[node.kind], node.id)
 
@@ -118,10 +110,10 @@ def build_network(inst: Instance) -> SpaceTimeNetwork:
         node_order.append(node.id)
         return node
 
-    def add_arc(arc: Arc) -> Arc:
-        arcs[arc.id] = arc
-        arc_order.append(arc.id)
-        return arc
+    def add_arc(arc_id: str, kind: str, tail: Node, head: str, duration: int, **fields) -> None:
+        crossings = (tail.time + duration) // H
+        arcs[arc_id] = Arc(arc_id, kind, tail.id, head, duration, crossings, **fields)
+        arc_order.append(arc_id)
 
     for term in inst.terminals:
         add_node(Node(id=f"init:{term.id}", kind="initial", terminal=term.id, time=0))
@@ -138,67 +130,17 @@ def build_network(inst: Instance) -> SpaceTimeNetwork:
             ag_node = add_node(
                 Node(f"ag:{key}", "arrival_ground", leg.dest, (leg.arr + inspect) % H)
             )
-
-            add_arc(
-                Arc(
-                    id=f"E:{key}",
-                    kind="ground_departure",
-                    tail=gd_node.id,
-                    head=dep_node.id,
-                    duration=prep,
-                    wrap=_crossings(gd_node.time, prep, H) > 0,
-                    crossings=_crossings(gd_node.time, prep, H),
-                    train_id=train.id,
-                    seq=leg.seq,
-                    decision=leg.seq > 1,
-                )
-            )
-            dur = (leg.arr - leg.dep) % H
-            add_arc(
-                Arc(
-                    id=f"T:{key}",
-                    kind="train",
-                    tail=dep_node.id,
-                    head=arr_node.id,
-                    duration=dur,
-                    wrap=_crossings(leg.dep, dur, H) > 0,
-                    crossings=_crossings(leg.dep, dur, H),
-                    b=leg.b,
-                    train_id=train.id,
-                    seq=leg.seq,
-                )
-            )
-            add_arc(
-                Arc(
-                    id=f"R:{key}",
-                    kind="arrival_ground",
-                    tail=arr_node.id,
-                    head=ag_node.id,
-                    duration=inspect,
-                    wrap=_crossings(leg.arr, inspect, H) > 0,
-                    crossings=_crossings(leg.arr, inspect, H),
-                    train_id=train.id,
-                    seq=leg.seq,
-                    decision=leg.seq < s_t,
-                )
-            )
+            of_leg = {"train_id": train.id, "seq": leg.seq}
+            add_arc(f"E:{key}", "ground_departure", gd_node, dep_node.id, prep, decision=leg.seq > 1, **of_leg)
+            add_arc(f"T:{key}", "train", dep_node, arr_node.id, (leg.arr - leg.dep) % H, b=leg.b, **of_leg)
+            add_arc(f"R:{key}", "arrival_ground", arr_node, ag_node.id, inspect, decision=leg.seq < s_t, **of_leg)
 
         for i in range(s_t - 1):
             a, b = train.legs[i], train.legs[i + 1]
-            dur = (b.dep - a.arr) % H
+            tail = nodes[f"arr:{train.id}:{a.seq}"]
             add_arc(
-                Arc(
-                    id=f"C:{train.id}:{a.seq}",
-                    kind="transition",
-                    tail=f"arr:{train.id}:{a.seq}",
-                    head=f"dep:{train.id}:{b.seq}",
-                    duration=dur,
-                    wrap=_crossings(a.arr, dur, H) > 0,
-                    crossings=_crossings(a.arr, dur, H),
-                    train_id=train.id,
-                    seq=a.seq,
-                    flags=train.stops[i],
-                )
+                f"C:{train.id}:{a.seq}", "transition", tail, f"dep:{train.id}:{b.seq}", (b.dep - a.arr) % H,
+                train_id=train.id, seq=a.seq, flags=train.stops[i],
             )
 
     # Ground chains: per terminal, all ground nodes in time order, closed by
@@ -217,17 +159,7 @@ def build_network(inst: Instance) -> SpaceTimeNetwork:
             else:
                 head = chain[0]
                 dur = H - tail.time  # closing arc spans the boundary, even from time 0
-            add_arc(
-                Arc(
-                    id=f"G:{term.id}:{i}",
-                    kind="ground",
-                    tail=tail.id,
-                    head=head.id,
-                    duration=dur,
-                    wrap=_crossings(tail.time, dur, H) > 0,
-                    crossings=_crossings(tail.time, dur, H),
-                )
-            )
+            add_arc(f"G:{term.id}:{i}", "ground", tail, head.id, dur)
 
     in_arcs: dict[str, list[str]] = {n: [] for n in nodes}
     out_arcs: dict[str, list[str]] = {n: [] for n in nodes}
@@ -296,7 +228,6 @@ def with_light_arcs(net: SpaceTimeNetwork, specs) -> SpaceTimeNetwork:
             tail=spec.tail,
             head=spec.head,
             duration=spec.span,
-            wrap=spec.wrap,
             crossings=spec.crossings,
             transit=spec.transit,
         )
@@ -316,29 +247,15 @@ def with_light_arcs(net: SpaceTimeNetwork, specs) -> SpaceTimeNetwork:
     )
 
 
+_DUMPED_ARC_FIELDS = ("id", "kind", "tail", "head", "duration", "wrap", "crossings", "b", "decision", "transit")
+
+
 def network_to_dict(net: SpaceTimeNetwork) -> dict:
     """Deterministic JSON-friendly dump for debugging."""
     return {
         "horizon": net.horizon,
-        "nodes": [
-            {"id": n.id, "kind": n.kind, "terminal": n.terminal, "time": n.time}
-            for n in (net.nodes[i] for i in net.node_order)
-        ],
-        "arcs": [
-            {
-                "id": a.id,
-                "kind": a.kind,
-                "tail": a.tail,
-                "head": a.head,
-                "duration": a.duration,
-                "wrap": a.wrap,
-                "crossings": a.crossings,
-                "b": a.b,
-                "decision": a.decision,
-                "transit": a.transit,
-            }
-            for a in net.arcs_in_order()
-        ],
+        "nodes": [asdict(net.nodes[i]) for i in net.node_order],
+        "arcs": [{name: getattr(a, name) for name in _DUMPED_ARC_FIELDS} for a in net.arcs_in_order()],
     }
 
 

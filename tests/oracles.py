@@ -4,8 +4,9 @@ Each function here recomputes a quantity by a different route than the
 library (direct summation, literal enumeration, an LP on the node-arc
 incidence matrix, an exhaustive scan of a model's integer box, HiGHS's own
 MPS reader and MIP solver, the model over a denser light-arc set, a walk
-over the model's constraint objects, or a fresh ``linprog`` call per node
-LP) so expected values in tests are never
+over the model's constraint objects, a fresh ``linprog`` call per node
+LP, or a dict walk over each gate's terminal-day event groups) so expected
+values in tests are never
 produced by the code path under test.
 """
 
@@ -20,7 +21,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from railplan.lighttravel import reduce_exact
-from railplan.model import MilpModel, build_base_model
+from railplan.model import MilpModel, build_base_model, group_events_by_terminal_day
 from railplan.solver import (
     FEAS_TOL,
     ConstraintViolation,
@@ -237,6 +238,28 @@ def check_feasibility_by_row_walk(m: MilpModel, values: dict) -> list[Constraint
             slack = -abs(lhs - con.rhs)
         if slack < -FEAS_TOL * scale:
             out.append(ConstraintViolation(con.tag, slack, f"lhs={lhs} {con.sense} {con.rhs}"))
+    return out
+
+
+def infer_gate_values(m: MilpModel, values: dict[str, int]) -> dict[str, int]:
+    """Each activation gate's value from the event usage in ``values``: 1
+    iff its terminal (z1, w1) or terminal-day (z2, w2) holds an event.
+    Events absent from ``values`` count as 0."""
+    if m.network is None:
+        return {}
+    groups = group_events_by_terminal_day(m.network)
+    events_at: dict[tuple[str, int], int] = {
+        key: sum(values.get(so, 0) + values.get(pu, 0) for so, pu in pairs)
+        for key, pairs in groups.items()
+    }
+    out: dict[str, int] = {}
+    for var in m.variables:
+        if var.family in ("z1", "w1"):
+            k = var.subject
+            out[var.id] = int(any(v > 0 for (kk, _d), v in events_at.items() if kk == k))
+        elif var.family in ("z2", "w2"):
+            k, d = var.subject.rsplit(":", 1)
+            out[var.id] = int(events_at.get((k, int(d)), 0) > 0)
     return out
 
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import railplan
 from railplan.cli import main
-from railplan.instance import instance_to_dict, save_instance
+from railplan.instance import generate_synthetic, instance_to_dict, save_instance
 from railplan.report import read_report
 
 
@@ -11,6 +15,21 @@ def _write(tmp_path, inst, name="inst.json"):
     path = tmp_path / name
     save_instance(inst, path)
     return str(path)
+
+
+def _run_cli(argv):
+    """``railplan`` in a child process under a 60 s wall clock, so that a
+    hang fails the test instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(railplan.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "railplan.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def _assert_rejected(proc, message):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
 
 
 def test_generate_validate_solve_report_round_trip(tmp_path):
@@ -76,8 +95,6 @@ def test_solve_infeasible_exit_code(tmp_path):
 
 
 def test_solve_budget_exit_code(tmp_path):
-    from railplan.instance import generate_synthetic
-
     inst_path = _write(tmp_path, generate_synthetic(12, 4, 6, 2))
     code = main(
         ["solve", "--instance", inst_path, "--budget-nodes", "1", "--budget-seconds", "60", "--out", str(tmp_path / "s.json")]
@@ -120,20 +137,9 @@ def test_sweep_cli_rejects_non_finite_factors(tmp_path, factors):
     # A NaN factor once priced the objective with NaN and hung the first node
     # LP on this instance past any budget, so the command runs in a child
     # under a wall clock.
-    import os
-    import subprocess
-    import sys
-
-    import railplan
-    from railplan.instance import generate_synthetic
-
     inst_path = _write(tmp_path, generate_synthetic(3, 3, 4, 2))
     argv = ["sweep", "--instance", inst_path, "--param", "q", "--factors", factors, "--budget-seconds", "2"]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(railplan.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "railplan.cli", *argv, "--out", str(tmp_path / "rows.csv")],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = _run_cli(argv + ["--out", str(tmp_path / "rows.csv")])
     assert proc.returncode == 2
     assert "error: factors must be finite and positive" in proc.stderr
     assert not (tmp_path / "rows.csv").exists()
@@ -144,13 +150,6 @@ def test_sweep_cli_rejects_non_finite_factors(tmp_path, factors):
 def test_non_finite_cost_rate_is_rejected(tmp_path, command, name, value):
     # A NaN q once passed validation and hung the first node LP past any
     # budget, so the command runs in a child under a wall clock.
-    import os
-    import subprocess
-    import sys
-
-    import railplan
-    from railplan.instance import generate_synthetic
-
     doc = instance_to_dict(generate_synthetic(1, 3, 4, 2))
     doc["costs"][name] = float(value)
     inst_path = tmp_path / "inst.json"
@@ -159,10 +158,7 @@ def test_non_finite_cost_rate_is_rejected(tmp_path, command, name, value):
     argv = [command, "--instance", str(inst_path)]
     if command == "solve":
         argv += ["--budget-seconds", "2"]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(railplan.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "railplan.cli", *argv], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = _run_cli(argv)
     assert proc.returncode == 2
     assert f"[NON_FINITE_COST] {name}: cost rates must be finite" in proc.stderr
     if command == "solve":
@@ -241,8 +237,6 @@ def test_flags_a_subcommand_ignores_are_rejected(tmp_path, capsys, ladder_instan
 
 
 def test_build_reports_light_arc_enumeration_cap(tmp_path, capsys):
-    from railplan.instance import generate_synthetic
-
     inst_path = _write(tmp_path, generate_synthetic(1, 10, 80, 4))
     code = main(["build", "--instance", inst_path, "--lt-method", "full", "--out", str(tmp_path / "m.mps")])
     assert code == 2
@@ -309,3 +303,132 @@ def test_theta_inf_is_accepted(tmp_path, ladder_instance):
     inst_path = _write(tmp_path, ladder_instance)
     argv = _LADDER_ARGS + ["--instance", inst_path, "--out", str(tmp_path / "rows.csv"), "--theta", "inf"]
     assert main(argv) == 0
+
+
+def _set_b(doc):
+    doc["trains"][0]["legs"][0]["b"] = 1.9
+
+
+def _set_minutes(value):
+    def edit(doc):
+        doc["transit"][0]["minutes"] = value
+
+    return edit
+
+
+def _set_terminals(doc):
+    doc["terminals"] = [1, 2]
+
+
+def _set_q(value):
+    def edit(doc):
+        doc["costs"]["q"] = value
+
+    return edit
+
+
+# Each of these was once read without a check: a fractional b was truncated
+# (exit 0), a string minute count was coerced, and the rest ended in a
+# TypeError traceback (exit 1).
+_BAD_INSTANCES = [
+    pytest.param(_set_b, "train t1 legs: 'b' must be an integer, got 1.9", id="fractional-b"),
+    pytest.param(_set_minutes(None), "transit: 'minutes' must be an integer, got null", id="null-minutes"),
+    pytest.param(_set_minutes("60"), 'transit: \'minutes\' must be an integer, got "60"', id="string-minutes"),
+    pytest.param(_set_terminals, "terminals: expected a JSON object, got 1", id="number-terminals"),
+    pytest.param(_set_q("abc"), 'costs: \'q\' must be a number, got "abc"', id="string-q"),
+    pytest.param(_set_q(True), "costs: 'q' must be a number, got true", id="bool-q"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("edit, message", _BAD_INSTANCES)
+def test_bad_instance_field_exits_2(tmp_path, command, edit, message):
+    doc = instance_to_dict(generate_synthetic(1, 3, 4, 2))
+    edit(doc)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    argv = [command, "--instance", str(inst_path)]
+    if command == "solve":
+        argv += ["--budget-seconds", "10"]
+    proc = _run_cli(argv)
+    _assert_rejected(proc, message)
+    assert proc.stderr.startswith("error: ")
+
+
+def test_integral_numbers_are_read_as_integers(tmp_path):
+    from railplan.instance import load_instance
+
+    inst = generate_synthetic(1, 3, 4, 2)
+    doc = instance_to_dict(inst)
+    doc["trains"][0]["legs"][0]["b"] = float(doc["trains"][0]["legs"][0]["b"])
+    doc["costs"]["f"] = 4.0
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_instance(path)
+    assert loaded == inst
+    assert type(loaded.trains[0].legs[0].b) is int and type(loaded.costs.f) is int
+
+
+def _drop_status(sol):
+    del sol["status"]
+
+
+def _values_as_list(sol):
+    sol["values"] = [1, 2]
+
+
+def _fractional_value(sol):
+    sol["values"][next(iter(sol["values"]))] = 0.4
+
+
+def _bounds_as_number(sol):
+    sol["bounds"] = 5
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_drop_status, "solution field 'status' must be one of", id="no-status"),
+        pytest.param(_values_as_list, "solution field 'values' must be an object of integers", id="values-list"),
+        pytest.param(_fractional_value, "solution field 'values' must be an object of integers", id="fraction"),
+        pytest.param(_bounds_as_number, "solution field 'bounds' must be two numbers or nulls", id="bounds-number"),
+    ],
+)
+def test_bad_solution_file_exits_2(tmp_path, edit, message):
+    inst_path = _write(tmp_path, generate_synthetic(1, 3, 4, 2))
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", "--instance", inst_path, "--out", str(sol_path), "--budget-seconds", "60"]) == 0
+    sol = json.loads(sol_path.read_text())
+    edit(sol)
+    sol_path.write_text(json.dumps(sol))
+    out = tmp_path / "kpi.csv"
+    proc = _run_cli(["report", "--instance", inst_path, "--solution", str(sol_path), "--out", str(out)])
+    _assert_rejected(proc, message)
+    assert proc.stderr.startswith("error: ")
+    assert not out.exists()
+
+
+def test_nan_budget_seconds_exits_2(tmp_path):
+    # A NaN budget once passed SolveBudget's check and meant no time limit.
+    inst_path = _write(tmp_path, generate_synthetic(1, 3, 4, 2))
+    proc = _run_cli(["solve", "--instance", inst_path, "--budget-seconds", "nan"])
+    _assert_rejected(proc, "error: budget fields must be positive")
+
+
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_ladder_steps_below_one_exit_2(tmp_path, ladder_instance, steps):
+    # Such grids once selected no rung and wrote only the V1' row (exit 0).
+    inst_path = _write(tmp_path, ladder_instance)
+    out = tmp_path / "rows.csv"
+    proc = _run_cli(["ladder", "--instance", inst_path, "--steps", steps, "--out", str(out)])
+    _assert_rejected(proc, f"argument --steps: must be at least 1, got {steps}")
+    assert not out.exists()
+
+
+def test_ladder_of_a_version_without_budget_exits_2(tmp_path, ladder_instance):
+    # V0 with explicit budgets once ended in a KeyError traceback (exit 1).
+    inst_path = _write(tmp_path, ladder_instance)
+    out = tmp_path / "rows.csv"
+    proc = _run_cli(["ladder", "--instance", inst_path, "--versions", "V0", "--alphas", "1", "--out", str(out)])
+    _assert_rejected(proc, "error: ladder versions must be among V1prime, V1, V2, V3, V4, V5; got ['V0']")
+    assert not out.exists()

@@ -110,6 +110,52 @@ def test_validate_non_finite_cost(name, value):
         instance_from_dict(doc)
 
 
+def _two_leg_doc():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["trains"][0]["legs"].append({"seq": 2, "from": "B", "to": "A", "dep": 700, "arr": 1200, "b": 1})
+    doc["trains"][0]["stops"] = [{"after_seq": 1, "flags": {"pu": True}}]
+    doc["baseline"] = {"days": 7, "events": [{"terminal": "B", "day": 0, "count": 1}]}
+    return doc
+
+
+def _set(path, value):
+    def edit(doc):
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set(["trains"], {"id": "t1"}), "instance: 'trains' must be a JSON array"),
+        (_set(["trains", 0, "legs", 0, "dep"], 100.5), "train t1 legs: 'dep' must be an integer, got 100.5"),
+        (_set(["trains", 0, "legs", 0, "seq"], False), "train t1 legs: 'seq' must be an integer, got false"),
+        (_set(["trains", 0, "stops", 0, "after_seq"], "1"), "train t1 stops: 'after_seq' must be an integer"),
+        (_set(["trains", 0, "stops", 0, "flags"], 5), "train t1 stop flags: expected a JSON object, got 5"),
+        (_set(["transit", 1], "B-A"), 'transit: expected a JSON object, got "B-A"'),
+        (_set(["costs"], [1]), "costs: expected a JSON object, got [1]"),
+        (_set(["costs", "f"], 3.5), "costs: 'f' must be an integer, got 3.5"),
+        (_set(["costs", "horizon"], None), "costs: 'horizon' must be an integer, got null"),
+        (_set(["costs", "c1"], None), "costs: 'c1' must be a number, got null"),
+        (_set(["baseline", "days"], "7"), "baseline: 'days' must be an integer"),
+        (_set(["baseline", "events", 0, "count"], 0.5), "baseline: 'count' must be an integer, got 0.5"),
+        (_set(["baseline", "events"], [7]), "baseline: expected a JSON object, got 7"),
+    ],
+)
+def test_malformed_fields_raise_instance_error(edit, message):
+    doc = _two_leg_doc()
+    instance_from_dict(doc, validate=False)
+    edit(doc)
+    with pytest.raises(InstanceError) as err:
+        instance_from_dict(doc, validate=False)
+    assert message in str(err.value)
+
+
 def test_validate_flags_not_exclusive():
     doc = json.loads(json.dumps(MINIMAL))
     doc["trains"] = [

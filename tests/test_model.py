@@ -279,3 +279,41 @@ def test_budget_monotonicity_in_alpha(ladder_instance):
         assert sol.status == "optimal"
         objs.append(sol.objective)
     assert all(a >= b for a, b in zip(objs, objs[1:]))
+
+
+# sha256 of warm_start_from(...).start (items in order, with their types) or
+# of the rejected start's tags, over V2-V5 rungs of seeds 1-4 of (4,8,2) and
+# (5,12,3): each rung warm-started from the previous rung's solution and
+# from the V1' solution, which has no gates and so has them all inferred.
+# Recorded while the gates were inferred by a walk over their subjects.
+_WARM_START_DIGEST = "2b1c830cb43159926559cd52fb3e4787bcfe53a370bf96f9d7af4b0d8519086d"
+
+
+def test_warm_starts_are_frozen():
+    import hashlib
+
+    from railplan.instance import attach_synthetic_baseline
+    from railplan.model import BUDGET_FIELD
+    from railplan.report import assemble, default_alpha_grid
+
+    digest = hashlib.sha256()
+    budget = SolveBudget(max_seconds=3600, max_nodes=10)
+    for seed in range(1, 5):
+        for shape in ((4, 8, 2), (5, 12, 3)):
+            inst = attach_synthetic_baseline(generate_synthetic(seed, *shape), seed)
+            _net, _specs, base = assemble(inst)
+            v1p = solve_bb(apply_extension(base, ExtensionConfig(version="V1prime")), budget)
+            for version in ("V2", "V3", "V4", "V5"):
+                prev = None
+                for alpha in default_alpha_grid(version, inst.baseline, 3):
+                    model = apply_extension(base, ExtensionConfig(version=version, **{BUDGET_FIELD[version]: alpha}))
+                    for source in (prev, v1p):
+                        if source is None or source.values is None:
+                            continue
+                        try:
+                            out = list(warm_start_from(model, source).start.items())
+                        except InfeasibleStartError as exc:
+                            out = exc.tags
+                        digest.update(repr(out).encode())
+                    prev = solve_bb(model, budget)
+    assert digest.hexdigest() == _WARM_START_DIGEST

@@ -86,6 +86,15 @@ def test_budget_exceeded_carries_valid_bounds():
         assert capped.objective >= full.objective
 
 
+@pytest.mark.parametrize(
+    "fields", [{"max_seconds": math.nan}, {"max_seconds": 0}, {"max_nodes": 0}, {"rel_gap": math.nan}, {"rel_gap": -1}]
+)
+def test_budget_fields_must_be_positive(fields):
+    with pytest.raises(ValueError, match="budget fields must be positive"):
+        SolveBudget(**fields)
+    assert SolveBudget(max_seconds=math.inf).max_seconds == math.inf
+
+
 def test_rel_gap_budget_stops_early():
     inst = generate_synthetic(8, 4, 6, 2)
     _net, model = _assemble(inst)
@@ -586,8 +595,9 @@ def test_solve_bb_logs_stop_reason(caplog):
 def _loop_repair(m, x):
     """The per-variable completion _Repair used before it was vectorised,
     checked by the oracle's row walk."""
-    from railplan.model import infer_gate_values
     from railplan.solver import INT_TOL
+
+    from .oracles import infer_gate_values
 
     values = {}
     for i, var in enumerate(m.variables):
@@ -665,13 +675,13 @@ def test_repair_gate_completion_matches_per_variable_loop(version):
     from dataclasses import replace
 
     from railplan.instance import attach_synthetic_baseline
-    from railplan.model import apply_extension
-    from railplan.report import _config_for, assemble, default_alpha_grid
+    from railplan.model import BUDGET_FIELD, ExtensionConfig, apply_extension
+    from railplan.report import assemble, default_alpha_grid
 
     inst = attach_synthetic_baseline(generate_synthetic(1, 4, 8, 2), 1)
     _net, _specs, base = assemble(inst)
     alpha = default_alpha_grid(version, inst.baseline, 3)[-1]
-    model = apply_extension(base, _config_for(version, alpha, 6))
+    model = apply_extension(base, ExtensionConfig(version=version, theta=6, **{BUDGET_FIELD[version]: alpha}))
     # The optimum schedules no work events, so every gate would stay 0.  A
     # feasible point of the same rows that rewards set-out and pick-up flow
     # opens some gates.

@@ -1,13 +1,17 @@
+import hashlib
 import json
 
+import pytest
+
 from railplan.instance import generate_synthetic
+from railplan.lighttravel import reduce_exact
 from railplan.spacetime import (
     arcs_of_kind,
     build_network,
-    classify_wrap,
     network_to_dict,
     pickup_arcs,
     setout_arcs,
+    with_light_arcs,
     wrap_arcs,
 )
 
@@ -52,10 +56,50 @@ def test_early_departure_wraps_preparation():
     assert arc.wrap and arc.crossings == 1
 
 
-def test_classify_wrap_examples():
-    assert classify_wrap(10000, 200, 280) is True
-    assert classify_wrap(0, 500, 500) is False
-    assert classify_wrap(9900, 0, 180) is True  # lands exactly on the boundary
+def test_train_arcs_wrap_iff_they_cross_the_week_end():
+    inst = make_instance(
+        ["A", "B", "C"],
+        {("A", "B"): 280, ("B", "A"): 280, ("A", "C"): 500, ("C", "A"): 500, ("B", "C"): 180, ("C", "B"): 180},
+        [
+            ("late", [("A", "B", 10000, 1)], []),
+            ("early", [("A", "C", 0, 1)], []),
+            ("edge", [("B", "C", 9900, 1)], []),
+        ],
+    )
+    net = build_network(inst)
+    late, early, edge = (net.arcs[f"T:{t}:1"] for t in ("late", "early", "edge"))
+    assert (net.nodes[late.head].time, late.duration, late.wrap, late.crossings) == (200, 280, True, 1)
+    assert (net.nodes[early.head].time, early.duration, early.wrap, early.crossings) == (500, 500, False, 0)
+    # Landing exactly on the boundary counts as crossing it.
+    assert (net.nodes[edge.head].time, edge.duration, edge.wrap, edge.crossings) == (0, 180, True, 1)
+
+
+_ARC_FIELDS = (
+    "id", "kind", "tail", "head", "duration", "wrap", "crossings", "b", "train_id", "seq", "decision", "flags",
+    "transit",
+)
+# sha256 over seeds 1-40 of each shape of the network with its exact light
+# arcs merged: its network_to_dict JSON, then every arc's fields, recorded
+# while each arc construction site still computed ``wrap`` and ``crossings``
+# on its own.
+_NETWORK_DIGESTS = {
+    (3, 4, 2): "08506c4759c59d7b112fa8d34816a73e344242718163f74a60f57c0f69572949",
+    (4, 8, 2): "1f4b858af18ae481dc01b460a1d580c8f964a6cc3527ac5af883edbd5e801c25",
+    (5, 12, 3): "0f7be4de4d63fd0a5b8327aa22a8009242b6c9011d23ce646ec6c927caece593",
+    (10, 80, 4): "cb3ff11c09468534a80d9126bbe13500fe88050b932a2bd961530067b7cf855a",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NETWORK_DIGESTS), ids=lambda shape: ",".join(map(str, shape)))
+def test_networks_match_frozen_digests(shape):
+    digest = hashlib.sha256()
+    for seed in range(1, 41):
+        net = build_network(generate_synthetic(seed, *shape))
+        merged = with_light_arcs(net, reduce_exact(net))
+        digest.update(json.dumps(network_to_dict(merged)).encode())
+        for arc in merged.arcs_in_order():
+            digest.update((repr(tuple(getattr(arc, name) for name in _ARC_FIELDS)) + "\n").encode())
+    assert digest.hexdigest() == _NETWORK_DIGESTS[shape]
 
 
 def test_arc_counts_linear_in_instance_size():

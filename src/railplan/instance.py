@@ -268,6 +268,14 @@ def _entries(mapping, key: str, where: str, default=_MISSING) -> list:
     return value
 
 
+def _id(mapping, key: str, where: str) -> str:
+    """A JSON string naming a terminal or a train."""
+    value = _field(mapping, key, where)
+    if not isinstance(value, str):
+        raise InstanceError(f"{where}: {key!r} must be a string, got {json.dumps(value, default=repr)}")
+    return value
+
+
 def _number(mapping, key: str, where: str, default=_MISSING, integral: bool = True):
     """A JSON number that is not a bool.  With ``integral``, also a whole
     number (``60`` or ``60.0``), returned as an int."""
@@ -290,26 +298,26 @@ def instance_from_dict(data: dict, validate: bool = True) -> Instance:
         raise InstanceError(f"unsupported schema_version {version}")
 
     terminals = tuple(
-        Terminal(id=str(_field(t, "id", "terminals")), name=str(t.get("name", "")))
+        Terminal(id=_id(t, "id", "terminals"), name=str(t.get("name", "")))
         for t in _entries(data, "terminals", "instance")
     )
     transit = TransitTable(
         {
-            (str(_field(e, "from", "transit")), str(_field(e, "to", "transit"))): _number(e, "minutes", "transit")
+            (_id(e, "from", "transit"), _id(e, "to", "transit")): _number(e, "minutes", "transit")
             for e in _entries(data, "transit", "instance")
         }
     )
 
     trains = []
     for tr in _entries(data, "trains", "instance"):
-        tid = str(_field(tr, "id", "trains"))
+        tid = _id(tr, "id", "trains")
         where = f"train {tid} legs"
         legs = tuple(
             TrainLeg(
                 train_id=tid,
                 seq=_number(lg, "seq", where),
-                origin=str(_field(lg, "from", where)),
-                dest=str(_field(lg, "to", where)),
+                origin=_id(lg, "from", where),
+                dest=_id(lg, "to", where),
                 dep=_number(lg, "dep", where),
                 arr=_number(lg, "arr", where),
                 b=_number(lg, "b", where),
@@ -352,7 +360,7 @@ def instance_from_dict(data: dict, validate: bool = True) -> Instance:
         baseline = BaselinePlan(
             days=_number(braw, "days", "baseline", costs.n_days),
             h={
-                (str(_field(e, "terminal", "baseline")), _number(e, "day", "baseline")): _number(
+                (_id(e, "terminal", "baseline"), _number(e, "day", "baseline")): _number(
                     e, "count", "baseline"
                 )
                 for e in _entries(braw, "events", "baseline", [])

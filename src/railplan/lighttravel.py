@@ -17,8 +17,10 @@ import heapq
 import logging
 import math
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .instance import Instance, net_power_balance
 from .spacetime import Node, SpaceTimeNetwork
@@ -29,6 +31,8 @@ DEFAULT_ENUMERATION_CAP = 200
 DEFAULT_WINDOW_MINUTES = 480
 DEFAULT_FLOW_THRESHOLD = 1
 
+_time = attrgetter("time")
+
 
 class CapExceededError(RuntimeError):
     """Raised when full enumeration is attempted beyond the micro-instance cap."""
@@ -38,7 +42,7 @@ class McfError(RuntimeError):
     """Raised when the repositioning flow problem is ill-posed or disconnected."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LightArcSpec:
     """One candidate light-travel arc between ground nodes of two terminals.
 
@@ -83,14 +87,13 @@ def _make_spec(net: SpaceTimeNetwork, tail: Node, head: Node, delta: int) -> Lig
 
 
 def _first_at_or_after(nodes: list[Node], t: int, horizon: int) -> Node | None:
-    """First node (chain order) at or after minute ``t``, wrapping cyclically."""
+    """First node (chain order) at or after minute ``t``, wrapping cyclically.
+
+    Chain order is time order, so a binary search finds it."""
     if not nodes:
         return None
-    t = t % horizon
-    for node in nodes:
-        if node.time >= t:
-            return node
-    return nodes[0]
+    i = bisect_left(nodes, t % horizon, key=_time)
+    return nodes[i] if i < len(nodes) else nodes[0]
 
 
 def _ground_nodes_by_terminal(net: SpaceTimeNetwork) -> dict[str, list[Node]]:
@@ -193,19 +196,21 @@ def reduce_exact(net: SpaceTimeNetwork) -> list[LightArcSpec]:
     """
     H = net.horizon
     # Per (head, origin terminal): minimal destination idle wins; ties go to
-    # the latest tail event in chain order.
-    best: dict[tuple[str, str], tuple[tuple, LightArcSpec]] = {}
+    # the latest tail event in chain order.  Candidates are ranked before a
+    # spec is built, so only the winners get one.
+    best: dict[tuple[str, str], tuple[tuple, Node, Node, int]] = {}
     for origin, dest, delta in _terminal_pairs(net):
         heads = _of_kind(dest, "ground_departure")
         if not heads:
             continue
         for tail in _of_kind(origin, "arrival_ground"):
-            spec = _make_spec(net, tail, _first_at_or_after(heads, tail.time + delta, H), delta)
-            rank = (spec.transit - spec.span, tail.time, tail.id)
-            key = (spec.head, spec.tail_terminal)
+            head = _first_at_or_after(heads, tail.time + delta, H)
+            rank = (-((head.time - tail.time - delta) % H), tail.time, tail.id)
+            key = (head.id, tail.terminal)
             if key not in best or rank > best[key][0]:
-                best[key] = (rank, spec)
-    return sorted((spec for _rank, spec in best.values()), key=_spec_sort_key)
+                best[key] = (rank, tail, head, delta)
+    specs = [_make_spec(net, tail, head, delta) for _rank, tail, head, delta in best.values()]
+    return sorted(specs, key=_spec_sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class InfeasibleStartError(ValueError):
         super().__init__("warm start violates constraints: " + ", ".join(tags))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarRef:
     id: str
     family: str
@@ -65,7 +65,7 @@ def _canonical_terms(terms) -> tuple[tuple[str, float | int], ...]:
     return tuple((v, c) for v, c in sorted(merged.items()) if c != 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearConstraint:
     terms: tuple[tuple[str, float | int], ...]
     sense: str  # "<=", "=", ">="
@@ -351,38 +351,40 @@ def build_base_model(
     constraints: list[LinearConstraint] = []
     U = flow_upper_bound(net)
     u_cap = max(1, math.ceil(U / costs.rho_u))
+    arcs = net.arcs_in_order()
+    # One id string per variable, shared by every row it is in: x per arc,
+    # and the activation variable (yso, ypu or u) per decision or light arc.
+    x = {arc.id: x_id(arc.id) for arc in arcs}
+    act: dict[str, str] = {}
 
-    for arc in net.arcs_in_order():
+    for arc in arcs:
         if arc.kind == "train":
             lower, upper = arc.b, costs.f
         else:
             lower, upper = 0, U
-        variables.append(VarRef(id=x_id(arc.id), family="x", subject=arc.id, lower=lower, upper=upper))
+        variables.append(VarRef(id=x[arc.id], family="x", subject=arc.id, lower=lower, upper=upper))
 
-    for arc in net.arcs_in_order():
+    for arc in arcs:
         if arc.kind == "arrival_ground" and arc.decision:
-            variables.append(
-                VarRef(id=yso_id(arc.id), family="yso", subject=arc.id, lower=0, upper=1, binary=True)
-            )
+            act[arc.id] = yso_id(arc.id)
+            variables.append(VarRef(id=act[arc.id], family="yso", subject=arc.id, lower=0, upper=1, binary=True))
         elif arc.kind == "ground_departure" and arc.decision:
-            variables.append(
-                VarRef(id=ypu_id(arc.id), family="ypu", subject=arc.id, lower=0, upper=1, binary=True)
-            )
-    for arc in net.arcs_in_order():
+            act[arc.id] = ypu_id(arc.id)
+            variables.append(VarRef(id=act[arc.id], family="ypu", subject=arc.id, lower=0, upper=1, binary=True))
+    for arc in arcs:
         if arc.kind == "light":
-            variables.append(VarRef(id=u_id(arc.id), family="u", subject=arc.id, lower=0, upper=u_cap))
+            act[arc.id] = u_id(arc.id)
+            variables.append(VarRef(id=act[arc.id], family="u", subject=arc.id, lower=0, upper=u_cap))
 
     for node_id in net.node_order:
-        terms = [(x_id(a), 1) for a in net.in_arcs[node_id]] + [
-            (x_id(a), -1) for a in net.out_arcs[node_id]
-        ]
+        terms = [(x[a], 1) for a in net.in_arcs[node_id]] + [(x[a], -1) for a in net.out_arcs[node_id]]
         constraints.append(LinearConstraint(terms=tuple(terms), sense="=", rhs=0, tag=f"flow:{node_id}"))
 
-    for arc in net.arcs_in_order():
+    for arc in arcs:
         if arc.kind == "arrival_ground" and arc.decision:
             constraints.append(
                 LinearConstraint(
-                    terms=((x_id(arc.id), 1), (yso_id(arc.id), -costs.f)),
+                    terms=((x[arc.id], 1), (act[arc.id], -costs.f)),
                     sense="<=",
                     rhs=0,
                     tag=f"so:{arc.id}",
@@ -391,7 +393,7 @@ def build_base_model(
         elif arc.kind == "ground_departure" and arc.decision:
             constraints.append(
                 LinearConstraint(
-                    terms=((x_id(arc.id), 1), (ypu_id(arc.id), -costs.f)),
+                    terms=((x[arc.id], 1), (act[arc.id], -costs.f)),
                     sense="<=",
                     rhs=0,
                     tag=f"pu:{arc.id}",
@@ -400,7 +402,7 @@ def build_base_model(
         elif arc.kind == "light":
             constraints.append(
                 LinearConstraint(
-                    terms=((x_id(arc.id), 1), (u_id(arc.id), -costs.rho_u)),
+                    terms=((x[arc.id], 1), (act[arc.id], -costs.rho_u)),
                     sense="<=",
                     rhs=0,
                     tag=f"lt:{arc.id}",
@@ -410,14 +412,14 @@ def build_base_model(
     if mutual_exclusion:
         # Stated stop semantics: locomotives are picked up only if none are
         # set out, so at most one of the two decision arcs per stop is used.
-        for arc in net.arcs_in_order():
+        for arc in arcs:
             if arc.kind != "transition":
                 continue
             constraints.append(
                 LinearConstraint(
                     terms=(
-                        (yso_id(f"R:{arc.train_id}:{arc.seq}"), 1),
-                        (ypu_id(f"E:{arc.train_id}:{arc.seq + 1}"), 1),
+                        (act[f"R:{arc.train_id}:{arc.seq}"], 1),
+                        (act[f"E:{arc.train_id}:{arc.seq + 1}"], 1),
                     ),
                     sense="<=",
                     rhs=1,

@@ -32,7 +32,7 @@ GROUND_NODE_KINDS = ("initial", "arrival_ground", "ground_departure")
 _GROUND_ORDER = {"initial": 0, "arrival_ground": 1, "ground_departure": 2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     kind: str
@@ -40,7 +40,7 @@ class Node:
     time: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     id: str
     kind: str

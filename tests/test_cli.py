@@ -37,16 +37,16 @@ def test_generate_validate_solve_report_round_trip(tmp_path):
     assert main(["generate", "--seed", "3", "--terminals", "3", "--trains", "4", "--max-legs", "2", "--out", inst_path]) == 0
     assert main(["validate", "--instance", inst_path]) == 0
 
-    sol_path = str(tmp_path / "sol.json")
-    assert main(["solve", "--instance", inst_path, "--out", sol_path, "--budget-seconds", "60"]) == 0
-    sol = json.loads(open(sol_path).read())
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", "--instance", inst_path, "--out", str(sol_path), "--budget-seconds", "60"]) == 0
+    sol = json.loads(sol_path.read_text())
     assert sol["status"] == "optimal"
     assert sol["decomposition"]["ownership"] > 0
 
     report_path = str(tmp_path / "kpi.csv")
     heatmap_path = str(tmp_path / "heat.csv")
     assert main([
-        "report", "--instance", inst_path, "--solution", sol_path,
+        "report", "--instance", inst_path, "--solution", str(sol_path),
         "--format", "csv", "--out", report_path, "--heatmap", heatmap_path,
     ]) == 0
     rows = read_report(report_path, "csv")
@@ -327,9 +327,30 @@ def _set_q(value):
     return edit
 
 
+def _set_id(path, value):
+    """Set ``doc[path[0]][path[1]]...`` to ``value``; a path ending in
+    "append" adds a terminal with that id instead."""
+
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if path[-1] == "append":
+            node.append({"id": value})
+        else:
+            node[path[-1]] = value
+
+    return edit
+
+
+def _set_baseline_terminal(doc):
+    doc["baseline"] = {"days": 7, "events": [{"terminal": 5, "day": 0, "count": 1}]}
+
+
 # Each of these was once read without a check: a fractional b was truncated
-# (exit 0), a string minute count was coerced, and the rest ended in a
-# TypeError traceback (exit 1).
+# (exit 0), a string minute count was coerced, an id that is not a string
+# became one ({"id": null} named a terminal "None", exit 0), and the rest
+# ended in a TypeError traceback (exit 1).
 _BAD_INSTANCES = [
     pytest.param(_set_b, "train t1 legs: 'b' must be an integer, got 1.9", id="fractional-b"),
     pytest.param(_set_minutes(None), "transit: 'minutes' must be an integer, got null", id="null-minutes"),
@@ -337,6 +358,25 @@ _BAD_INSTANCES = [
     pytest.param(_set_terminals, "terminals: expected a JSON object, got 1", id="number-terminals"),
     pytest.param(_set_q("abc"), 'costs: \'q\' must be a number, got "abc"', id="string-q"),
     pytest.param(_set_q(True), "costs: 'q' must be a number, got true", id="bool-q"),
+    pytest.param(
+        _set_id(("terminals", "append"), None), "terminals: 'id' must be a string, got null", id="null-terminal"
+    ),
+    pytest.param(_set_id(("trains", 0, "id"), 7), "trains: 'id' must be a string, got 7", id="number-train"),
+    pytest.param(_set_id(("transit", 0, "from"), 0), "transit: 'from' must be a string, got 0", id="number-from"),
+    pytest.param(_set_id(("transit", 0, "to"), ["K1"]), "transit: 'to' must be a string, got [\"K1\"]", id="list-to"),
+    pytest.param(
+        _set_id(("trains", 0, "legs", 0, "from"), None),
+        "train t1 legs: 'from' must be a string, got null",
+        id="null-leg-from",
+    ),
+    pytest.param(
+        _set_id(("trains", 0, "legs", 0, "to"), 1.5),
+        "train t1 legs: 'to' must be a string, got 1.5",
+        id="number-leg-to",
+    ),
+    pytest.param(
+        _set_baseline_terminal, "baseline: 'terminal' must be a string, got 5", id="number-baseline-terminal"
+    ),
 ]
 
 

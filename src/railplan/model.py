@@ -143,13 +143,16 @@ class MilpModel:
         extension: ExtensionConfig,
         name_suffix: str = "",
     ) -> "MilpModel":
+        """This model plus ``new_vars`` and ``new_constraints``.  The new
+        variables are unpriced, so the prices are this model's own dicts,
+        shared rather than copied: nothing writes to a model's objective."""
         return MilpModel(
             name=self.name + name_suffix,
             variables=self.variables + tuple(new_vars),
             constraints=self.constraints + tuple(new_constraints),
-            objective=dict(self.objective),
+            objective=self.objective,
             offset=self.offset,
-            decomposition={k: dict(v) for k, v in self.decomposition.items()},
+            decomposition=self.decomposition,
             network=self.network,
             extension=extension,
             start=None,
@@ -287,12 +290,14 @@ def flow_upper_bound(net: SpaceTimeNetwork) -> int:
     return max(f, f * n_legs, 1)
 
 
-def _price(net: SpaceTimeNetwork, costs: CostParams):
+def _price(net: SpaceTimeNetwork, costs: CostParams, x: dict[str, str], u: dict[str, str]):
     """Objective coefficients, constant offset and cost decomposition of the
     base model over ``net`` (light arcs merged) at ``costs``.
 
-    Only the rates q, g_rate, e_rate and c1-c3 enter here; f and rho_u shape
-    bounds and rows instead.  Insertion order is part of the result:
+    ``x`` and ``u`` map each arc and light arc id to the model's own ``x``
+    and ``u`` variable id, which the price dicts use as keys.  Only the
+    rates q, g_rate, e_rate and c1-c3 enter here; f and rho_u shape bounds
+    and rows instead.  Insertion order is part of the result:
     ``evaluate_objective`` sums in dict order, so terms go in per arc (x),
     then per light arc (u), then the work-event penalties.
     """
@@ -314,7 +319,7 @@ def _price(net: SpaceTimeNetwork, costs: CostParams):
 
     light_arcs = []
     for arc in net.arcs_in_order():
-        xv = x_id(arc.id)
+        xv = x[arc.id]
         if arc.crossings > 0:
             add_obj("ownership", xv, costs.q * arc.crossings)
         if arc.kind == "train":
@@ -325,7 +330,7 @@ def _price(net: SpaceTimeNetwork, costs: CostParams):
             add_obj("light_travel", xv, costs.g_rate * arc.transit)
             light_arcs.append(arc)
     for arc in light_arcs:
-        add_obj("light_travel", u_id(arc.id), costs.e_rate * arc.transit)
+        add_obj("light_travel", u[arc.id], costs.e_rate * arc.transit)
     for var, coef in rc_penalty_terms(net, costs):
         add_obj("work_events", var, coef)
     return objective, offset, decomposition
@@ -427,7 +432,7 @@ def build_base_model(
                 )
             )
 
-    objective, offset, decomposition = _price(net, costs)
+    objective, offset, decomposition = _price(net, costs, x, act)
     return MilpModel(
         name=name,
         variables=tuple(variables),

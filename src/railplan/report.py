@@ -336,8 +336,10 @@ def _solution_row(sol: Solution, net, model) -> dict:
 
 def _cell_model(base: MilpModel, costs) -> MilpModel:
     """``base`` repriced at ``costs``.  A sweep's rates move no bound or row,
-    so the cell keeps base's variables, rows and compiled matrix."""
-    objective, offset, decomposition = _price(base.network, costs)
+    so the cell keeps base's variables, id strings, rows and compiled
+    matrix."""
+    ids = {family: {v.subject: v.id for v in base.variables if v.family == family} for family in ("x", "u")}
+    objective, offset, decomposition = _price(base.network, costs, ids["x"], ids["u"])
     model = replace(base, objective=objective, offset=offset, decomposition=decomposition)
     model._matrix = base.matrix()
     return model

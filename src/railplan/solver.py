@@ -4,9 +4,13 @@
 (scipy's HiGHS simplex does the bounding), branching on the most fractional
 variable with ties to the lowest variable index, depth-first with periodic
 best-first restarts.  Each solve loads its LP into HiGHS once; a node only
-changes column bounds and re-solves cold, so the tree is the one a fresh
-``linprog`` call per node would give.  Feasibility and objective evaluation
-are exact integer arithmetic so proven optima can be compared across models.
+changes column bounds and runs dual simplex from the basis the previous node
+left, which depth-first search makes the parent's most of the time.  A warm
+run without a verdict is repeated once cold.  Node LPs agree with a fresh
+``linprog`` call on value and infeasibility, though a degenerate node may
+yield another optimal point and so another tree.  Feasibility and objective
+evaluation are exact integer arithmetic so proven optima can be compared
+across models.
 """
 
 from __future__ import annotations
@@ -199,14 +203,16 @@ class _LpFailed(Exception):
 
 class _LpData:
     """A model's LP relaxation in ``linprog``'s row order, from its matrix,
-    loaded once into a HiGHS object.
+    loaded once into a HiGHS object that keeps its basis between nodes.
 
     ``A`` holds the ``<=`` rows with ``>=`` rows negated, then the ``=``
     rows, each group in model order; ``rhs`` holds their right-hand sides
     and the first ``n_ub`` rows are the inequalities.  HiGHS gets the same
     column costs, rows as ``lhs <= A x <= rhs``, CSC layout and options as
-    ``linprog(method="highs")`` would give it, so a cold re-solve after a
-    bounds change walks the same simplex path as a fresh ``linprog`` call.
+    ``linprog(method="highs")`` would give it.  The first ``solve`` runs
+    cold; each later one changes the column bounds and starts dual simplex
+    from the basis the run before it left.  ``runs`` counts HiGHS runs and
+    ``cold_retries`` the warm runs that had to be repeated cold.
     """
 
     def __init__(self, m: MilpModel):
@@ -257,24 +263,39 @@ class _LpData:
         if self._highs.passModel(lp) == _HIGHS.HighsStatus.kError:
             raise ValueError(f"HiGHS rejected the LP relaxation of {m.name}")
         self._cols = np.arange(self.n, dtype=np.int32)
+        self.runs = 0
+        self.cold_retries = 0
 
     def solve(self, lo: np.ndarray, hi: np.ndarray, time_limit: float):
         """``(objective, x)`` of the node LP, or ``(None, None)`` if infeasible.
 
-        One cold HiGHS run, judged the way ``linprog`` judges it.  Raises
-        ``_LpFailed`` when HiGHS stops on ``time_limit`` or ends with
-        anything ``linprog`` would not report as optimal or infeasible.
+        Dual simplex from the basis the previous node left, judged the way
+        ``linprog`` judges a run.  A warm run that ends without a verdict
+        (optimal, infeasible or time limit) or with a point outside
+        ``_CHECK_TOL`` is run once more cold, from a cleared solver; only
+        that run's failure raises ``_LpFailed``, with reason ``"time"`` when
+        HiGHS stopped on ``time_limit`` and ``"lp_failed"`` otherwise.
         """
         if np.any(lo > hi):
             return None, None
         highs = self._highs
         highs.changeColsBounds(self.n, self._cols, lo, hi)
-        # Dropping the parent's basis keeps every node's simplex path, and so
-        # the search tree, identical to a fresh linprog call.
-        highs.clearSolver()
         # HiGHS measures time_limit against its run clock, which accumulates
-        # over every run() of this object.
+        # over every run() of this object; one deadline covers both runs.
         highs.setOptionValue("time_limit", highs.getRunTime() + max(time_limit, 0.0))
+        try:
+            return self._run(lo, hi)
+        except _LpFailed as exc:
+            if exc.reason == "time":
+                raise
+        self.cold_retries += 1
+        highs.clearSolver()
+        return self._run(lo, hi)
+
+    def _run(self, lo: np.ndarray, hi: np.ndarray):
+        """One HiGHS run from the basis it holds, judged like ``linprog``."""
+        highs = self._highs
+        self.runs += 1
         run_ok = highs.run() != _HIGHS.HighsStatus.kError
         ms = _HIGHS.HighsModelStatus
         status = highs.getModelStatus()
@@ -485,7 +506,10 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
                     break
 
     wall = perf_counter() - t0
-    log.debug("solve_bb %s: stop=%s nodes=%d wall=%.3fs", m.name, stopped or "proven", node_count, wall)
+    log.debug(
+        "solve_bb %s: stop=%s nodes=%d lp_runs=%d cold_retries=%d wall=%.3fs",
+        m.name, stopped or "proven", node_count, lp.runs, lp.cold_retries, wall,
+    )
     if stopped is None:
         if incumbent is None:
             return Solution("infeasible", None, None, (math.inf, math.inf), node_count, wall)

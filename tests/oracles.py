@@ -3,11 +3,11 @@
 Each function here recomputes a quantity by a different route than the
 library (direct summation, literal enumeration, an LP on the node-arc
 incidence matrix, an exhaustive scan of a model's integer box, HiGHS's own
-MPS reader and MIP solver, the model over a denser light-arc set, a walk
-over the model's constraint objects, a fresh ``linprog`` call per node
-LP, or a dict walk over each gate's terminal-day event groups) so expected
-values in tests are never
-produced by the code path under test.
+MPS reader and MIP solver, scipy's ``milp``, the model over a denser
+light-arc set, a walk over the model's constraint objects, a fresh
+``linprog`` call per node LP, or a dict walk over each gate's terminal-day
+event groups) so expected values in tests are never produced by the code
+path under test.
 """
 
 from __future__ import annotations
@@ -311,9 +311,11 @@ def linprog_node_lp(lp, lo, hi, time_limit):
     A drop-in for ``railplan.solver._LpData.solve`` with its contract:
     ``(objective, x)``, ``(None, None)`` when infeasible, or ``_LpFailed``
     with reason ``"time"`` or ``"lp_failed"``.  The library loads the LP into
-    one HiGHS object per solve and re-solves it cold at each node; this call
-    hands HiGHS the same LP from scratch every time, so a search tree that
-    differs between the two shows a node LP that is not bit-identical.
+    one HiGHS object per solve and re-solves each node from the basis the
+    previous node left; this call hands HiGHS the same LP from scratch every
+    time.  Both must agree on each node's infeasibility and optimal value,
+    though a degenerate LP may give them different optimal points.  Put in
+    place of ``_LpData.solve``, it grows the cold reference tree.
     """
     if np.any(lo > hi):
         return None, None
@@ -334,6 +336,24 @@ def linprog_node_lp(lp, lo, hi, time_limit):
         reason = "time" if res.status == 1 else "lp_failed"
         raise _LpFailed(reason, f"LP relaxation failed with status {res.status}: {res.message}")
     return float(res.fun), res.x
+
+
+def milp_optimum(m: MilpModel):
+    """Proven optimum of ``m`` by scipy's ``milp`` on ``list_built_lp``'s
+    arrays, offset included; ``None`` when the model is infeasible."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    lp = list_built_lp(m)
+    cons = []
+    if lp["A_eq"] is not None:
+        cons.append(LinearConstraint(lp["A_eq"], lp["b_eq"], lp["b_eq"]))
+    if lp["A_ub"] is not None:
+        cons.append(LinearConstraint(lp["A_ub"], -np.inf, lp["b_ub"]))
+    res = milp(c=lp["c"], constraints=cons, bounds=Bounds(lp["lo"], lp["hi"]), integrality=np.ones(len(m.variables)))
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return res.fun + float(m.offset)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from railplan.model import (
 from railplan.solver import SolveBudget, solve_bb
 from railplan.spacetime import build_network, pickup_arcs, setout_arcs, with_light_arcs
 
-from .conftest import make_instance
+from .conftest import make_instance, prices_use_own_ids
 
 
 def _build(inst, light="exact", **kwargs):
@@ -88,6 +88,46 @@ def test_objective_terms_in_pricing_order():
     assert list(model.objective) == priced + penalties
     for bucket in model.decomposition.values():
         assert list(bucket) == [var for var in model.objective if var in bucket]
+
+
+def test_prices_key_on_the_variables_own_ids():
+    _merged, model = _build(generate_synthetic(5, 4, 6, 2))
+    assert model.vars_of_family("u")
+    assert prices_use_own_ids(model)
+
+
+def test_extension_rungs_share_base_prices(ladder_instance):
+    # apply_extension adds unpriced variables only, so every rung keeps the
+    # base model's price dicts; no solve, warm start or evaluation on a rung
+    # may write to them.
+    import copy
+
+    from railplan.model import BUDGET_FIELD
+    from railplan.solver import evaluate_objective
+
+    _net, base = _build(ladder_instance)
+    want_obj, offset, want_buckets = copy.deepcopy((base.objective, base.offset, base.decomposition))
+    budget = SolveBudget(max_seconds=60, max_nodes=50)
+    v1p = apply_extension(base, ExtensionConfig(version="V1prime"))
+    rungs = [(v1p, solve_bb(v1p, budget))]
+    for version in ("V1", "V2", "V3", "V4", "V5"):
+        prev = None
+        for alpha in (1, 2):
+            rung = apply_extension(base, ExtensionConfig(version=version, theta=6, **{BUDGET_FIELD[version]: alpha}))
+            if prev is not None:
+                rung = warm_start_from(rung, prev)  # a larger budget keeps the smaller one's plan
+            prev = solve_bb(rung, budget)
+            assert prev.values is not None
+            rungs.append((rung, prev))
+    for rung, sol in rungs:
+        assert rung.objective is base.objective and rung.decomposition is base.decomposition
+        total, breakdown = evaluate_objective(rung, sol.values)
+        assert total == offset + sum(coef * sol.values[var] for var, coef in want_obj.items())
+        assert breakdown == {
+            cat: sum(coef * sol.values[var] for var, coef in coefs.items()) + (offset if cat == "deadhead" else 0)
+            for cat, coefs in want_buckets.items()
+        }
+    assert (base.objective, base.offset, base.decomposition) == (want_obj, offset, want_buckets)
 
 
 @pytest.mark.parametrize("costs", [(1, 5, 9), (2, 3, 7), (10, 10, 10)])
@@ -285,8 +325,10 @@ def test_budget_monotonicity_in_alpha(ladder_instance):
 # of the rejected start's tags, over V2-V5 rungs of seeds 1-4 of (4,8,2) and
 # (5,12,3): each rung warm-started from the previous rung's solution and
 # from the V1' solution, which has no gates and so has them all inferred.
-# Recorded while the gates were inferred by a walk over their subjects.
-_WARM_START_DIGEST = "2b1c830cb43159926559cd52fb3e4787bcfe53a370bf96f9d7af4b0d8519086d"
+# The previous rungs' solutions come from 10-node searches, so the digest
+# also guards the warm-started search tree that solve_bb grows (node LPs
+# re-solved from the basis the previous node left) under the pinned scipy.
+_WARM_START_DIGEST = "021f05fee2427acfda5f4906f9d2682516f0c0e0e051495c063c1faaa6ba0fc9"
 
 
 def test_warm_starts_are_frozen():

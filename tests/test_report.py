@@ -22,7 +22,7 @@ from railplan.report import (
 from railplan.solver import SolveBudget, solve_bb
 from railplan.spacetime import build_network, with_light_arcs
 
-from .conftest import make_instance
+from .conftest import make_instance, prices_use_own_ids
 
 
 def _solve(inst):
@@ -322,6 +322,7 @@ def test_repriced_cell_model_matches_rebuilt_model(tmp_path, lt_method):
             for category, coefs in rebuilt.decomposition.items():
                 assert typed(cell.decomposition[category].items()) == typed(coefs.items()), case
             assert cell.matrix() is base.matrix(), case
+            assert prices_use_own_ids(cell), case  # base's own id strings
             export_mps(cell, tmp_path / "cell.mps")
             export_mps(rebuilt, tmp_path / "rebuilt.mps")
             assert (tmp_path / "cell.mps").read_bytes() == (tmp_path / "rebuilt.mps").read_bytes(), case

@@ -17,7 +17,13 @@ from railplan.solver import (
 from railplan.spacetime import build_network, with_light_arcs
 
 from .conftest import make_instance
-from .oracles import EnumerationCapError, check_feasibility_by_row_walk, linprog_node_lp, solve_enumeration
+from .oracles import (
+    EnumerationCapError,
+    check_feasibility_by_row_walk,
+    linprog_node_lp,
+    milp_optimum,
+    solve_enumeration,
+)
 
 
 def _assemble(inst):
@@ -237,26 +243,7 @@ def test_solution_file_round_trip(tmp_path, round_trip_instance):
 def test_bb_matches_reference_milp_solver():
     # Third route, independent of both the branch-and-bound and the
     # enumeration oracle: scipy's own MILP solver on the same matrices.
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint as ScipyLC, milp
-
     from railplan.lighttravel import generate_light_arcs
-
-    from .oracles import list_built_lp
-
-    def reference_objective(m):
-        lp = list_built_lp(m)
-        cons = []
-        if lp["A_eq"] is not None:
-            cons.append(ScipyLC(lp["A_eq"], lp["b_eq"], lp["b_eq"]))
-        if lp["A_ub"] is not None:
-            cons.append(ScipyLC(lp["A_ub"], -np.inf, lp["b_ub"]))
-        integrality = np.ones(len(m.variables))
-        res = milp(c=lp["c"], constraints=cons, bounds=Bounds(lp["lo"], lp["hi"]), integrality=integrality)
-        if res.status == 2:
-            return None
-        assert res.status == 0, res.message
-        return res.fun + float(m.offset)
 
     for seed in (41, 47, 53, 59):
         inst = generate_synthetic(seed, 4, 6, 2)
@@ -265,7 +252,7 @@ def test_bb_matches_reference_milp_solver():
             specs = generate_light_arcs(net, method=method)
             model = build_base_model(with_light_arcs(net, specs), specs, inst.costs)
             mine = solve_bb(model, SolveBudget(max_seconds=120))
-            ref = reference_objective(model)
+            ref = milp_optimum(model)
             if mine.status == "infeasible":
                 assert ref is None
             else:
@@ -332,21 +319,61 @@ def test_warm_start_must_be_feasible(round_trip_instance):
 
 
 # ---------------------------------------------------------------------------
-# The per-solve HiGHS session against the per-node linprog reference
-
-
-def _outcome(sol):
-    values = None if sol.values is None else list(sol.values.items())
-    return sol.status, sol.objective, sol.bounds, sol.node_count, values
+# The warm-started HiGHS session against the per-node linprog reference
 
 
 def _reference_solve(monkeypatch, model, budget):
-    """solve_bb with every node LP sent through a fresh linprog call."""
+    """solve_bb with every node LP sent through a fresh linprog call: the
+    cold reference tree."""
     from railplan.solver import _LpData
 
     with monkeypatch.context() as mp:
         mp.setattr(_LpData, "solve", linprog_node_lp)
         return solve_bb(model, budget)
+
+
+def _checked_solve(monkeypatch, model, budget):
+    """solve_bb on the warm path, with every node LP also solved by a fresh
+    linprog call at the same bounds: both must agree on infeasibility and,
+    within 1e-9 relative, on the optimal value."""
+    from railplan.solver import _LpData
+
+    warm = _LpData.solve
+    compared = [0]
+
+    def solve_and_compare(self, lo, hi, time_limit):
+        obj, x = warm(self, lo, hi, time_limit)
+        ref, _x = linprog_node_lp(self, lo, hi, time_limit)
+        assert (obj is None) == (ref is None), f"node LP {compared[0]}: warm {obj}, linprog {ref}"
+        if obj is not None:
+            assert abs(obj - ref) <= 1e-9 * max(1.0, abs(ref)), f"node LP {compared[0]}: warm {obj}, linprog {ref}"
+        compared[0] += 1
+        return obj, x
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_LpData, "solve", solve_and_compare)
+        sol = solve_bb(model, budget)
+    assert compared[0] >= sol.node_count > 0
+    return sol
+
+
+def _assert_warm_search_is_sound(monkeypatch, model, budget):
+    """Each node LP of the warm search equals linprog's; the search ends
+    with the cold reference tree's status (and its objective where that
+    tree proves optimality); its bounds bracket milp's optimum."""
+    warm = _checked_solve(monkeypatch, model, budget)
+    cold = _reference_solve(monkeypatch, model, budget)
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert warm.objective == cold.objective
+    optimum = milp_optimum(model)
+    if warm.status == "infeasible":
+        assert optimum is None
+    else:
+        lower, upper = warm.bounds
+        assert lower - 1e-6 <= optimum <= upper + 1e-6
+        if warm.status == "optimal":
+            assert warm.objective == pytest.approx(optimum, abs=1e-6)
 
 
 # Unlimited node caps only on models the search closes in a few hundred
@@ -370,9 +397,7 @@ def test_session_matches_linprog_reference(monkeypatch, seed, shape, method, cap
 
     _net, _specs, model = assemble(generate_synthetic(seed, *shape), lt_method=method)
     budget = SolveBudget(max_seconds=3600, max_nodes=cap or 1_000_000)
-    session = solve_bb(model, budget)
-    reference = _reference_solve(monkeypatch, model, budget)
-    assert _outcome(session) == _outcome(reference)
+    _assert_warm_search_is_sound(monkeypatch, model, budget)
 
 
 def test_session_matches_linprog_reference_on_warm_ladder_rung(monkeypatch):
@@ -387,16 +412,16 @@ def test_session_matches_linprog_reference_on_warm_ladder_rung(monkeypatch):
     alpha = default_alpha_grid("V3", inst.baseline, 3)[1]
     rung = warm_start_from(apply_extension(base, ExtensionConfig(version="V3", alpha_d=alpha)), v1p)
     assert rung.start is not None
-    session = solve_bb(rung, budget)
-    reference = _reference_solve(monkeypatch, rung, budget)
-    assert _outcome(session) == _outcome(reference)
+    _assert_warm_search_is_sound(monkeypatch, rung, budget)
 
 
 # sha256 over _FROZEN_CASES of each solve's status, objective, node count
-# and values in key order.  A node LP that is not bit-identical to a fresh
-# linprog call (a kept basis, another row order, an LP object shared across
-# models) moves a node count or an incumbent, and so this digest.
-_FROZEN_DIGEST = "dcb8619b03697f70413efd93ddf4d8ed518206d97f011167eb3469c5fec606ab"
+# and values in key order.  It guards the warm-started search tree: a change
+# to the basis a node starts from (a cleared solver, another node order),
+# to the row order or to the LP object's options moves a node count or an
+# incumbent, and so this digest.  HiGHS's own simplex path is part of that
+# tree, so the digest holds for the pinned scipy only.
+_FROZEN_DIGEST = "18846cab19081902c90f44fc0b76fd96cd47b1c0ac4a0c512a8b9b21103c0842"
 _FROZEN_CASES = [
     (seed, shape, method) for seed in range(1, 7) for shape in ((4, 8, 2), (5, 12, 3)) for method in ("exact", "mcf")
 ]
@@ -560,6 +585,88 @@ def test_node_lp_time_limit_is_per_solve():
     while perf_counter() - t0 < 0.5:
         obj, _x = lp.solve(lp.lo, lp.hi, 0.25)
         assert obj is not None
+
+
+def _outcome(sol):
+    values = None if sol.values is None else list(sol.values.items())
+    return sol.status, sol.objective, sol.bounds, sol.node_count, values
+
+
+class _FaultyRun:
+    """A HiGHS object whose run number ``at`` ends without a verdict
+    (``fault="status"``) or with a point outside the acceptance tolerance
+    (``fault="point"``); it records the run count at each clearSolver()."""
+
+    def __init__(self, highs, fault, at):
+        self._highs, self._fault, self._at = highs, fault, at
+        self.runs = 0
+        self.cleared_after = []
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def run(self):
+        self.runs += 1
+        return self._highs.run()
+
+    def clearSolver(self):
+        self.cleared_after.append(self.runs)
+        return self._highs.clearSolver()
+
+    def getModelStatus(self):
+        from railplan.solver import _HIGHS
+
+        if self._fault == "status" and self.runs == self._at:
+            return _HIGHS.HighsModelStatus.kSolveError
+        return self._highs.getModelStatus()
+
+    def getSolution(self):
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        sol = self._highs.getSolution()
+        if self._fault == "point" and self.runs == self._at:
+            # Below every column's lower bound, all of which are >= 0.
+            return SimpleNamespace(col_value=np.full(len(sol.col_value), -1.0), row_value=sol.row_value)
+        return sol
+
+
+@pytest.mark.parametrize("fault", ["status", "point"])
+@pytest.mark.parametrize("at", [1, 6])
+def test_failed_warm_run_is_retried_cold(monkeypatch, caplog, fault, at):
+    import logging
+
+    from railplan.solver import _LpData
+
+    _net, model = _assemble(generate_synthetic(1, 4, 8, 2))
+    budget = SolveBudget(max_seconds=600)
+    plain = solve_bb(model, budget)
+    assert plain.status == "optimal"
+
+    wrapped = []
+    init = _LpData.__init__
+
+    def init_with_fault(self, m):
+        init(self, m)
+        self._highs = _FaultyRun(self._highs, fault, at)
+        wrapped.append(self)
+
+    monkeypatch.setattr(_LpData, "__init__", init_with_fault)
+    caplog.set_level(logging.DEBUG, logger="railplan.solver")
+    sol = solve_bb(model, budget)
+    (lp,) = wrapped
+    # The faulty run's node was solved again from a cleared solver, and the
+    # search went on to the end.
+    assert lp._highs.cleared_after == [at]
+    assert lp.cold_retries == 1
+    assert lp.runs == lp._highs.runs
+    assert "cold_retries=1 " in caplog.text and "stop=proven" in caplog.text
+    assert sol.status == plain.status
+    assert sol.objective == plain.objective
+    if at == 1:
+        # The root runs on a fresh object, so its retry leaves the tree as it was.
+        assert _outcome(sol) == _outcome(plain)
 
 
 def test_max_seconds_holds_inside_node_lps(caplog):

@@ -36,7 +36,7 @@ from .report import (
     run_extension_ladder,
     run_sweep,
 )
-from .solver import SolveBudget, load_solution, save_solution, solve_bb
+from .solver import MissingVariableError, SolveBudget, load_solution, save_solution, solve_bb
 from .spacetime import save_network
 
 EXIT_OK = 0
@@ -342,7 +342,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, ConfigError, FileNotFoundError, ValueError, CapExceededError, McfError) as exc:
+    except (
+        InstanceError, ConfigError, FileNotFoundError, ValueError, CapExceededError, McfError, MissingVariableError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -18,7 +18,9 @@ e.g. ``flow:init:K0``, ``so:R:t1:1``, ``V3:(20):K2:4``.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 from scipy import sparse
@@ -59,10 +61,33 @@ class VarRef:
 
 
 def _canonical_terms(terms) -> tuple[tuple[str, float | int], ...]:
+    """``terms`` merged per variable, zero sums dropped, sorted by variable.
+
+    Rows are mostly built with one nonzero int or float per variable; then
+    the caller's ``(var, coef)`` pairs are kept and only sorted, which gives
+    what the merge would (``0 + coef`` is ``coef`` for those types).
+    """
+    terms = tuple(terms)
+    for t in terms:
+        if type(t) is not tuple or len(t) != 2 or type(t[1]) not in (int, float) or not t[1]:
+            return _merged_terms(terms)
+    ordered = sorted(terms, key=_first)
+    prev = None
+    for var, _ in ordered:
+        if var == prev:
+            return _merged_terms(terms)
+        prev = var
+    return tuple(ordered)
+
+
+def _merged_terms(terms) -> tuple[tuple[str, float | int], ...]:
     merged: dict[str, float | int] = {}
     for var, coef in terms:
         merged[var] = merged.get(var, 0) + coef
     return tuple((v, c) for v, c in sorted(merged.items()) if c != 0)
+
+
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +195,10 @@ class ModelMatrix:
     entries stay within ``value_limit`` have exact int64 row values.  The
     objective is not compiled: a sweep reprices one model per cost factor
     and shares its matrix across them.
+
+    ``sessions`` holds the solver's per-thread state over this matrix: the
+    HiGHS LP that every model sharing the matrix re-solves under its own
+    costs (see ``railplan.solver``).  It lives as long as the matrix.
     """
 
     def __init__(self, m: MilpModel):
@@ -204,6 +233,7 @@ class ModelMatrix:
             shape=(len(m.constraints), len(self.ids)),
         )
         self.value_limit = EXACT_INT_LIMIT // max(1, max_row_abs) if self.integral else 0
+        self.sessions = threading.local()
 
 
 # Variable-id helpers keep the naming convention in one place.
@@ -234,6 +264,13 @@ def rc_penalty_terms(net: SpaceTimeNetwork, costs: CostParams) -> list[tuple[str
     and a stop with both railcar kinds treats either locomotive event as
     aligned at c1.
     """
+    return _rc_penalties(net, costs, yso_id, ypu_id)
+
+
+def _rc_penalties(net: SpaceTimeNetwork, costs: CostParams, so_id, pu_id) -> list[tuple[str, float | int]]:
+    """``rc_penalty_terms`` keyed by ``so_id(arc_id)`` for set-out and
+    ``pu_id(arc_id)`` for pick-up arcs, which must return ``yso_id`` and
+    ``ypu_id`` of the arc or an equal string."""
     coefs: dict[str, float | int] = {}
     c1, c2, c3 = costs.c1, costs.c2, costs.c3
     table = {
@@ -246,8 +283,8 @@ def rc_penalty_terms(net: SpaceTimeNetwork, costs: CostParams) -> list[tuple[str
         if arc.kind != "transition":
             continue
         so_coef, pu_coef = table[arc.flags.category]
-        so_var = yso_id(f"R:{arc.train_id}:{arc.seq}")
-        pu_var = ypu_id(f"E:{arc.train_id}:{arc.seq + 1}")
+        so_var = so_id(f"R:{arc.train_id}:{arc.seq}")
+        pu_var = pu_id(f"E:{arc.train_id}:{arc.seq + 1}")
         coefs[so_var] = coefs.get(so_var, 0) + so_coef
         coefs[pu_var] = coefs.get(pu_var, 0) + pu_coef
     return sorted(coefs.items())
@@ -290,12 +327,13 @@ def flow_upper_bound(net: SpaceTimeNetwork) -> int:
     return max(f, f * n_legs, 1)
 
 
-def _price(net: SpaceTimeNetwork, costs: CostParams, x: dict[str, str], u: dict[str, str]):
+def _price(net: SpaceTimeNetwork, costs: CostParams, x: dict[str, str], act: dict[str, str]):
     """Objective coefficients, constant offset and cost decomposition of the
     base model over ``net`` (light arcs merged) at ``costs``.
 
-    ``x`` and ``u`` map each arc and light arc id to the model's own ``x``
-    and ``u`` variable id, which the price dicts use as keys.  Only the
+    ``x`` maps each arc id to the model's own ``x`` variable id, and ``act``
+    each set-out, pick-up and light arc id to its ``yso``, ``ypu`` or ``u``
+    variable id; the price dicts use those id strings as keys.  Only the
     rates q, g_rate, e_rate and c1-c3 enter here; f and rho_u shape bounds
     and rows instead.  Insertion order is part of the result:
     ``evaluate_objective`` sums in dict order, so terms go in per arc (x),
@@ -330,8 +368,8 @@ def _price(net: SpaceTimeNetwork, costs: CostParams, x: dict[str, str], u: dict[
             add_obj("light_travel", xv, costs.g_rate * arc.transit)
             light_arcs.append(arc)
     for arc in light_arcs:
-        add_obj("light_travel", u[arc.id], costs.e_rate * arc.transit)
-    for var, coef in rc_penalty_terms(net, costs):
+        add_obj("light_travel", act[arc.id], costs.e_rate * arc.transit)
+    for var, coef in _rc_penalties(net, costs, act.__getitem__, act.__getitem__):
         add_obj("work_events", var, coef)
     return objective, offset, decomposition
 

@@ -338,8 +338,9 @@ def _cell_model(base: MilpModel, costs) -> MilpModel:
     """``base`` repriced at ``costs``.  A sweep's rates move no bound or row,
     so the cell keeps base's variables, id strings, rows and compiled
     matrix."""
-    ids = {family: {v.subject: v.id for v in base.variables if v.family == family} for family in ("x", "u")}
-    objective, offset, decomposition = _price(base.network, costs, ids["x"], ids["u"])
+    x = {v.subject: v.id for v in base.variables if v.family == "x"}
+    act = {v.subject: v.id for v in base.variables if v.family in ("yso", "ypu", "u")}
+    objective, offset, decomposition = _price(base.network, costs, x, act)
     model = replace(base, objective=objective, offset=offset, decomposition=decomposition)
     model._matrix = base.matrix()
     return model

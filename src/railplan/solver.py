@@ -3,14 +3,18 @@
 ``solve_bb`` is a deterministic branch-and-bound over LP relaxations
 (scipy's HiGHS simplex does the bounding), branching on the most fractional
 variable with ties to the lowest variable index, depth-first with periodic
-best-first restarts.  Each solve loads its LP into HiGHS once; a node only
+best-first restarts.  A thread loads a compiled matrix's LP into HiGHS once
+and keeps that session as long as the matrix: a later solve there of any
+model sharing the matrix (a sweep cell, a warm start) loads only its costs
+and clears the solver, so it grows the tree a new LP would.  A node only
 changes column bounds and runs dual simplex from the basis the previous node
 left, which depth-first search makes the parent's most of the time.  A warm
 run without a verdict is repeated once cold.  Node LPs agree with a fresh
 ``linprog`` call on value and infeasibility, though a degenerate node may
 yield another optimal point and so another tree.  Feasibility and objective
 evaluation are exact integer arithmetic so proven optima can be compared
-across models.
+across models; a candidate that a float64 sum with a proven rounding margin
+puts above the incumbent skips all but the feasibility verdict it needs.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ FEAS_TOL = 1e-7
 
 class MissingVariableError(KeyError):
     """Raised when an assignment does not cover every model variable."""
+
+    def __str__(self) -> str:
+        return f"solution has no value for model variable {self.args[0]}"
 
 
 @dataclass(frozen=True)
@@ -115,9 +122,22 @@ def _exact_verdict(mx: ModelMatrix, v: np.ndarray) -> bool | None:
         return None
     if (v < mx.lower).any() or (v > mx.upper).any():
         return False
+    eq, ge, neg_tol = _verdict_rows(mx)
     diff = mx.rhs - mx.A @ v
-    slack = np.where(mx.sense == SENSE_EQ, -np.abs(diff), np.where(mx.sense == SENSE_GE, -diff, diff))
-    return not (slack < -FEAS_TOL * np.maximum(1.0, np.abs(mx.rhs.astype(float)))).any()
+    slack = np.where(eq, -np.abs(diff), np.where(ge, -diff, diff))
+    return not (slack < neg_tol).any()
+
+
+def _verdict_rows(mx: ModelMatrix):
+    """``_exact_verdict``'s per-row arrays: the ``=`` and ``>=`` masks and
+    the negated slack tolerance.  Built once per matrix and thread, in the
+    matrix's ``sessions`` slot."""
+    local = mx.sessions
+    rows = getattr(local, "verdict_rows", None)
+    if rows is None:
+        neg_tol = -FEAS_TOL * np.maximum(1.0, np.abs(mx.rhs.astype(float)))
+        rows = local.verdict_rows = (mx.sense == SENSE_EQ, mx.sense == SENSE_GE, neg_tol)
+    return rows
 
 
 def check_feasibility(m: MilpModel, values: dict[str, int]) -> list[ConstraintViolation]:
@@ -175,7 +195,7 @@ def check_feasibility(m: MilpModel, values: dict[str, int]) -> list[ConstraintVi
 # LP relaxation machinery
 
 # The one LP backend is scipy's private HiGHS binding: one HiGHS object per
-# solve, and every use of it stays in this module.
+# thread and compiled matrix, and every use of it stays in this module.
 _HIGHS_NAMES = (
     "_Highs", "HighsLp", "HighsOptions", "MatrixFormat", "HighsStatus",
     "HighsModelStatus", "HighsDebugLevel", "simplex_constants", "kHighsInf",
@@ -213,16 +233,17 @@ class _LpData:
     cold; each later one changes the column bounds and starts dual simplex
     from the basis the run before it left.  ``runs`` counts HiGHS runs and
     ``cold_retries`` the warm runs that had to be repeated cold.
+
+    Rows and bounds come from the matrix alone, so one object serves every
+    model that shares the matrix: ``reprice`` loads another model's costs
+    and leaves the object as a fresh one would be.  ``solve_bb`` keeps one
+    per thread in the matrix's ``sessions`` slot (see ``_session``).
     """
 
     def __init__(self, m: MilpModel):
         mx = m.matrix()
         self.n = len(mx.ids)
-        self.c = np.zeros(self.n)
-        for var_id, coef in m.objective.items():
-            self.c[mx.column[var_id]] = coef
-        if not np.isfinite(self.c).all():
-            raise ValueError(f"{m.name}: objective coefficients must be finite")
+        self._set_costs(m)
 
         ge = mx.sense == SENSE_GE
         eq = mx.sense == SENSE_EQ
@@ -266,6 +287,29 @@ class _LpData:
         self.runs = 0
         self.cold_retries = 0
 
+    def _set_costs(self, m: MilpModel) -> None:
+        """``c``, ``m``'s objective as a column vector, and its magnitudes."""
+        column = m.matrix().column
+        c = np.zeros(self.n)
+        for var_id, coef in m.objective.items():
+            c[column[var_id]] = coef
+        if not np.isfinite(c).all():
+            raise ValueError(f"{m.name}: objective coefficients must be finite")
+        self.c = c
+        self.c_abs = np.abs(c)
+
+    def reprice(self, m: MilpModel) -> None:
+        """Load ``m``'s costs, where ``m`` shares the matrix this LP was built
+        from, and reset the object to the state a new one starts in: every
+        column at its model bounds, no basis, no run counted."""
+        self._set_costs(m)
+        highs = self._highs
+        highs.changeColsCost(self.n, self._cols, self.c)
+        highs.changeColsBounds(self.n, self._cols, self.lo, self.hi)
+        highs.clearSolver()
+        self.runs = 0
+        self.cold_retries = 0
+
     def solve(self, lo: np.ndarray, hi: np.ndarray, time_limit: float):
         """``(objective, x)`` of the node LP, or ``(None, None)`` if infeasible.
 
@@ -306,7 +350,7 @@ class _LpData:
             raise _LpFailed(reason, f"LP relaxation ended as {highs.modelStatusToString(status)}")
         sol = highs.getSolution()
         x = np.array(sol.col_value)
-        fun = highs.getInfo().objective_function_value
+        fun = highs.getObjectiveValue()
         slack = self.rhs - np.array(sol.row_value)
         tol = _CHECK_TOL
         if (
@@ -331,7 +375,8 @@ class _Node:
 
 
 class _Repair:
-    """Completes near-integral LP flows into a candidate; built once per solve.
+    """Completes near-integral LP flows into a candidate; built once per
+    session (see ``_session``).
 
     Given integral x values, activation binaries and light-train counts have
     cheapest feasible completions: y = 1 iff flow positive, u = ceil(x/rho),
@@ -401,6 +446,54 @@ def _accept(m: MilpModel, point: np.ndarray | None) -> dict[str, int] | None:
     return values
 
 
+def _session(m: MilpModel) -> tuple[_LpData, _Repair]:
+    """This thread's LP and repair over ``m``'s matrix, the LP priced for ``m``.
+
+    The first solve on a thread builds both into the matrix's ``sessions``
+    slot; a later solve there of any model sharing the matrix (a sweep cell,
+    a warm start, the same model again) reprices that LP instead of loading
+    a new one.  ``_Repair`` also reads the network, so a model on another
+    network gets a new session.  A session lives as long as its matrix, and
+    no two threads share one.
+    """
+    local = m.matrix().sessions
+    lp = getattr(local, "lp", None)
+    if lp is not None and local.network is m.network:
+        lp.reprice(m)
+        return lp, local.repair
+    lp, repair = _LpData(m), _Repair(m)
+    local.lp, local.repair, local.network = lp, repair, m.network
+    return lp, repair
+
+
+# Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _cannot_improve(lp: _LpData, point: np.ndarray, offset, incumbent_obj) -> bool:
+    """Whether ``_objective_value`` at the int64 candidate ``point`` surely
+    exceeds ``incumbent_obj``, judged by a float64 dot product; ``False``
+    when that is not assured.
+
+    Let S = offset + sum(c_j v_j) in exact arithmetic, T = |offset| +
+    sum(|c_j v_j|), u the unit roundoff and g(k) = k u / (1 - k u).  Each
+    term is formed with at most three roundings (a coefficient past 2**53
+    to float64, a value to float64, the product), so within g(3) of its
+    value; a sum of the n + 1 terms in any order (BLAS's, or the left to
+    right loop of ``_objective_value``, whose int terms are exact) adds at
+    most g(n) T.  So ``approx`` and ``_objective_value`` each lie within
+    g(n + 3) T of S, hence within 2 g(n + 3) T of each other.  The float
+    sum ``scale`` of the magnitudes is at least T (1 - g(n + 3)), and
+    ``approx - margin`` rounds by at most about u T.  The margin
+    4 (n + 4) u ``scale`` covers these (2 n + 7) u T with room for the
+    second-order terms.  A non-finite sum fails the comparison.
+    """
+    approx = float(lp.c @ point) + float(offset)
+    scale = float(lp.c_abs @ np.abs(point)) + abs(float(offset))
+    margin = 4 * (point.size + 4) * _UNIT_ROUNDOFF * scale
+    return approx - margin > incumbent_obj
+
+
 def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
     """Branch and bound with LP bounding; proves optimality when budget allows.
 
@@ -411,8 +504,8 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
     """
     budget = budget or SolveBudget()
     t0 = perf_counter()
-    lp = _LpData(m)
-    repair = _Repair(m)
+    lp, repair = _session(m)
+    mx = m.matrix()
 
     incumbent: dict[str, int] | None = None
     incumbent_obj = math.inf
@@ -469,7 +562,17 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
 
         frac = np.abs(x - np.round(x))
         fractional = np.where(frac > INT_TOL)[0]
-        values = _accept(m, repair(x) if fractional.size else np.round(x).astype(np.int64))
+        point = repair(x) if fractional.size else np.round(x).astype(np.int64)
+        if point is not None and incumbent is not None and _cannot_improve(lp, point, m.offset, incumbent_obj):
+            # The incumbent stays whatever the point is worth.  A fractional
+            # node branches either way; an integral one closes if the point
+            # is feasible and splits if not, so only its verdict is needed.
+            verdict = _exact_verdict(mx, point) if fractional.size == 0 else False
+            if verdict:
+                continue
+            values = _accept(m, point) if verdict is None else None
+        else:
+            values = _accept(m, point)
         if values is not None:
             exact = _objective_value(m, values)
             if exact < incumbent_obj:

@@ -13,12 +13,13 @@ from railplan.instance import (
 
 
 def prices_use_own_ids(model) -> bool:
-    """Whether the model prices some x or u variable and every such key of
-    its objective and cost buckets is the very id string of its variable,
-    not an equal copy."""
-    own = {v.id: v.id for v in model.variables if v.family in ("x", "u")}
-    keys = [k for coefs in (model.objective, *model.decomposition.values()) for k in coefs if k in own]
-    return bool(keys) and all(k is own[k] for k in keys)
+    """Whether the model prices some x, u, yso and ypu variable and every
+    key of its objective and cost buckets is the very id string of its
+    variable, not an equal copy."""
+    own = {v.id: v.id for v in model.variables}
+    keys = [k for coefs in (model.objective, *model.decomposition.values()) for k in coefs]
+    priced = {model.var(k).family for k in keys}
+    return priced >= {"x", "u", "yso", "ypu"} and all(k is own[k] for k in keys)
 
 
 def make_instance(terminals, transit, trains, baseline=None, **cost_kwargs) -> Instance:

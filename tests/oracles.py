@@ -310,10 +310,10 @@ def linprog_node_lp(lp, lo, hi, time_limit):
 
     A drop-in for ``railplan.solver._LpData.solve`` with its contract:
     ``(objective, x)``, ``(None, None)`` when infeasible, or ``_LpFailed``
-    with reason ``"time"`` or ``"lp_failed"``.  The library loads the LP into
-    one HiGHS object per solve and re-solves each node from the basis the
-    previous node left; this call hands HiGHS the same LP from scratch every
-    time.  Both must agree on each node's infeasibility and optimal value,
+    with reason ``"time"`` or ``"lp_failed"``.  The library keeps the LP in
+    one HiGHS object per thread and compiled matrix and re-solves each node
+    from the basis the previous node left; this call hands HiGHS the same LP
+    from scratch every time.  Both must agree on each node's infeasibility and optimal value,
     though a degenerate LP may give them different optimal points.  Put in
     place of ``_LpData.solve``, it grows the cold reference tree.
     """

@@ -448,6 +448,22 @@ def test_bad_solution_file_exits_2(tmp_path, edit, message):
     assert not out.exists()
 
 
+def test_solution_without_a_model_variable_exits_2(tmp_path):
+    # Such a file once ended in a MissingVariableError traceback (exit 1).
+    inst_path = _write(tmp_path, generate_synthetic(1, 3, 4, 2))
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", "--instance", inst_path, "--out", str(sol_path), "--budget-seconds", "60"]) == 0
+    sol = json.loads(sol_path.read_text())
+    dropped = sorted(sol["values"])[0]
+    del sol["values"][dropped]
+    sol_path.write_text(json.dumps(sol))
+    out = tmp_path / "kpi.csv"
+    proc = _run_cli(["report", "--instance", inst_path, "--solution", str(sol_path), "--out", str(out)])
+    _assert_rejected(proc, f"error: solution has no value for model variable {dropped}\n")
+    assert proc.stderr.startswith("error: ")
+    assert not out.exists()
+
+
 def test_nan_budget_seconds_exits_2(tmp_path):
     # A NaN budget once passed SolveBudget's check and meant no time limit.
     inst_path = _write(tmp_path, generate_synthetic(1, 3, 4, 2))

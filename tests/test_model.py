@@ -1,7 +1,10 @@
 import math
 from dataclasses import replace
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railplan.instance import BaselinePlan, CostParams, generate_synthetic
 from railplan.lighttravel import reduce_exact
@@ -9,6 +12,7 @@ from railplan.model import (
     ConfigError,
     ExtensionConfig,
     InfeasibleStartError,
+    LinearConstraint,
     apply_extension,
     build_base_model,
     group_events_by_terminal_day,
@@ -94,6 +98,37 @@ def test_prices_key_on_the_variables_own_ids():
     _merged, model = _build(generate_synthetic(5, 4, 6, 2))
     assert model.vars_of_family("u")
     assert prices_use_own_ids(model)
+
+
+def _merged_terms(terms):
+    """The merge every row went through before callers' pairs were kept."""
+    merged = {}
+    for var, coef in terms:
+        merged[var] = merged.get(var, 0) + coef
+    return tuple((v, c) for v, c in sorted(merged.items()) if c != 0)
+
+
+_COEF = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from((0, 0.0, -0.0, True, False, 2**60, 0.1)),
+)
+_PAIR = st.tuples(st.sampled_from(("x:a", "x:b", "u:c", "yso:d", "ypu:e", "z1:f")), _COEF)
+
+
+@settings(max_examples=500, deadline=timedelta(seconds=2), derandomize=True, database=None)
+@given(pairs=st.lists(st.one_of(_PAIR, _PAIR.map(list)), max_size=8))
+def test_row_terms_equal_the_merge(pairs):
+    """A row's terms are the merge of its pairs in value, type and order, also
+    with repeated variables, zeros, -0.0, bools and floats; unique nonzero
+    int and float pairs are the caller's own tuples."""
+    typed = lambda terms: [(v, repr(c), type(c)) for v, c in terms]
+    got = LinearConstraint(pairs, "<=", 0, "row").terms
+    assert typed(got) == typed(_merged_terms(pairs))
+    assert all(type(t) is tuple for t in got)
+    plain = all(type(p) is tuple and type(p[1]) in (int, float) and p[1] != 0 for p in pairs)
+    if plain and len({v for v, _ in pairs}) == len(pairs):
+        assert all(any(t is p for p in pairs) for t in got)
 
 
 def test_extension_rungs_share_base_prices(ladder_instance):

@@ -436,3 +436,30 @@ def test_ladder_logs_pool_width_and_each_rung(caplog, ladder_instance):
         match = [line for line in rungs if line.startswith(prefix)]
         assert len(match) == 1
         assert f"status={row['status']} nodes={row['node_count']} wall=" in match[0]
+
+
+# sha256 over the rows (without wall_time) of q and c sweeps at the default
+# factors on two instances, exact and mcf light arcs, at a 20-node cap.
+# Sweep cells have float costs (q x 0.1, c x 0.3, ...), which the
+# all-integer _FROZEN_DIGEST of tests/test_solver.py never meets, so this
+# digest guards the float-cost search: its trees, capped bounds, incumbents
+# and KPI columns.  Like _FROZEN_DIGEST it holds for the pinned scipy only.
+_SWEEP_DIGEST = "55f434d2864d382d1c834196e1eb4da59bd86f06f77d214420ea3dfe3396ab33"
+_SWEEP_CASES = [
+    (shape, parameter, method)
+    for shape in ((1, 4, 8, 2), (5, 5, 12, 3))
+    for parameter in ("q", "c")
+    for method in ("exact", "mcf")
+]
+
+
+def test_sweep_rows_are_frozen():
+    import hashlib
+
+    digest = hashlib.sha256()
+    budget = SolveBudget(max_seconds=3600, max_nodes=20)
+    for shape, parameter, method in _SWEEP_CASES:
+        cfg = SweepConfig(parameter=parameter, lt_method=method, budget=budget)
+        for row in _rows_without_wall_time(run_sweep(generate_synthetic(*shape), cfg)):
+            digest.update(repr(list(row.items())).encode())
+    assert digest.hexdigest() == _SWEEP_DIGEST

@@ -639,9 +639,12 @@ def test_failed_warm_run_is_retried_cold(monkeypatch, caplog, fault, at):
 
     from railplan.solver import _LpData
 
-    _net, model = _assemble(generate_synthetic(1, 4, 8, 2))
+    inst = generate_synthetic(1, 4, 8, 2)
+    _net, model = _assemble(inst)
     budget = SolveBudget(max_seconds=600)
-    plain = solve_bb(model, budget)
+    # A copy of its own, so that the faulty solve below builds its LP
+    # instead of repricing the one this solve left on the thread.
+    plain = solve_bb(_assemble(inst)[1], budget)
     assert plain.status == "optimal"
 
     wrapped = []

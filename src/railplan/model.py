@@ -17,6 +17,7 @@ e.g. ``flow:init:K0``, ``so:R:t1:1``, ``V3:(20):K2:4``.
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -119,6 +120,10 @@ class ExtensionConfig:
 # events per baseline-active terminal-day (V1) or the activation budget.
 BUDGET_FIELD = {"V1": "lambda_", "V2": "alpha_c", "V3": "alpha_d", "V4": "alpha_e", "V5": "alpha_f"}
 
+# The tag of the row whose right-hand side is each version's budget, or for
+# V1 the tag prefix of its rows, one per baseline-active terminal-day.
+BUDGET_ROW = {"V1": "V1:(11):", "V2": "V2:(16)", "V3": "V3:(19)", "V4": "V4:(22)", "V5": "V5:(25)"}
+
 # Activation gates per terminal (z1, w1) and per terminal-day (z2, w2).
 GATE_FAMILIES = ("z1", "w1", "z2", "w2")
 
@@ -140,14 +145,7 @@ class MilpModel:
     def __post_init__(self):
         if not self._index:
             self._index = {v.id: i for i, v in enumerate(self.variables)}
-        declared = set(self._index)
-        for c in self.constraints:
-            for var, _ in c.terms:
-                if var not in declared:
-                    raise ValueError(f"constraint {c.tag} references undeclared {var}")
-        for var in self.objective:
-            if var not in declared:
-                raise ValueError(f"objective references undeclared {var}")
+        _check_declared(self._index, self.constraints, self.objective)
 
     def var(self, var_id: str) -> VarRef:
         return self.variables[self._index[var_id]]
@@ -170,18 +168,40 @@ class MilpModel:
     ) -> "MilpModel":
         """This model plus ``new_vars`` and ``new_constraints``.  The new
         variables are unpriced, so the prices are this model's own dicts,
-        shared rather than copied: nothing writes to a model's objective."""
-        return MilpModel(
+        shared rather than copied: nothing writes to a model's objective.
+        Only the new rows are checked against the variables."""
+        index = dict(self._index)
+        index.update((v.id, len(self.variables) + i) for i, v in enumerate(new_vars))
+        _check_declared(index, new_constraints)
+        return self._derived(
             name=self.name + name_suffix,
             variables=self.variables + tuple(new_vars),
             constraints=self.constraints + tuple(new_constraints),
-            objective=self.objective,
-            offset=self.offset,
-            decomposition=self.decomposition,
-            network=self.network,
             extension=extension,
             start=None,
+            _index=index,
+            _matrix=None,
         )
+
+    def _derived(self, **changes) -> "MilpModel":
+        """A copy of this model with ``changes`` to its fields, built without
+        ``__post_init__``'s walk over every row: the caller vouches that each
+        row term and objective key is one of the copy's variables.  The copy
+        keeps this model's compiled matrix unless ``changes`` set ``_matrix``."""
+        model = copy.copy(self)
+        model.__dict__.update(changes)
+        return model
+
+
+def _check_declared(index: dict[str, int], constraints, objective=()) -> None:
+    """Raise ``ValueError`` for a row term or objective key not in ``index``."""
+    for c in constraints:
+        for var, _ in c.terms:
+            if var not in index:
+                raise ValueError(f"constraint {c.tag} references undeclared {var}")
+    for var in objective:
+        if var not in index:
+            raise ValueError(f"objective references undeclared {var}")
 
 
 class ModelMatrix:
@@ -194,11 +214,15 @@ class ModelMatrix:
     the arrays are int64 then and float64 otherwise.  Integer points whose
     entries stay within ``value_limit`` have exact int64 row values.  The
     objective is not compiled: a sweep reprices one model per cost factor
-    and shares its matrix across them.
+    and shares its matrix across them.  The rungs of a ladder's version
+    chain differ only in budget right-hand sides: each later rung's matrix
+    comes from ``with_rhs`` and shares ``A``, the bounds, ``ids``, ``column``
+    and ``sessions`` with the first rung's, so a chain compiles one matrix.
 
-    ``sessions`` holds the solver's per-thread state over this matrix: the
-    HiGHS LP that every model sharing the matrix re-solves under its own
-    costs (see ``railplan.solver``).  It lives as long as the matrix.
+    ``sessions`` holds per-thread state over the shared structure: the HiGHS
+    LP and repair that every model sharing it re-solves under its own costs
+    and right-hand sides (see ``railplan.solver``), and the gate incidence.
+    It lives as long as the last matrix that shares it.
     """
 
     def __init__(self, m: MilpModel):
@@ -220,9 +244,8 @@ class ModelMatrix:
             rhs.append(con.rhs)
         lower = [v.lower for v in m.variables]
         upper = [v.upper for v in m.variables]
-        self.integral = all(
-            isinstance(x, int) and abs(x) <= EXACT_INT_LIMIT for seq in (lower, upper, data, rhs) for x in seq
-        )
+        self._integral_lhs = _exact_ints(lower, upper, data)
+        self.integral = self._integral_lhs and _exact_ints(rhs)
         dtype = np.int64 if self.integral else float
         self.lower = np.array(lower, dtype=dtype)
         self.upper = np.array(upper, dtype=dtype)
@@ -234,6 +257,24 @@ class ModelMatrix:
         )
         self.value_limit = EXACT_INT_LIMIT // max(1, max_row_abs) if self.integral else 0
         self.sessions = threading.local()
+
+    def with_rhs(self, rhs: list) -> "ModelMatrix | None":
+        """This matrix with right-hand sides ``rhs``, in row order, and every
+        other array, the column index and the ``sessions`` slot shared.  The
+        constructor would derive the same ``integral`` flag and, as the
+        coefficients are the same, the same ``value_limit``; ``None`` when
+        ``rhs`` changes the flag and so the dtype of every array."""
+        integral = self._integral_lhs and _exact_ints(rhs)
+        if integral != self.integral:
+            return None
+        mx = copy.copy(self)
+        mx.rhs = np.array(rhs, dtype=self.rhs.dtype)
+        return mx
+
+
+def _exact_ints(*seqs) -> bool:
+    """Whether every entry of ``seqs`` is a Python int within EXACT_INT_LIMIT."""
+    return all(isinstance(x, int) and abs(x) <= EXACT_INT_LIMIT for seq in seqs for x in seq)
 
 
 # Variable-id helpers keep the naming convention in one place.
@@ -520,9 +561,7 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
     needs_baseline = cfg.version in ("V1", "V1prime", "V2", "V3")
     if needs_baseline and baseline is None:
         raise ConfigError(f"{cfg.version} requires a baseline work-event plan")
-    budget_field = BUDGET_FIELD.get(cfg.version)
-    if budget_field is not None and getattr(cfg, budget_field) is None:
-        raise ConfigError(f"{cfg.version} requires {budget_field}")
+    _check_budget(cfg)
 
     new_vars: list[VarRef] = []
     rows: list[LinearConstraint] = []
@@ -556,8 +595,6 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
             rows.append(LinearConstraint(terms, "<=", 0, f"{tag}:{k}:{d}"))
 
     if cfg.version == "V1":
-        if cfg.lambda_ < 0:
-            raise ConfigError("V1 requires lambda >= 0")
         active_pair_rows("V1", lambda h: h + cfg.lambda_, "11", "12")
         zero_rows(baseline.inactive_pairs(terminals), "V1:(13)")
 
@@ -576,7 +613,7 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
             new_vars.append(VarRef(id=f"z1:{k}", family="z1", subject=k, lower=0, upper=1, binary=True))
         rows.append(
             LinearConstraint(
-                [(f"z1:{k}", 1) for k in sorted(inactive_terms)], "<=", cfg.alpha_c, "V2:(16)"
+                [(f"z1:{k}", 1) for k in sorted(inactive_terms)], "<=", cfg.alpha_c, BUDGET_ROW["V2"]
             )
         )
         gate_rows(
@@ -594,7 +631,7 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
             )
         rows.append(
             LinearConstraint(
-                [(f"z2:{k}:{d}", 1) for (k, d) in inactive_pairs], "<=", cfg.alpha_d, "V3:(19)"
+                [(f"z2:{k}:{d}", 1) for (k, d) in inactive_pairs], "<=", cfg.alpha_d, BUDGET_ROW["V3"]
             )
         )
         gate_rows(inactive_pairs, lambda k, d: f"z2:{k}:{d}", "V3:(20)")
@@ -602,7 +639,7 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
     elif cfg.version == "V4":
         for k in terminals:
             new_vars.append(VarRef(id=f"w1:{k}", family="w1", subject=k, lower=0, upper=1, binary=True))
-        rows.append(LinearConstraint([(f"w1:{k}", 1) for k in terminals], "<=", cfg.alpha_e, "V4:(22)"))
+        rows.append(LinearConstraint([(f"w1:{k}", 1) for k in terminals], "<=", cfg.alpha_e, BUDGET_ROW["V4"]))
         gate_rows(
             [(k, d) for k in terminals for d in range(n_days)],
             lambda k, d: f"w1:{k}",
@@ -616,7 +653,7 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
                 VarRef(id=f"w2:{k}:{d}", family="w2", subject=f"{k}:{d}", lower=0, upper=1, binary=True)
             )
         rows.append(
-            LinearConstraint([(f"w2:{k}:{d}", 1) for (k, d) in all_pairs], "<=", cfg.alpha_f, "V5:(25)")
+            LinearConstraint([(f"w2:{k}:{d}", 1) for (k, d) in all_pairs], "<=", cfg.alpha_f, BUDGET_ROW["V5"])
         )
         gate_rows(all_pairs, lambda k, d: f"w2:{k}:{d}", "V5:(26)")
 
@@ -626,14 +663,63 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
     return m.extended(new_vars, rows, cfg, name_suffix=f"+{cfg.version}")
 
 
+def _check_budget(cfg: ExtensionConfig) -> None:
+    budget_field = BUDGET_FIELD.get(cfg.version)
+    if budget_field is not None and getattr(cfg, budget_field) is None:
+        raise ConfigError(f"{cfg.version} requires {budget_field}")
+    if cfg.version == "V1" and cfg.lambda_ < 0:
+        raise ConfigError("V1 requires lambda >= 0")
+
+
+def with_budget(m: MilpModel, budget) -> MilpModel:
+    """``m``, a V1-V5 extension model, at another budget.
+
+    For ``m = apply_extension(base, cfg)`` this is ``apply_extension(base,
+    cfg')`` where ``cfg'`` is ``cfg`` with its budget field set to
+    ``budget``: the same variables, prices and rows, with only the budget
+    rows' right-hand sides replaced.  Its matrix shares ``m``'s structure and
+    ``sessions`` slot (``ModelMatrix.with_rhs``), so the rungs of a ladder's
+    version chain compile one matrix and load one LP per thread.
+    """
+    version = m.extension.version if m.extension is not None else None
+    if version not in BUDGET_FIELD:
+        raise ConfigError(f"{m.name} has no budget: only V1-V5 extension models do")
+    cfg = replace(m.extension, **{BUDGET_FIELD[version]: budget})
+    _check_budget(cfg)
+    prefix = BUDGET_ROW[version]
+    if version == "V1":
+        baseline = cfg.baseline if cfg.baseline is not None else m.network.instance.baseline
+
+        def rhs_of(tag: str):
+            k, d = tag[len(prefix) :].rsplit(":", 1)
+            return baseline.count(k, int(d)) + budget  # apply_extension's h + lambda
+
+    else:
+        rhs_of = lambda tag: budget
+    rows = [replace(c, rhs=rhs_of(c.tag)) if c.tag.startswith(prefix) else c for c in m.constraints]
+    matrix = m.matrix().with_rhs([c.rhs for c in rows])
+    return m._derived(constraints=tuple(rows), extension=cfg, start=None, _matrix=matrix)
+
+
 def gate_incidence(m: MilpModel) -> tuple[np.ndarray, sparse.csr_matrix]:
     """The activation gates' columns and the events each gate covers.
 
     Row g of the count matrix counts, per column, the set-out and pick-up
     variables of gate g's terminal (z1, w1) or terminal-day (z2, w2).  The
     matrix has one spare column past the model's: an event variable the
-    model lacks maps there, and a work vector keeps it 0.
+    model lacks maps there, and a work vector keeps it 0.  The result
+    depends on the variables and the network alone, so it is built once per
+    thread and network for every model sharing the matrix's ``sessions``
+    slot (a ladder chain's rungs and their warm starts), and kept there.
     """
+    local = m.matrix().sessions
+    cached = getattr(local, "gates", None)
+    if cached is None or cached[0] is not m.network:
+        cached = local.gates = (m.network, _gate_incidence(m))
+    return cached[1]
+
+
+def _gate_incidence(m: MilpModel) -> tuple[np.ndarray, sparse.csr_matrix]:
     mx = m.matrix()
     n = len(mx.ids)
     by_terminal: dict[str, list[tuple[str, str]]] = {}
@@ -679,6 +765,4 @@ def warm_start_from(m: MilpModel, sol) -> MilpModel:
     violations = check_feasibility(m, values)
     if violations:
         raise InfeasibleStartError([v.tag for v in violations])
-    warm = replace(m, start=values)
-    warm._matrix = m._matrix  # same rows, same bounds
-    return warm
+    return m._derived(start=values)  # same rows, same bounds, same matrix

@@ -31,6 +31,7 @@ from .model import (
     build_base_model,
     events_per_terminal_day,
     warm_start_from,
+    with_budget,
 )
 from .solver import Solution, SolveBudget, check_feasibility, evaluate_objective, solve_bb
 from .spacetime import SpaceTimeNetwork, build_network, pickup_arcs, setout_arcs, with_light_arcs
@@ -337,13 +338,12 @@ def _solution_row(sol: Solution, net, model) -> dict:
 def _cell_model(base: MilpModel, costs) -> MilpModel:
     """``base`` repriced at ``costs``.  A sweep's rates move no bound or row,
     so the cell keeps base's variables, id strings, rows and compiled
-    matrix."""
+    matrix, and its prices key on base's own variable ids."""
     x = {v.subject: v.id for v in base.variables if v.family == "x"}
     act = {v.subject: v.id for v in base.variables if v.family in ("yso", "ypu", "u")}
     objective, offset, decomposition = _price(base.network, costs, x, act)
-    model = replace(base, objective=objective, offset=offset, decomposition=decomposition)
-    model._matrix = base.matrix()
-    return model
+    base.matrix()
+    return base._derived(objective=objective, offset=offset, decomposition=decomposition)
 
 
 def _sweep_row(base: MilpModel, base_costs, parameter: str, budget, factor: float) -> dict:
@@ -422,8 +422,12 @@ def run_extension_ladder(
     rungs when enabled.  Objective improvement is reported relative to the
     reference solve.
 
-    The versions' chains depend only on the reference, so they are solved
-    side by side on threads; rows come back in the order of ``versions``.
+    A chain's later rungs differ from its first only in the budget rows'
+    right-hand sides, so each is derived from the rung before it
+    (``with_budget``) and re-solves that rung's compiled matrix and HiGHS
+    session.  The versions' chains depend only on the reference, so they are
+    solved side by side on threads; rows come back in the order of
+    ``versions``.
     """
     if inst.baseline is None:
         raise ConfigError("extension ladders require an instance with a baseline plan")
@@ -444,9 +448,13 @@ def run_extension_ladder(
         grid = budgets if budgets is not None else default_alpha_grid(version, inst.baseline, steps)
         rows: list[dict] = []
         prev_sol = None
+        model = None
         for alpha in grid:
-            cfg = ExtensionConfig(version=version, theta=theta, **{BUDGET_FIELD[version]: alpha})
-            model = apply_extension(base_model, cfg)
+            if model is None:
+                cfg = ExtensionConfig(version=version, theta=theta, **{BUDGET_FIELD[version]: alpha})
+                model = apply_extension(base_model, cfg)
+            else:
+                model = with_budget(model, alpha)
             warm_used = False
             if warm_chain:
                 for source in (prev_sol, v1p_sol):

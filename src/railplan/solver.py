@@ -2,13 +2,15 @@
 
 ``solve_bb`` is a deterministic branch-and-bound over LP relaxations
 (scipy's HiGHS simplex does the bounding), branching on the most fractional
-variable with ties to the lowest variable index, depth-first with periodic
+variable with ties to the lowest variable id, depth-first with periodic
 best-first restarts.  A thread loads a compiled matrix's LP into HiGHS once
 and keeps that session as long as the matrix: a later solve there of any
-model sharing the matrix (a sweep cell, a warm start) loads only its costs
-and clears the solver, so it grows the tree a new LP would.  A node only
-changes column bounds and runs dual simplex from the basis the previous node
-left, which depth-first search makes the parent's most of the time.  A warm
+model sharing the matrix's structure (a sweep cell, a warm start, a later
+rung of a ladder's version chain) loads only its costs and changed
+right-hand sides and clears the solver, so it grows the tree a new LP would.
+A node only changes the column bounds that differ from the previous node's
+and runs dual simplex from the basis that node left, which depth-first
+search makes the parent's most of the time.  A warm
 run without a verdict is repeated once cold.  Node LPs agree with a fresh
 ``linprog`` call on value and infeasibility, though a degenerate node may
 yield another optimal point and so another tree.  Feasibility and objective
@@ -130,14 +132,16 @@ def _exact_verdict(mx: ModelMatrix, v: np.ndarray) -> bool | None:
 
 def _verdict_rows(mx: ModelMatrix):
     """``_exact_verdict``'s per-row arrays: the ``=`` and ``>=`` masks and
-    the negated slack tolerance.  Built once per matrix and thread, in the
-    matrix's ``sessions`` slot."""
+    the negated slack tolerance.  Kept per thread in the matrix's
+    ``sessions`` slot, which matrices differing in right-hand sides share,
+    and rebuilt whenever ``mx.rhs`` is not the one the tolerance was
+    computed from."""
     local = mx.sessions
     rows = getattr(local, "verdict_rows", None)
-    if rows is None:
+    if rows is None or rows[0] is not mx.rhs:
         neg_tol = -FEAS_TOL * np.maximum(1.0, np.abs(mx.rhs.astype(float)))
-        rows = local.verdict_rows = (mx.sense == SENSE_EQ, mx.sense == SENSE_GE, neg_tol)
-    return rows
+        rows = local.verdict_rows = (mx.rhs, mx.sense == SENSE_EQ, mx.sense == SENSE_GE, neg_tol)
+    return rows[1:]
 
 
 def check_feasibility(m: MilpModel, values: dict[str, int]) -> list[ConstraintViolation]:
@@ -230,14 +234,17 @@ class _LpData:
     and the first ``n_ub`` rows are the inequalities.  HiGHS gets the same
     column costs, rows as ``lhs <= A x <= rhs``, CSC layout and options as
     ``linprog(method="highs")`` would give it.  The first ``solve`` runs
-    cold; each later one changes the column bounds and starts dual simplex
-    from the basis the run before it left.  ``runs`` counts HiGHS runs and
-    ``cold_retries`` the warm runs that had to be repeated cold.
+    cold; each later one passes the column bounds that differ from those
+    HiGHS holds and starts dual simplex from the basis the run before it
+    left.  ``runs`` counts HiGHS runs and ``cold_retries`` the warm runs that
+    had to be repeated cold.  ``id_rank`` ranks the columns by variable id,
+    for ``solve_bb``'s branching ties.
 
-    Rows and bounds come from the matrix alone, so one object serves every
-    model that shares the matrix: ``reprice`` loads another model's costs
-    and leaves the object as a fresh one would be.  ``solve_bb`` keeps one
-    per thread in the matrix's ``sessions`` slot (see ``_session``).
+    Rows and bounds come from the matrix's structure, so one object serves
+    every model that shares it: ``load`` loads another model's costs and
+    right-hand sides and leaves the object as a fresh one would be.
+    ``solve_bb`` keeps one per thread in the matrix's ``sessions`` slot (see
+    ``_session``).
     """
 
     def __init__(self, m: MilpModel):
@@ -245,16 +252,18 @@ class _LpData:
         self.n = len(mx.ids)
         self._set_costs(m)
 
-        ge = mx.sense == SENSE_GE
+        self._ge = ge = mx.sense == SENSE_GE
         eq = mx.sense == SENSE_EQ
-        order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
+        self._order = order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
         row_of = np.repeat(np.arange(mx.A.shape[0]), np.diff(mx.A.indptr))
         data = np.where(ge[row_of], -mx.A.data, mx.A.data).astype(float)
         self.A = sparse.csr_array((data, mx.A.indices, mx.A.indptr), shape=mx.A.shape)[order]
-        self.rhs = (np.where(ge, -mx.rhs, mx.rhs).astype(float) + 0.0)[order]  # no -0.0
+        self._set_rhs(mx)
         self.n_ub = int((~eq).sum())
         self.lo = mx.lower.astype(float)
         self.hi = mx.upper.astype(float)
+        self.id_rank = np.empty(self.n, dtype=np.intp)
+        self.id_rank[sorted(range(self.n), key=mx.ids.__getitem__)] = np.arange(self.n)
 
         A = sparse.csc_array(self.A)
         lp = _HIGHS.HighsLp()
@@ -284,6 +293,7 @@ class _LpData:
         if self._highs.passModel(lp) == _HIGHS.HighsStatus.kError:
             raise ValueError(f"HiGHS rejected the LP relaxation of {m.name}")
         self._cols = np.arange(self.n, dtype=np.int32)
+        self._held_lo, self._held_hi = self.lo.copy(), self.hi.copy()
         self.runs = 0
         self.cold_retries = 0
 
@@ -298,14 +308,29 @@ class _LpData:
         self.c = c
         self.c_abs = np.abs(c)
 
-    def reprice(self, m: MilpModel) -> None:
-        """Load ``m``'s costs, where ``m`` shares the matrix this LP was built
-        from, and reset the object to the state a new one starts in: every
-        column at its model bounds, no basis, no run counted."""
+    def _set_rhs(self, mx: ModelMatrix) -> None:
+        """``rhs``, ``mx``'s right-hand sides in this LP's row order."""
+        self.rhs = (np.where(self._ge, -mx.rhs, mx.rhs).astype(float) + 0.0)[self._order]  # no -0.0
+        self._rhs_of = mx.rhs
+
+    def load(self, m: MilpModel) -> None:
+        """Load ``m``'s costs and right-hand sides, where ``m``'s matrix
+        shares the structure of the one this LP was built from, and reset the
+        object to the state a new one starts in: every column at its model
+        bounds, no basis, no run counted."""
         self._set_costs(m)
         highs = self._highs
         highs.changeColsCost(self.n, self._cols, self.c)
+        mx = m.matrix()
+        if mx.rhs is not self._rhs_of:
+            held = self.rhs
+            self._set_rhs(mx)
+            # The binding changes one row's bounds per call.
+            for i in np.flatnonzero(self.rhs != held).tolist():
+                lower = -_HIGHS.kHighsInf if i < self.n_ub else self.rhs[i]
+                highs.changeRowBounds(i, lower, self.rhs[i])
         highs.changeColsBounds(self.n, self._cols, self.lo, self.hi)
+        self._held_lo, self._held_hi = self.lo.copy(), self.hi.copy()
         highs.clearSolver()
         self.runs = 0
         self.cold_retries = 0
@@ -323,7 +348,11 @@ class _LpData:
         if np.any(lo > hi):
             return None, None
         highs = self._highs
-        highs.changeColsBounds(self.n, self._cols, lo, hi)
+        changed = np.flatnonzero((lo != self._held_lo) | (hi != self._held_hi))
+        if changed.size:
+            highs.changeColsBounds(changed.size, changed.astype(np.int32), lo[changed], hi[changed])
+            self._held_lo[changed] = lo[changed]
+            self._held_hi[changed] = hi[changed]
         # HiGHS measures time_limit against its run clock, which accumulates
         # over every run() of this object; one deadline covers both runs.
         highs.setOptionValue("time_limit", highs.getRunTime() + max(time_limit, 0.0))
@@ -447,19 +476,20 @@ def _accept(m: MilpModel, point: np.ndarray | None) -> dict[str, int] | None:
 
 
 def _session(m: MilpModel) -> tuple[_LpData, _Repair]:
-    """This thread's LP and repair over ``m``'s matrix, the LP priced for ``m``.
+    """This thread's LP and repair over ``m``'s matrix, the LP loaded for ``m``.
 
     The first solve on a thread builds both into the matrix's ``sessions``
-    slot; a later solve there of any model sharing the matrix (a sweep cell,
-    a warm start, the same model again) reprices that LP instead of loading
-    a new one.  ``_Repair`` also reads the network, so a model on another
-    network gets a new session.  A session lives as long as its matrix, and
-    no two threads share one.
+    slot; a later solve there of any model whose matrix shares that slot (a
+    sweep cell, a warm start, a later rung of a ladder chain, the same model
+    again) loads that model's costs and right-hand sides into the LP instead
+    of building a new one.  ``_Repair`` also reads the network, so a model on
+    another network gets a new session.  A session lives as long as the
+    matrices sharing it, and no two threads share one.
     """
     local = m.matrix().sessions
     lp = getattr(local, "lp", None)
     if lp is not None and local.network is m.network:
-        lp.reprice(m)
+        lp.load(m)
         return lp, local.repair
     lp, repair = _LpData(m), _Repair(m)
     local.lp, local.repair, local.network = lp, repair, m.network
@@ -494,11 +524,18 @@ def _cannot_improve(lp: _LpData, point: np.ndarray, offset, incumbent_obj) -> bo
     return approx - margin > incumbent_obj
 
 
+def _branch_column(frac: np.ndarray, fractional: np.ndarray, id_rank: np.ndarray) -> int:
+    """The column of ``fractional`` whose fraction ``frac`` is nearest one
+    half, ties to the lowest variable id (``id_rank``), then to the lowest
+    column."""
+    return int(fractional[np.lexsort((id_rank[fractional], np.abs(frac[fractional] - 0.5)))[0]])
+
+
 def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
     """Branch and bound with LP bounding; proves optimality when budget allows.
 
     Deterministic for a fixed node budget: branching picks the most
-    fractional variable (ties to the lowest index), children are explored
+    fractional variable (ties to the lowest variable id), children are explored
     floor side first, and every 256 nodes the open list is re-sorted so the
     best bound is explored next.
     """
@@ -587,7 +624,7 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
                 continue
             j = int(unfixed[0])
         else:
-            j = int(min(fractional, key=lambda i: (abs(frac[i] - 0.5), m.variables[i].id)))
+            j = _branch_column(frac, fractional, lp.id_rank)
         split = math.floor(x[j])
         split = min(max(split, int(node.lo[j])), int(node.hi[j]) - 1)
 

@@ -394,3 +394,32 @@ def test_warm_starts_are_frozen():
                         digest.update(repr(out).encode())
                     prev = solve_bb(model, budget)
     assert digest.hexdigest() == _WARM_START_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Which constructions check their rows
+
+
+def test_new_rows_and_objective_keys_are_still_checked(ladder_instance):
+    """Derived models (warm starts, sweep cells, ladder rungs) skip the walk
+    over rows they share; any construction that brings new rows or
+    objective keys still checks them."""
+    from railplan.model import MilpModel, VarRef
+
+    _net, model = _build(ladder_instance)
+    ghost = LinearConstraint((("x:ghost", 1),), "<=", 1, "ghost")
+    variables = (VarRef(id="a", family="x", subject="a", lower=0, upper=1),)
+    with pytest.raises(ValueError, match="constraint ghost references undeclared x:ghost"):
+        MilpModel("hand", variables, (ghost,), {}, 0, {})
+    with pytest.raises(ValueError, match="objective references undeclared x:ghost"):
+        MilpModel("hand", variables, (), {"x:ghost": 1}, 0, {})
+    with pytest.raises(ValueError, match="undeclared x:ghost"):
+        replace(model, constraints=model.constraints + (ghost,))
+    with pytest.raises(ValueError, match="undeclared x:ghost"):
+        replace(model, objective={**model.objective, "x:ghost": 1})
+    with pytest.raises(ValueError, match="undeclared x:ghost"):
+        model.extended([], [ghost], ExtensionConfig())
+    # A new row may use the variables added with it.
+    var = VarRef(id="x:ghost", family="z1", subject="ghost", lower=0, upper=1, binary=True)
+    grown = model.extended([var], [ghost], ExtensionConfig())
+    assert grown.var("x:ghost") is var and grown.constraints[-1] == ghost

@@ -286,3 +286,61 @@ def test_warm_start_shares_the_matrix():
     warm = warm_start_from(rung, v1p)
     assert warm.matrix() is rung.matrix()
     assert warm.start is not None and not check_feasibility(warm, warm.start)
+
+
+def _matrix_bits(mx):
+    arrays = (mx.A.data, mx.A.indices, mx.A.indptr, mx.rhs, mx.lower, mx.upper, mx.sense)
+    return [_bits(a) for a in arrays] + [mx.A.shape, mx.ids, mx.column, mx.integral, mx.value_limit]
+
+
+def _typed_rows(model):
+    return [(c.terms, [type(coef) for _v, coef in c.terms], c.sense, c.rhs, type(c.rhs), c.tag) for c in model.constraints]
+
+
+@pytest.mark.parametrize("theta", [6, 5.5])
+def test_rung_with_budget_equals_rebuilt_rung(theta):
+    """A ladder rung derived from the rung before it is the model
+    apply_extension builds for its budget, row for row, and its matrix is
+    the one a compile gives, bit for bit, while it shares the chain's
+    structure and sessions slot."""
+    from railplan.model import BUDGET_FIELD, with_budget
+
+    inst = attach_synthetic_baseline(generate_synthetic(1, 5, 12, 3), 1)
+    _net, _specs, base = assemble(inst)
+    for version, field in BUDGET_FIELD.items():
+        grid = default_alpha_grid(version, inst.baseline, 3)
+        # A fractional budget makes an integral matrix float; an integral one
+        # after it makes it integral again.  Both take a full compile.
+        budgets = grid + [grid[-1] + 0.5, grid[0]] if theta == 6 else grid
+        first = prev = apply_extension(base, ExtensionConfig(version=version, theta=theta, **{field: budgets[0]}))
+        # theta caps the V1-V3 rows; V4 and V5 gates take int(theta).
+        assert first.matrix().integral == (theta == 6 or version in ("V4", "V5")), version
+        for budget in budgets[1:]:
+            case = (version, budget)
+            rung = with_budget(prev, budget)
+            rebuilt = apply_extension(base, ExtensionConfig(version=version, theta=theta, **{field: budget}))
+            assert (rung.name, rung.extension, rung.variables) == (rebuilt.name, rebuilt.extension, rebuilt.variables)
+            assert rung.objective is base.objective and rung.start is None, case
+            assert _typed_rows(rung) == _typed_rows(rebuilt), case
+            assert [c.rhs for c in rung.constraints] != [c.rhs for c in prev.constraints], case
+            assert _matrix_bits(rung.matrix()) == _matrix_bits(rebuilt.matrix()), case
+            shared = rung.matrix().integral == prev.matrix().integral
+            assert (rung.matrix().A is prev.matrix().A) == shared, case
+            assert (rung.matrix().sessions is prev.matrix().sessions) == shared, case
+            prev = rung
+
+
+def test_with_budget_needs_a_budgeted_extension():
+    from railplan.model import ConfigError, with_budget
+
+    inst = attach_synthetic_baseline(generate_synthetic(1, 4, 8, 2), 1)
+    _net, _specs, base = assemble(inst)
+    with pytest.raises(ConfigError, match="no budget"):
+        with_budget(base, 1)
+    with pytest.raises(ConfigError, match="no budget"):
+        with_budget(apply_extension(base, ExtensionConfig(version="V1prime")), 1)
+    v1 = apply_extension(base, ExtensionConfig(version="V1", lambda_=1))
+    with pytest.raises(ConfigError, match="lambda >= 0"):
+        with_budget(v1, -1)
+    with pytest.raises(ConfigError, match="requires alpha_d"):
+        with_budget(apply_extension(base, ExtensionConfig(version="V3", alpha_d=5)), None)

@@ -463,3 +463,29 @@ def test_sweep_rows_are_frozen():
         for row in _rows_without_wall_time(run_sweep(generate_synthetic(*shape), cfg)):
             digest.update(repr(list(row.items())).encode())
     assert digest.hexdigest() == _SWEEP_DIGEST
+
+
+# sha256 over the rows (without wall_time) of V1-V5 ladders with three
+# budgets per version at a 25-node cap, on two instances with a synthetic
+# baseline, exact and mcf light arcs.  The rungs of a version chain differ
+# only in the budget row's right-hand side and re-solve one compiled matrix
+# and one HiGHS session, so this digest guards what a rung inherits from the
+# rung before it: its warm start, its trees, capped bounds, incumbents and
+# KPI columns.  Like _FROZEN_DIGEST it holds for the pinned scipy only.
+_LADDER_DIGEST = "80ef705d6d397860bc5a2d745fc7994e59f0017981b50bb0a119b1efa89d7a51"
+_LADDER_CASES = [(shape, method) for shape in ((1, 4, 8, 2), (5, 5, 12, 3)) for method in ("exact", "mcf")]
+
+
+def test_ladder_rows_are_frozen():
+    import hashlib
+
+    from railplan.instance import attach_synthetic_baseline
+
+    digest = hashlib.sha256()
+    budget = SolveBudget(max_seconds=3600, max_nodes=25)
+    for shape, method in _LADDER_CASES:
+        inst = attach_synthetic_baseline(generate_synthetic(*shape), shape[0])
+        rows = run_extension_ladder(inst, ["V1", "V2", "V3", "V4", "V5"], steps=3, budget=budget, lt_method=method)
+        for row in _rows_without_wall_time(rows):
+            digest.update(repr(list(row.items())).encode())
+    assert digest.hexdigest() == _LADDER_DIGEST

@@ -1,8 +1,10 @@
 """LP sessions and the float screen of ``solve_bb``.
 
-A thread keeps one HiGHS LP per compiled matrix and reprices it for every
-model that shares the matrix; a candidate that surely cannot beat the
-incumbent skips the exact checks.  Neither may change any search outcome.
+A thread keeps one HiGHS LP per compiled matrix structure and loads into it
+the costs and right-hand sides of every model that shares the structure (a
+sweep cell, a warm start, a ladder rung); a candidate that surely cannot
+beat the incumbent skips the exact checks.  Neither may change any search
+outcome.
 """
 
 import threading
@@ -15,10 +17,36 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from railplan import solver
-from railplan.instance import generate_synthetic
-from railplan.model import LinearConstraint, MilpModel, VarRef
-from railplan.report import SweepConfig, _cell_model, assemble, default_factors, run_sweep, scaled_costs
-from railplan.solver import SolveBudget, _cannot_improve, _LpData, _objective_value, solve_bb
+from railplan.instance import attach_synthetic_baseline, generate_synthetic
+from railplan.model import (
+    ExtensionConfig,
+    LinearConstraint,
+    MilpModel,
+    ModelMatrix,
+    VarRef,
+    apply_extension,
+    with_budget,
+)
+from railplan.report import (
+    SweepConfig,
+    _cell_model,
+    assemble,
+    default_factors,
+    run_extension_ladder,
+    run_sweep,
+    scaled_costs,
+)
+from railplan.solver import (
+    FEAS_TOL,
+    SolveBudget,
+    _branch_column,
+    _cannot_improve,
+    _exact_verdict,
+    _LpData,
+    _objective_value,
+    _verdict_rows,
+    solve_bb,
+)
 
 from .oracles import solve_enumeration
 from .test_solver import _outcome
@@ -70,7 +98,7 @@ def test_reprice_leaves_the_lp_a_new_one_would_load():
     lp = _LpData(base)
     lp.solve(lp.lo, lp.hi - (lp.hi > lp.lo), 60.0)  # leaves other bounds and a basis
     cell = _cell_model(base, scaled_costs(inst.costs, "g", 0.3))
-    lp.reprice(cell)
+    lp.load(cell)
     new = _LpData(cell)
     for field in ("col_cost_", "col_lower_", "col_upper_"):
         got, want = (np.asarray(getattr(x._highs.getLp(), field)) for x in (lp, new))
@@ -78,6 +106,115 @@ def test_reprice_leaves_the_lp_a_new_one_would_load():
     assert lp.c.tobytes() == new.c.tobytes()
     assert (lp.runs, lp.cold_retries) == (0, 0)
     assert lp._highs.getModelStatus() == new._highs.getModelStatus()  # nothing solved
+
+
+def _lp_arrays(lp):
+    got = lp._highs.getLp()
+    return {f: np.asarray(getattr(got, f)).tobytes() for f in ("col_cost_", "col_lower_", "col_upper_", "row_lower_", "row_upper_")}
+
+
+def test_ladder_chain_compiles_one_matrix_and_loads_one_lp(monkeypatch):
+    """A V2-V5 ladder compiles one matrix and builds one LP for V1' and for
+    each version chain; the later rungs load only their right-hand sides."""
+    compiled = []
+    compile_matrix = ModelMatrix.__init__
+
+    def counting_compile(self, m):
+        compile_matrix(self, m)
+        compiled.append(m.extension.version)
+
+    monkeypatch.setattr(ModelMatrix, "__init__", counting_compile)
+    built = _count_new_lps(monkeypatch)
+    inst = attach_synthetic_baseline(generate_synthetic(1, 5, 12, 3), 1)
+    versions = ["V2", "V3", "V4", "V5"]
+    rows = run_extension_ladder(inst, versions, steps=3, budget=SolveBudget(max_nodes=25))
+    assert len(rows) == 13
+    assert sorted(compiled) == ["V1prime", *versions]
+    assert len(built) == 5
+
+
+def test_rung_session_judges_by_its_own_rhs():
+    """Two rungs of one chain share a session; each is judged, and its LP
+    loaded, with its own right-hand sides."""
+    inst = attach_synthetic_baseline(generate_synthetic(1, 5, 12, 3), 1)
+    _net, _specs, base = assemble(inst)
+    at5 = apply_extension(base, ExtensionConfig(version="V3", alpha_d=5))
+    sol = solve_bb(at5, SolveBudget(max_nodes=50))
+    at0 = with_budget(at5, 0)
+    mx5, mx0 = at5.matrix(), at0.matrix()
+    assert mx0.sessions is mx5.sessions
+
+    # A point feasible at alpha 5 that opens at least one terminal-day.
+    values = dict(sol.values)
+    gates = [v.id for v in at5.variables if v.family == "z2"]
+    if not any(values[g] for g in gates):
+        values[gates[0]] = 1
+    point = np.array([values[i] for i in mx5.ids], dtype=np.int64)
+    assert _exact_verdict(mx5, point) is True
+    assert _exact_verdict(mx0, point) is False
+    for mx in (mx0, mx5, mx0):
+        neg_tol = _verdict_rows(mx)[2]
+        assert neg_tol.tobytes() == (-FEAS_TOL * np.maximum(1.0, np.abs(mx.rhs.astype(float)))).tobytes()
+
+    # The session LP, built for alpha 5 and left with node bounds and a
+    # basis, loads alpha 0 as a new LP would hold it.
+    lp = mx5.sessions.lp
+    lp.solve(lp.lo, lp.hi - (lp.hi > lp.lo), 60.0)
+    lp.load(at0)
+    fresh = _LpData(apply_extension(base, ExtensionConfig(version="V3", alpha_d=0)))
+    assert _lp_arrays(lp) == _lp_arrays(fresh)
+    assert lp.rhs.tobytes() == fresh.rhs.tobytes()  # read by tests/oracles.linprog_node_lp
+    assert lp._highs.getModelStatus() == fresh._highs.getModelStatus()
+
+
+class _RecordingHighs:
+    """Forwards to a HiGHS object and records the columns of each bound change."""
+
+    def __init__(self, highs):
+        self._inner = highs
+        self.bound_changes = []
+
+    def changeColsBounds(self, n, cols, lo, hi):
+        self.bound_changes.append(np.asarray(cols).tolist())
+        return self._inner.changeColsBounds(n, cols, lo, hi)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def test_node_passes_only_changed_bounds():
+    inst = generate_synthetic(1, 4, 8, 2)
+    _net, _specs, base = assemble(inst)
+    lp = _LpData(base)
+    lp._highs = recording = _RecordingHighs(lp._highs)
+    lo, hi = lp.lo.copy(), lp.hi.copy()
+    lp.solve(lo, hi, 60.0)
+    j = int(np.flatnonzero(lp.hi > lp.lo)[0])
+    hi[j] = lp.lo[j]
+    lp.solve(lo, hi, 60.0)
+    lp.solve(lo, hi, 60.0)
+    hi[j] = lp.hi[j]
+    lp.solve(lo, hi, 60.0)
+    assert recording.bound_changes == [[j], [j]]
+    lp.load(base)  # back to the model bounds, every column passed
+    assert recording.bound_changes[-1] == list(range(lp.n))
+    held = recording._inner.getLp()
+    assert np.asarray(held.col_upper_).tobytes() == lp.hi.tobytes()
+
+
+def test_branch_column_matches_the_python_pick():
+    ids = ["x:b", "x:a", "x:d", "x:c", "x:a", "x:e"]
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        # Fractions on a coarse grid, so distances to one half tie often.
+        frac = rng.choice([0.0, 0.25, 0.5, 0.75, 0.1, 0.9, 0.3], size=len(ids))
+        fractional = np.where(frac > 1e-6)[0]
+        if fractional.size == 0:
+            continue
+        want = int(min(fractional, key=lambda i: (abs(frac[i] - 0.5), ids[i])))
+        assert _branch_column(frac, fractional, rank) == want
 
 
 def test_sessions_are_per_thread(monkeypatch):

@@ -21,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
+from typing import NamedTuple
 
 from .instance import Instance, net_power_balance
 from .spacetime import Node, SpaceTimeNetwork
@@ -42,8 +43,7 @@ class McfError(RuntimeError):
     """Raised when the repositioning flow problem is ill-posed or disconnected."""
 
 
-@dataclass(frozen=True, slots=True)
-class LightArcSpec:
+class LightArcSpec(NamedTuple):
     """One candidate light-travel arc between ground nodes of two terminals.
 
     ``transit`` is the pure travel time delta(tail terminal, head terminal);
@@ -75,15 +75,7 @@ def _make_spec(net: SpaceTimeNetwork, tail: Node, head: Node, delta: int) -> Lig
     H = net.horizon
     wait = (head.time - (tail.time + delta)) % H
     span = delta + wait
-    return LightArcSpec(
-        tail=tail.id,
-        head=head.id,
-        tail_terminal=tail.terminal,
-        head_terminal=head.terminal,
-        transit=delta,
-        span=span,
-        crossings=(tail.time + span) // H,
-    )
+    return LightArcSpec(tail.id, head.id, tail.terminal, head.terminal, delta, span, (tail.time + span) // H)
 
 
 def _first_at_or_after(nodes: list[Node], t: int, horizon: int) -> Node | None:

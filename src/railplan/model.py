@@ -22,6 +22,7 @@ import math
 import threading
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -51,8 +52,7 @@ class InfeasibleStartError(ValueError):
         super().__init__("warm start violates constraints: " + ", ".join(tags))
 
 
-@dataclass(frozen=True, slots=True)
-class VarRef:
+class VarRef(NamedTuple):
     id: str
     family: str
     subject: str
@@ -66,12 +66,18 @@ def _canonical_terms(terms) -> tuple[tuple[str, float | int], ...]:
 
     Rows are mostly built with one nonzero int or float per variable; then
     the caller's ``(var, coef)`` pairs are kept and only sorted, which gives
-    what the merge would (``0 + coef`` is ``coef`` for those types).
+    what the merge would (``0 + coef`` is ``coef`` for those types).  Most
+    rows have two terms, which one comparison orders as ``sorted`` would.
     """
     terms = tuple(terms)
     for t in terms:
         if type(t) is not tuple or len(t) != 2 or type(t[1]) not in (int, float) or not t[1]:
             return _merged_terms(terms)
+    if len(terms) == 2:
+        a, b = terms
+        if b[0] < a[0]:
+            a, b = b, a
+        return _merged_terms(terms) if a[0] == b[0] else (a, b)
     ordered = sorted(terms, key=_first)
     prev = None
     for var, _ in ordered:
@@ -91,17 +97,27 @@ def _merged_terms(terms) -> tuple[tuple[str, float | int], ...]:
 _first = itemgetter(0)
 
 
-@dataclass(frozen=True, slots=True)
-class LinearConstraint:
+class _Row(NamedTuple):
     terms: tuple[tuple[str, float | int], ...]
     sense: str  # "<=", "=", ">="
     rhs: float | int
     tag: str
 
-    def __post_init__(self):
-        if self.sense not in ("<=", "=", ">="):
-            raise ValueError(f"bad sense {self.sense!r}")
-        object.__setattr__(self, "terms", _canonical_terms(self.terms))
+
+class LinearConstraint(_Row):
+    """One model row; its terms are canonical (``_canonical_terms``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, terms, sense: str, rhs: float | int, tag: str):
+        if sense not in ("<=", "=", ">="):
+            raise ValueError(f"bad sense {sense!r}")
+        return super().__new__(cls, _canonical_terms(terms), sense, rhs, tag)
+
+    @classmethod
+    def _make(cls, iterable) -> LinearConstraint:
+        # What _replace builds through: a replaced row is checked again.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -446,51 +462,32 @@ def build_base_model(
             lower, upper = arc.b, costs.f
         else:
             lower, upper = 0, U
-        variables.append(VarRef(id=x[arc.id], family="x", subject=arc.id, lower=lower, upper=upper))
+        variables.append(VarRef(x[arc.id], "x", arc.id, lower, upper))
 
     for arc in arcs:
         if arc.kind == "arrival_ground" and arc.decision:
             act[arc.id] = yso_id(arc.id)
-            variables.append(VarRef(id=act[arc.id], family="yso", subject=arc.id, lower=0, upper=1, binary=True))
+            variables.append(VarRef(act[arc.id], "yso", arc.id, 0, 1, True))
         elif arc.kind == "ground_departure" and arc.decision:
             act[arc.id] = ypu_id(arc.id)
-            variables.append(VarRef(id=act[arc.id], family="ypu", subject=arc.id, lower=0, upper=1, binary=True))
+            variables.append(VarRef(act[arc.id], "ypu", arc.id, 0, 1, True))
     for arc in arcs:
         if arc.kind == "light":
             act[arc.id] = u_id(arc.id)
-            variables.append(VarRef(id=act[arc.id], family="u", subject=arc.id, lower=0, upper=u_cap))
+            variables.append(VarRef(act[arc.id], "u", arc.id, 0, u_cap))
 
     for node_id in net.node_order:
         terms = [(x[a], 1) for a in net.in_arcs[node_id]] + [(x[a], -1) for a in net.out_arcs[node_id]]
-        constraints.append(LinearConstraint(terms=tuple(terms), sense="=", rhs=0, tag=f"flow:{node_id}"))
+        constraints.append(LinearConstraint(terms, "=", 0, f"flow:{node_id}"))
 
     for arc in arcs:
         if arc.kind == "arrival_ground" and arc.decision:
-            constraints.append(
-                LinearConstraint(
-                    terms=((x[arc.id], 1), (act[arc.id], -costs.f)),
-                    sense="<=",
-                    rhs=0,
-                    tag=f"so:{arc.id}",
-                )
-            )
+            constraints.append(LinearConstraint(((x[arc.id], 1), (act[arc.id], -costs.f)), "<=", 0, f"so:{arc.id}"))
         elif arc.kind == "ground_departure" and arc.decision:
-            constraints.append(
-                LinearConstraint(
-                    terms=((x[arc.id], 1), (act[arc.id], -costs.f)),
-                    sense="<=",
-                    rhs=0,
-                    tag=f"pu:{arc.id}",
-                )
-            )
+            constraints.append(LinearConstraint(((x[arc.id], 1), (act[arc.id], -costs.f)), "<=", 0, f"pu:{arc.id}"))
         elif arc.kind == "light":
             constraints.append(
-                LinearConstraint(
-                    terms=((x[arc.id], 1), (act[arc.id], -costs.rho_u)),
-                    sense="<=",
-                    rhs=0,
-                    tag=f"lt:{arc.id}",
-                )
+                LinearConstraint(((x[arc.id], 1), (act[arc.id], -costs.rho_u)), "<=", 0, f"lt:{arc.id}")
             )
 
     if mutual_exclusion:
@@ -499,17 +496,8 @@ def build_base_model(
         for arc in arcs:
             if arc.kind != "transition":
                 continue
-            constraints.append(
-                LinearConstraint(
-                    terms=(
-                        (act[f"R:{arc.train_id}:{arc.seq}"], 1),
-                        (act[f"E:{arc.train_id}:{arc.seq + 1}"], 1),
-                    ),
-                    sense="<=",
-                    rhs=1,
-                    tag=f"mutex:{arc.id}",
-                )
-            )
+            pair = ((act[f"R:{arc.train_id}:{arc.seq}"], 1), (act[f"E:{arc.train_id}:{arc.seq + 1}"], 1))
+            constraints.append(LinearConstraint(pair, "<=", 1, f"mutex:{arc.id}"))
 
     objective, offset, decomposition = _price(net, costs, x, act)
     return MilpModel(
@@ -696,7 +684,7 @@ def with_budget(m: MilpModel, budget) -> MilpModel:
 
     else:
         rhs_of = lambda tag: budget
-    rows = [replace(c, rhs=rhs_of(c.tag)) if c.tag.startswith(prefix) else c for c in m.constraints]
+    rows = [c._replace(rhs=rhs_of(c.tag)) if c.tag.startswith(prefix) else c for c in m.constraints]
     matrix = m.matrix().with_rhs([c.rhs for c in rows])
     return m._derived(constraints=tuple(rows), extension=cfg, start=None, _matrix=matrix)
 

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from .instance import Instance
+from .instance import MINUTES_PER_DAY, Instance
 from .lighttravel import generate_light_arcs
 from .model import (
     BUDGET_FIELD,
@@ -34,7 +34,7 @@ from .model import (
     with_budget,
 )
 from .solver import Solution, SolveBudget, check_feasibility, evaluate_objective, solve_bb
-from .spacetime import SpaceTimeNetwork, build_network, pickup_arcs, setout_arcs, with_light_arcs
+from .spacetime import SpaceTimeNetwork, build_network, with_light_arcs
 
 log = logging.getLogger(__name__)
 
@@ -158,6 +158,10 @@ def compute_kpis(net: SpaceTimeNetwork | None, model: MilpModel, sol: Solution) 
     fleet = 0
     light_arcs_used = 0
     light_od: set[tuple[str, str]] = set()
+    setouts = pickups = setout_units = pickup_units = opportunities = 0
+    # Set-out plus pick-up events per (terminal, day) of each stop, as
+    # events_per_terminal_day counts them.
+    events: dict[tuple[str, int], int] = {}
     for arc in net.arcs_in_order():
         x = values[f"x:{arc.id}"]
         fleet += arc.crossings * x
@@ -166,10 +170,26 @@ def compute_kpis(net: SpaceTimeNetwork | None, model: MilpModel, sol: Solution) 
             minutes["deadhead"] += (x - arc.b) * arc.duration
         elif arc.kind == "ground_departure":
             minutes["pre_departure"] += x * arc.duration
+            if arc.decision:
+                y = values[f"ypu:{arc.id}"]
+                pickups += y
+                if y > 0:
+                    pickup_units += x
+                opportunities += 1
         elif arc.kind == "arrival_ground":
             minutes["post_arrival"] += x * arc.duration
+            if arc.decision:
+                y = values[f"yso:{arc.id}"]
+                setouts += y
+                if y > 0:
+                    setout_units += x
+                opportunities += 1
         elif arc.kind == "transition":
             minutes["connection"] += x * arc.duration
+            tail = net.nodes[arc.tail]
+            key = (tail.terminal, tail.time // MINUTES_PER_DAY)
+            n = values[f"yso:R:{arc.train_id}:{arc.seq}"] + values[f"ypu:E:{arc.train_id}:{arc.seq + 1}"]
+            events[key] = events.get(key, 0) + n
         elif arc.kind == "ground":
             minutes["idle"] += x * arc.duration
         elif arc.kind == "light":
@@ -182,17 +202,9 @@ def compute_kpis(net: SpaceTimeNetwork | None, model: MilpModel, sol: Solution) 
     light_trains = sum(
         values[v.id] for v in model.variables if v.family == "u"
     )
-
-    so_arcs = setout_arcs(net)
-    pu_arcs = pickup_arcs(net)
-    setouts = sum(values[f"yso:{a.id}"] for a in so_arcs)
-    pickups = sum(values[f"ypu:{a.id}"] for a in pu_arcs)
-    setout_units = sum(values[f"x:{a.id}"] for a in so_arcs if values[f"yso:{a.id}"] > 0)
-    pickup_units = sum(values[f"x:{a.id}"] for a in pu_arcs if values[f"ypu:{a.id}"] > 0)
-    opportunities = len(so_arcs) + len(pu_arcs)
     coverage = (setouts + pickups) / opportunities if opportunities else 0.0
 
-    active_days = [key for key, n in events_per_terminal_day(net, values).items() if n > 0]
+    active_days = [key for key, n in events.items() if n > 0]
     active_terminals = {k for (k, _d) in active_days}
 
     denom = fleet * H

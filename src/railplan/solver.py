@@ -380,19 +380,25 @@ class _LpData:
         sol = highs.getSolution()
         x = np.array(sol.col_value)
         fun = highs.getObjectiveValue()
-        slack = self.rhs - np.array(sol.row_value)
-        tol = _CHECK_TOL
-        if (
-            np.isnan(x).any()
-            or np.isnan(fun)
-            or np.isnan(slack).any()
-            or (x < lo - tol).any()
-            or (x > hi + tol).any()
-            or (slack[: self.n_ub] < -tol).any()
-            or (np.abs(slack[self.n_ub :]) > tol).any()
-        ):
+        if not _within_tol(x, fun, self.rhs - np.array(sol.row_value), lo, hi, self.n_ub):
             raise _LpFailed("lp_failed", "the LP point is outside linprog's tolerance")
         return float(fun), x
+
+
+def _within_tol(x: np.ndarray, fun: float, slack: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_ub: int) -> bool:
+    """linprog's test of an optimal point: ``x`` within ``_CHECK_TOL`` of its
+    bounds, the first ``n_ub`` slacks at least ``-_CHECK_TOL``, the others
+    within it of 0, and nothing NaN.  A comparison with NaN is False, so the
+    ``all`` tests reject a NaN entry too; an infinite entry within an
+    infinite bound passes, as it did with linprog."""
+    tol = _CHECK_TOL
+    return bool(
+        (x >= lo - tol).all()
+        and (x <= hi + tol).all()
+        and (slack[:n_ub] >= -tol).all()
+        and (np.abs(slack[n_ub:]) <= tol).all()
+        and not np.isnan(fun)
+    )
 
 
 @dataclass

@@ -20,7 +20,8 @@ equals ``(head.time - tail.time) mod H``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .instance import Instance, RailcarFlags
 
@@ -32,16 +33,14 @@ GROUND_NODE_KINDS = ("initial", "arrival_ground", "ground_departure")
 _GROUND_ORDER = {"initial": 0, "arrival_ground": 1, "ground_departure": 2}
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
+class Node(NamedTuple):
     id: str
     kind: str
     terminal: str
     time: int
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
+class Arc(NamedTuple):
     id: str
     kind: str
     tail: str
@@ -110,13 +109,14 @@ def build_network(inst: Instance) -> SpaceTimeNetwork:
         node_order.append(node.id)
         return node
 
-    def add_arc(arc_id: str, kind: str, tail: Node, head: str, duration: int, **fields) -> None:
+    def add_arc(arc_id: str, kind: str, tail: Node, head: str, duration: int, *fields) -> None:
+        # fields: the Arc fields after crossings, in order (b, train_id, seq, decision, flags).
         crossings = (tail.time + duration) // H
-        arcs[arc_id] = Arc(arc_id, kind, tail.id, head, duration, crossings, **fields)
+        arcs[arc_id] = Arc(arc_id, kind, tail.id, head, duration, crossings, *fields)
         arc_order.append(arc_id)
 
     for term in inst.terminals:
-        add_node(Node(id=f"init:{term.id}", kind="initial", terminal=term.id, time=0))
+        add_node(Node(f"init:{term.id}", "initial", term.id, 0))
 
     for train in inst.trains:
         s_t = len(train.legs)
@@ -130,17 +130,16 @@ def build_network(inst: Instance) -> SpaceTimeNetwork:
             ag_node = add_node(
                 Node(f"ag:{key}", "arrival_ground", leg.dest, (leg.arr + inspect) % H)
             )
-            of_leg = {"train_id": train.id, "seq": leg.seq}
-            add_arc(f"E:{key}", "ground_departure", gd_node, dep_node.id, prep, decision=leg.seq > 1, **of_leg)
-            add_arc(f"T:{key}", "train", dep_node, arr_node.id, (leg.arr - leg.dep) % H, b=leg.b, **of_leg)
-            add_arc(f"R:{key}", "arrival_ground", arr_node, ag_node.id, inspect, decision=leg.seq < s_t, **of_leg)
+            add_arc(f"E:{key}", "ground_departure", gd_node, dep_node.id, prep, 0, train.id, leg.seq, leg.seq > 1)
+            add_arc(f"T:{key}", "train", dep_node, arr_node.id, (leg.arr - leg.dep) % H, leg.b, train.id, leg.seq)
+            add_arc(f"R:{key}", "arrival_ground", arr_node, ag_node.id, inspect, 0, train.id, leg.seq, leg.seq < s_t)
 
         for i in range(s_t - 1):
             a, b = train.legs[i], train.legs[i + 1]
             tail = nodes[f"arr:{train.id}:{a.seq}"]
             add_arc(
                 f"C:{train.id}:{a.seq}", "transition", tail, f"dep:{train.id}:{b.seq}", (b.dep - a.arr) % H,
-                train_id=train.id, seq=a.seq, flags=train.stops[i],
+                0, train.id, a.seq, False, train.stops[i],
             )
 
     # Ground chains: per terminal, all ground nodes in time order, closed by
@@ -222,15 +221,7 @@ def with_light_arcs(net: SpaceTimeNetwork, specs) -> SpaceTimeNetwork:
         aid = f"L:{i}"
         if aid in arcs:
             raise ValueError("network already contains light arcs")
-        arc = Arc(
-            id=aid,
-            kind="light",
-            tail=spec.tail,
-            head=spec.head,
-            duration=spec.span,
-            crossings=spec.crossings,
-            transit=spec.transit,
-        )
+        arc = Arc(aid, "light", spec.tail, spec.head, spec.span, spec.crossings, 0, None, None, False, None, spec.transit)
         arcs[aid] = arc
         arc_order.append(aid)
         out_arcs[arc.tail].append(aid)
@@ -254,7 +245,7 @@ def network_to_dict(net: SpaceTimeNetwork) -> dict:
     """Deterministic JSON-friendly dump for debugging."""
     return {
         "horizon": net.horizon,
-        "nodes": [asdict(net.nodes[i]) for i in net.node_order],
+        "nodes": [net.nodes[i]._asdict() for i in net.node_order],
         "arcs": [{name: getattr(a, name) for name in _DUMPED_ARC_FIELDS} for a in net.arcs_in_order()],
     }
 

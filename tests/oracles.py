@@ -5,9 +5,9 @@ library (direct summation, literal enumeration, an LP on the node-arc
 incidence matrix, an exhaustive scan of a model's integer box, HiGHS's own
 MPS reader and MIP solver, scipy's ``milp``, the model over a denser
 light-arc set, a walk over the model's constraint objects, a fresh
-``linprog`` call per node LP, or a dict walk over each gate's terminal-day
-event groups) so expected values in tests are never produced by the code
-path under test.
+``linprog`` call per node LP, linprog's point check spelled out test by
+test, or a dict walk over each gate's terminal-day event groups) so
+expected values in tests are never produced by the code path under test.
 """
 
 from __future__ import annotations
@@ -336,6 +336,21 @@ def linprog_node_lp(lp, lo, hi, time_limit):
         reason = "time" if res.status == 1 else "lp_failed"
         raise _LpFailed(reason, f"LP relaxation failed with status {res.status}: {res.message}")
     return float(res.fun), res.x
+
+
+def lp_point_rejected(x, fun, slack, lo, hi, n_ub, tol) -> bool:
+    """Whether a node LP's point fails the acceptance test, written as the
+    separate NaN and tolerance tests ``_LpData`` first made: any NaN in
+    ``x``, ``fun`` or ``slack``, or any entry past ``tol``."""
+    return bool(
+        np.isnan(x).any()
+        or np.isnan(fun)
+        or np.isnan(slack).any()
+        or (x < lo - tol).any()
+        or (x > hi + tol).any()
+        or (slack[:n_ub] < -tol).any()
+        or (np.abs(slack[n_ub:]) > tol).any()
+    )
 
 
 def milp_optimum(m: MilpModel):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from dataclasses import replace
 from datetime import timedelta
 
@@ -7,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railplan.instance import BaselinePlan, CostParams, generate_synthetic
-from railplan.lighttravel import reduce_exact
+from railplan.lighttravel import LightArcSpec, reduce_exact
 from railplan.model import (
     ConfigError,
     ExtensionConfig,
     InfeasibleStartError,
     LinearConstraint,
+    VarRef,
     apply_extension,
     build_base_model,
     group_events_by_terminal_day,
@@ -20,7 +23,7 @@ from railplan.model import (
     warm_start_from,
 )
 from railplan.solver import SolveBudget, solve_bb
-from railplan.spacetime import build_network, pickup_arcs, setout_arcs, with_light_arcs
+from railplan.spacetime import Arc, Node, build_network, pickup_arcs, setout_arcs, with_light_arcs
 
 from .conftest import make_instance, prices_use_own_ids
 
@@ -129,6 +132,79 @@ def test_row_terms_equal_the_merge(pairs):
     plain = all(type(p) is tuple and type(p[1]) in (int, float) and p[1] != 0 for p in pairs)
     if plain and len({v for v, _ in pairs}) == len(pairs):
         assert all(any(t is p for p in pairs) for t in got)
+
+
+# Two pairs: on independent ids, or on one id twice.
+_TWO_PAIRS = st.one_of(
+    st.tuples(_PAIR, _PAIR),
+    _PAIR.flatmap(lambda p: st.tuples(st.just(p), st.tuples(st.just(p[0]), _COEF))),
+)
+
+
+@settings(max_examples=500, deadline=timedelta(seconds=2), derandomize=True, database=None)
+@given(pairs=st.one_of(_TWO_PAIRS, _TWO_PAIRS.map(lambda ps: ps[::-1])), as_list=st.booleans())
+def test_two_term_rows_equal_the_merge(pairs, as_list):
+    """The two-term branch of ``_canonical_terms`` gives the merge of its
+    pairs in value, type and order: equal ids, either order, zeros, -0.0,
+    bools and floats; two unique nonzero int or float pairs are the caller's
+    own tuples."""
+    typed = lambda terms: [(v, repr(c), type(c)) for v, c in terms]
+    got = LinearConstraint(list(pairs) if as_list else pairs, "<=", 0, "row").terms
+    assert typed(got) == typed(_merged_terms(pairs))
+    assert all(type(t) is tuple for t in got)
+    plain = all(type(p[1]) in (int, float) and p[1] != 0 for p in pairs)
+    if plain and pairs[0][0] != pairs[1][0]:
+        assert all(any(t is p for p in pairs) for t in got)
+
+
+# ---------------------------------------------------------------------------
+# Per-item records
+
+
+# One value per field, in field order, of each record type.
+_RECORDS = {
+    "Node": (Node, ("dep:t:1", "departure", "K0", 60)),
+    "Arc": (Arc, ("T:t:1", "train", "dep:t:1", "arr:t:1", 90, 0, 2, "t", 1, False, None, None)),
+    "LightArcSpec": (LightArcSpec, ("ag:t:1", "gd:u:2", "K0", "K1", 30, 45, 1)),
+    "VarRef": (VarRef, ("yso:R:t:1", "yso", "R:t:1", 0, 1, True)),
+    "LinearConstraint": (LinearConstraint, ((("x:a", -2), ("x:b", 1)), "<=", 3, "so:R:t:1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_are_immutable_named_tuples(name):
+    """Each record is a named tuple with the repr and hash of the frozen
+    dataclass it replaced, built alike by position or keyword, immutable,
+    and round-tripped by pickle and deepcopy."""
+    cls, values = _RECORDS[name]
+    record = cls(*values)
+    by_keyword = cls(**dict(zip(cls._fields, values)))
+    assert record == by_keyword and type(by_keyword) is cls
+    assert repr(record) == f"{name}(" + ", ".join(f"{f}={v!r}" for f, v in zip(cls._fields, values)) + ")"
+    assert record == values and hash(record) == hash(values)
+    field = cls._fields[-1]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert twin == record and type(twin) is cls
+
+
+@pytest.mark.parametrize("by_keyword", [False, True])
+def test_rows_check_their_sense_and_canonicalize_their_terms(by_keyword):
+    make = (lambda *a: LinearConstraint(**dict(zip(LinearConstraint._fields, a)))) if by_keyword else LinearConstraint
+    with pytest.raises(ValueError, match="bad sense '<>'"):
+        make((("x:a", 1),), "<>", 0, "bad")
+    row = make([("x:b", 1), ("x:a", 2), ("x:b", -1), ("x:c", 0.5)], ">=", 1, "row")
+    assert row.terms == (("x:a", 2), ("x:c", 0.5))
+    moved = row._replace(rhs=7)
+    assert type(moved) is LinearConstraint
+    assert moved.terms == row.terms and (moved.sense, moved.rhs, moved.tag) == (">=", 7, "row")
+    with pytest.raises(ValueError, match="bad sense"):
+        row._replace(sense="<>")
+    for twin in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
+        assert twin == row and type(twin) is LinearConstraint
 
 
 def test_extension_rungs_share_base_prices(ladder_instance):
@@ -404,7 +480,7 @@ def test_new_rows_and_objective_keys_are_still_checked(ladder_instance):
     """Derived models (warm starts, sweep cells, ladder rungs) skip the walk
     over rows they share; any construction that brings new rows or
     objective keys still checks them."""
-    from railplan.model import MilpModel, VarRef
+    from railplan.model import MilpModel
 
     _net, model = _build(ladder_instance)
     ghost = LinearConstraint((("x:ghost", 1),), "<=", 1, "ghost")

@@ -343,6 +343,38 @@ def test_event_heatmap_rows(ladder_instance):
     assert total == compute_kpis(merged, model, sol).work_events
 
 
+def test_event_kpis_equal_the_arc_list_sums():
+    """compute_kpis counts set-outs, pick-ups, their units and the active
+    terminal-days in its one walk over the arcs; they equal the sums over
+    the sorted decision-arc lists and events_per_terminal_day."""
+    from railplan.model import events_per_terminal_day
+    from railplan.spacetime import pickup_arcs, setout_arcs
+
+    seen_events = 0
+    # At (5,12,3) seed 1 a stop's dwell crosses midnight with an event on
+    # it, so the day must come from the stop's tail node.
+    for shape, seed in [((4, 8, 2), s) for s in (1, 2, 3)] + [((5, 12, 3), s) for s in (1, 2, 3)]:
+        inst = generate_synthetic(seed, *shape)
+        net = build_network(inst)
+        specs = reduce_exact(net)
+        merged = with_light_arcs(net, specs)
+        model = build_base_model(merged, specs, inst.costs)
+        sol = solve_bb(model, SolveBudget(max_seconds=60, max_nodes=20))
+        v = sol.values
+        k = compute_kpis(merged, model, sol)
+        so, pu = setout_arcs(merged), pickup_arcs(merged)
+        assert k.setouts == sum(v[f"yso:{a.id}"] for a in so)
+        assert k.pickups == sum(v[f"ypu:{a.id}"] for a in pu)
+        assert k.setout_units == sum(v[f"x:{a.id}"] for a in so if v[f"yso:{a.id}"] > 0)
+        assert k.pickup_units == sum(v[f"x:{a.id}"] for a in pu if v[f"ypu:{a.id}"] > 0)
+        assert k.coverage_ratio == (k.setouts + k.pickups) / (len(so) + len(pu))
+        active = [key for key, n in events_per_terminal_day(merged, v).items() if n > 0]
+        assert k.active_terminal_days == len(active)
+        assert k.active_terminals == len({t for t, _d in active})
+        seen_events += k.work_events
+    assert seen_events > 0
+
+
 def test_assemble_pipeline_smoke(ladder_instance):
     merged, specs, model = assemble(ladder_instance, lt_method="mcf")
     assert model.network is merged

@@ -21,6 +21,7 @@ from .oracles import (
     EnumerationCapError,
     check_feasibility_by_row_walk,
     linprog_node_lp,
+    lp_point_rejected,
     milp_optimum,
     solve_enumeration,
 )
@@ -572,6 +573,45 @@ def test_node_lp_time_limit_reports_time(monkeypatch, reference):
     assert obj is not None and x.shape == (lp.n,)
 
 
+def test_point_check_agrees_with_separate_nan_and_tolerance_tests():
+    """``_within_tol`` accepts exactly the points the seven separate tests
+    accepted, on bounds with infinite entries and on points, slacks and
+    objectives salted with NaN, +-inf and values on or just past the
+    tolerance.  Bounds are never NaN: they come from the model and from
+    branching."""
+    import numpy as np
+
+    from railplan.solver import _CHECK_TOL, _within_tol
+
+    tol = _CHECK_TOL
+    inf = np.inf
+    rng = np.random.default_rng(19)
+    verdicts = set()
+    for _ in range(4000):
+        n, rows = rng.integers(1, 5), rng.integers(0, 5)
+        n_ub = int(rng.integers(0, rows + 1))
+        lo = rng.choice([-inf, -3.0, 0.0, 2.0], size=n)
+        hi = np.maximum(lo, 0.0) + rng.choice([0.0, 1.0, 5.0, inf], size=n)
+        x = np.where(rng.random(n) < 0.5, lo, hi)
+        x = np.where(np.isfinite(x), x, rng.uniform(-3, 7, size=n))
+        # One ulp outside a bound's tolerance, or on its edge.
+        edges = (np.nextafter(lo - tol, -inf), lo - tol, np.nextafter(hi + tol, inf), hi + tol)
+        salt = rng.integers(0, 14, size=n)
+        for k, edge in enumerate(edges):
+            x[salt == k] = edge[salt == k]
+        x[salt == len(edges)] = rng.choice([np.nan, inf, -inf])
+        slack = rng.choice(
+            [0.0, 1.0, tol, -tol, np.nextafter(tol, inf), np.nextafter(-tol, -inf), np.nan, inf, -inf],
+            p=[0.5, 0.1, 0.06, 0.06, 0.06, 0.06, 0.06, 0.05, 0.05],
+            size=rows,
+        )
+        fun = rng.choice([1.5, -2.0, np.nan, inf, -inf], p=[0.5, 0.3, 0.1, 0.05, 0.05])
+        ok = _within_tol(x, fun, slack, lo, hi, n_ub)
+        assert ok is (not lp_point_rejected(x, fun, slack, lo, hi, n_ub, tol)), (x, fun, slack, lo, hi, n_ub)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
 def test_node_lp_time_limit_is_per_solve():
     # HiGHS's run clock adds up over every run() of one object; the limit
     # must still mean "this node's remaining budget", not a total.
@@ -594,8 +634,9 @@ def _outcome(sol):
 
 class _FaultyRun:
     """A HiGHS object whose run number ``at`` ends without a verdict
-    (``fault="status"``) or with a point outside the acceptance tolerance
-    (``fault="point"``); it records the run count at each clearSolver()."""
+    (``fault="status"``), with a point outside the acceptance tolerance
+    (``fault="point"``) or with a NaN in its point (``fault="nan"``); it
+    records the run count at each clearSolver()."""
 
     def __init__(self, highs, fault, at):
         self._highs, self._fault, self._at = highs, fault, at
@@ -629,10 +670,15 @@ class _FaultyRun:
         if self._fault == "point" and self.runs == self._at:
             # Below every column's lower bound, all of which are >= 0.
             return SimpleNamespace(col_value=np.full(len(sol.col_value), -1.0), row_value=sol.row_value)
+        if self._fault == "nan" and self.runs == self._at:
+            # The optimal point, except for one NaN entry.
+            col_value = np.array(sol.col_value)
+            col_value[len(col_value) // 2] = np.nan
+            return SimpleNamespace(col_value=col_value, row_value=sol.row_value)
         return sol
 
 
-@pytest.mark.parametrize("fault", ["status", "point"])
+@pytest.mark.parametrize("fault", ["status", "point", "nan"])
 @pytest.mark.parametrize("at", [1, 6])
 def test_failed_warm_run_is_retried_cold(monkeypatch, caplog, fault, at):
     import logging

@@ -42,7 +42,6 @@ from .model import (
     apply_extension,
     build_base_model,
     group_events_by_terminal_day,
-    rc_penalty_terms,
     warm_start_from,
 )
 from .mps import export_mps

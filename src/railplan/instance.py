@@ -193,8 +193,25 @@ class Instance:
 # Serialization
 
 
+# The instance document's "costs" object: (JSON key, CostParams field,
+# whether the value must be an integer), in file order.  A missing key
+# takes the field's default.
+_COST_KEYS = (
+    ("q", "q", False),
+    ("c1", "c1", False),
+    ("c2", "c2", False),
+    ("c3", "c3", False),
+    ("e_rate", "e_rate", False),
+    ("g_rate", "g_rate", False),
+    ("f", "f", True),
+    ("rho_u", "rho_u", True),
+    ("prep", "prep_minutes", True),
+    ("inspect", "inspect_minutes", True),
+    ("horizon", "horizon", True),
+)
+
+
 def instance_to_dict(inst: Instance) -> dict:
-    c = inst.costs
     data: dict = {
         "schema_version": SCHEMA_VERSION,
         "terminals": [{"id": t.id, "name": t.name} for t in inst.terminals],
@@ -223,19 +240,7 @@ def instance_to_dict(inst: Instance) -> dict:
             }
             for tr in inst.trains
         ],
-        "costs": {
-            "q": c.q,
-            "c1": c.c1,
-            "c2": c.c2,
-            "c3": c.c3,
-            "e_rate": c.e_rate,
-            "g_rate": c.g_rate,
-            "f": c.f,
-            "rho_u": c.rho_u,
-            "prep": c.prep_minutes,
-            "inspect": c.inspect_minutes,
-            "horizon": c.horizon,
-        },
+        "costs": {key: getattr(inst.costs, name) for key, name, _integral in _COST_KEYS},
     }
     if inst.baseline is not None:
         data["baseline"] = {
@@ -339,19 +344,12 @@ def instance_from_dict(data: dict, validate: bool = True) -> Instance:
         trains.append(Train(id=tid, legs=legs, stops=tuple(stops)))
 
     craw = _field(data, "costs", "instance")
-    rate = lambda key, default: _number(craw, key, "costs", default, integral=False)
+    defaults = CostParams()
     costs = CostParams(
-        q=rate("q", 5000),
-        c1=rate("c1", 20),
-        c2=rate("c2", 100),
-        c3=rate("c3", 180),
-        e_rate=rate("e_rate", 2),
-        g_rate=rate("g_rate", 1),
-        f=_number(craw, "f", "costs", 4),
-        rho_u=_number(craw, "rho_u", "costs", 3),
-        prep_minutes=_number(craw, "prep", "costs", 60),
-        inspect_minutes=_number(craw, "inspect", "costs", 120),
-        horizon=_number(craw, "horizon", "costs", DEFAULT_HORIZON),
+        **{
+            name: _number(craw, key, "costs", getattr(defaults, name), integral=integral)
+            for key, name, integral in _COST_KEYS
+        }
     )
 
     baseline = None

@@ -361,10 +361,6 @@ def solve_mcf(problem: McfProblem) -> dict[tuple[str, str], int]:
     return flows
 
 
-def mcf_flow_cost(problem: McfProblem, flows: dict[tuple[str, str], int]):
-    return sum(problem.costs[pair] * units for pair, units in flows.items())
-
-
 def mcf_insert_arcs(
     net: SpaceTimeNetwork,
     flow: dict[tuple[str, str], int],

@@ -140,8 +140,25 @@ BUDGET_FIELD = {"V1": "lambda_", "V2": "alpha_c", "V3": "alpha_d", "V4": "alpha_
 # V1 the tag prefix of its rows, one per baseline-active terminal-day.
 BUDGET_ROW = {"V1": "V1:(11):", "V2": "V2:(16)", "V3": "V3:(19)", "V4": "V4:(22)", "V5": "V5:(25)"}
 
-# Activation gates per terminal (z1, w1) and per terminal-day (z2, w2).
-GATE_FAMILIES = ("z1", "w1", "z2", "w2")
+# The versions that cap and close terminal-days by a baseline plan.
+_ON_BASELINE = ("V1", "V1prime", "V2", "V3")
+
+
+class _Gate(NamedTuple):
+    family: str  # of the gate variables
+    per_day: bool  # a gate covers one terminal-day, not a whole terminal
+    row: str  # tag prefix of the rows tying a terminal-day's events to its gate
+
+
+# The activation gates of V2-V5.  V2 and V3 gate what the baseline closes,
+# V4 and V5 every terminal or terminal-day.
+_GATES = {
+    "V2": _Gate("z1", False, "V2:(17)"),
+    "V3": _Gate("z2", True, "V3:(20)"),
+    "V4": _Gate("w1", False, "V4:(23)"),
+    "V5": _Gate("w2", True, "V5:(26)"),
+}
+GATE_FAMILIES = tuple(gate.family for gate in _GATES.values())
 
 
 @dataclass
@@ -312,8 +329,15 @@ def u_id(arc_id: str) -> str:
     return f"u:{arc_id}"
 
 
-def rc_penalty_terms(net: SpaceTimeNetwork, costs: CostParams) -> list[tuple[str, float | int]]:
-    """Work-event objective coefficients from railcar alignment.
+def _stop_arcs(arc) -> tuple[str, str]:
+    """The set-out and pick-up arc ids of the stop that transition ``arc``
+    crosses: the train's arrival at the stop and its next departure."""
+    return f"R:{arc.train_id}:{arc.seq}", f"E:{arc.train_id}:{arc.seq + 1}"
+
+
+def _rc_penalties(net: SpaceTimeNetwork, costs: CostParams, act: dict[str, str]) -> list[tuple[str, float | int]]:
+    """Work-event objective coefficients from railcar alignment, keyed by the
+    ids ``act`` maps set-out and pick-up arc ids to, sorted by id.
 
     Per intermediate stop, the set-out and pick-up activation variables are
     priced by how the locomotive event aligns with the railcar event there:
@@ -321,13 +345,6 @@ def rc_penalty_terms(net: SpaceTimeNetwork, costs: CostParams) -> list[tuple[str
     and a stop with both railcar kinds treats either locomotive event as
     aligned at c1.
     """
-    return _rc_penalties(net, costs, yso_id, ypu_id)
-
-
-def _rc_penalties(net: SpaceTimeNetwork, costs: CostParams, so_id, pu_id) -> list[tuple[str, float | int]]:
-    """``rc_penalty_terms`` keyed by ``so_id(arc_id)`` for set-out and
-    ``pu_id(arc_id)`` for pick-up arcs, which must return ``yso_id`` and
-    ``ypu_id`` of the arc or an equal string."""
     coefs: dict[str, float | int] = {}
     c1, c2, c3 = costs.c1, costs.c2, costs.c3
     table = {
@@ -340,10 +357,9 @@ def _rc_penalties(net: SpaceTimeNetwork, costs: CostParams, so_id, pu_id) -> lis
         if arc.kind != "transition":
             continue
         so_coef, pu_coef = table[arc.flags.category]
-        so_var = so_id(f"R:{arc.train_id}:{arc.seq}")
-        pu_var = pu_id(f"E:{arc.train_id}:{arc.seq + 1}")
-        coefs[so_var] = coefs.get(so_var, 0) + so_coef
-        coefs[pu_var] = coefs.get(pu_var, 0) + pu_coef
+        so_arc, pu_arc = _stop_arcs(arc)
+        coefs[act[so_arc]] = so_coef
+        coefs[act[pu_arc]] = pu_coef
     return sorted(coefs.items())
 
 
@@ -357,9 +373,8 @@ def group_events_by_terminal_day(net: SpaceTimeNetwork) -> dict[tuple[str, int],
             continue
         tail = net.nodes[arc.tail]
         key = (tail.terminal, tail.time // MINUTES_PER_DAY)
-        groups.setdefault(key, []).append(
-            (yso_id(f"R:{arc.train_id}:{arc.seq}"), ypu_id(f"E:{arc.train_id}:{arc.seq + 1}"))
-        )
+        so_arc, pu_arc = _stop_arcs(arc)
+        groups.setdefault(key, []).append((yso_id(so_arc), ypu_id(pu_arc)))
     return groups
 
 
@@ -426,7 +441,7 @@ def _price(net: SpaceTimeNetwork, costs: CostParams, x: dict[str, str], act: dic
             light_arcs.append(arc)
     for arc in light_arcs:
         add_obj("light_travel", act[arc.id], costs.e_rate * arc.transit)
-    for var, coef in _rc_penalties(net, costs, act.__getitem__, act.__getitem__):
+    for var, coef in _rc_penalties(net, costs, act):
         add_obj("work_events", var, coef)
     return objective, offset, decomposition
 
@@ -496,8 +511,8 @@ def build_base_model(
         for arc in arcs:
             if arc.kind != "transition":
                 continue
-            pair = ((act[f"R:{arc.train_id}:{arc.seq}"], 1), (act[f"E:{arc.train_id}:{arc.seq + 1}"], 1))
-            constraints.append(LinearConstraint(pair, "<=", 1, f"mutex:{arc.id}"))
+            so_arc, pu_arc = _stop_arcs(arc)
+            constraints.append(LinearConstraint(((act[so_arc], 1), (act[pu_arc], 1)), "<=", 1, f"mutex:{arc.id}"))
 
     objective, offset, decomposition = _price(net, costs, x, act)
     return MilpModel(
@@ -536,127 +551,81 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
     """Return a new model with the work-event restriction scheme applied."""
     if cfg.version == "V0":
         return m.extended([], [], cfg)
+    if cfg.version not in _ON_BASELINE and cfg.version not in _GATES:
+        raise ConfigError(f"unknown extension version {cfg.version!r}")
     if m.network is None:
         raise ConfigError("extensions need the model's network for event grouping")
 
     inst = m.network.instance
-    n_days = inst.costs.n_days
+    days = range(inst.costs.n_days)
     terminals = sorted(inst.terminal_ids())
     groups = group_events_by_terminal_day(m.network)
     theta = cfg.theta
 
     baseline = cfg.baseline if cfg.baseline is not None else inst.baseline
-    needs_baseline = cfg.version in ("V1", "V1prime", "V2", "V3")
-    if needs_baseline and baseline is None:
+    on_baseline = cfg.version in _ON_BASELINE
+    if on_baseline and baseline is None:
         raise ConfigError(f"{cfg.version} requires a baseline work-event plan")
     _check_budget(cfg)
 
-    new_vars: list[VarRef] = []
+    # Gate subject -> the terminal-days that gate opens, in variable order.
+    gate = _GATES.get(cfg.version)
+    covers: dict[str, list[tuple[str, int]]] = {}
+    if gate is not None:
+        if gate.per_day:
+            gated = baseline.inactive_pairs(terminals) if on_baseline else [(k, d) for k in terminals for d in days]
+            covers = {f"{k}:{d}": [(k, d)] for (k, d) in gated}
+        else:
+            gated = baseline.inactive_terminals(terminals) if on_baseline else terminals
+            covers = {k: [(k, d) for d in days] for k in gated}
+
     rows: list[LinearConstraint] = []
-
-    def active_pair_rows(tag_family: str, cap_of_h, row_a: str, row_b: str) -> None:
+    if on_baseline:
+        # A baseline-active terminal-day takes at most h + lambda events (V1)
+        # or 2h (the others), and at most theta; the closed ones no gate
+        # opens take none.
+        if cfg.version == "V1":
+            tag, cap_of_h, cap_row, theta_row, closed = "V1", lambda h: h + cfg.lambda_, 11, 12, "V1:(13)"
+        else:
+            tag, cap_of_h, cap_row, theta_row, closed = "V1p", lambda h: 2 * h, 14, 15, "V1p:inactive"
         for (k, d) in baseline.active_pairs():
-            pairs = groups.get((k, d), [])
-            if not pairs:
-                continue
-            terms = _event_terms(pairs)
-            rows.append(
-                LinearConstraint(terms, "<=", cap_of_h(baseline.count(k, d)), f"{tag_family}:({row_a}):{k}:{d}")
-            )
-            if not math.isinf(theta):
-                rows.append(LinearConstraint(terms, "<=", theta, f"{tag_family}:({row_b}):{k}:{d}"))
+            pairs = groups.get((k, d))
+            if pairs:
+                terms = _event_terms(pairs)
+                cap = cap_of_h(baseline.count(k, d))
+                rows.append(LinearConstraint(terms, "<=", cap, f"{tag}:({cap_row}):{k}:{d}"))
+                if not math.isinf(theta):
+                    rows.append(LinearConstraint(terms, "<=", theta, f"{tag}:({theta_row}):{k}:{d}"))
+        opened = {key for keys in covers.values() for key in keys}
+        for (k, d) in baseline.inactive_pairs(terminals):
+            pairs = groups.get((k, d))
+            if pairs and (k, d) not in opened:
+                rows.append(LinearConstraint(_event_terms(pairs), "=", 0, f"{closed}:{k}:{d}"))
 
-    def zero_rows(pairs_kd: list[tuple[str, int]], tag: str) -> None:
-        for (k, d) in pairs_kd:
-            pairs = groups.get((k, d), [])
-            if not pairs:
-                continue
-            rows.append(LinearConstraint(_event_terms(pairs), "=", 0, f"{tag}:{k}:{d}"))
-
-    def gate_rows(pairs_kd: list[tuple[str, int]], gate_of, tag: str) -> None:
-        for (k, d) in pairs_kd:
-            pairs = groups.get((k, d), [])
-            if not pairs:
-                continue
-            cap = _group_capacity(pairs, theta)
-            terms = _event_terms(pairs) + [(gate_of(k, d), -cap)]
-            rows.append(LinearConstraint(terms, "<=", 0, f"{tag}:{k}:{d}"))
-
-    if cfg.version == "V1":
-        active_pair_rows("V1", lambda h: h + cfg.lambda_, "11", "12")
-        zero_rows(baseline.inactive_pairs(terminals), "V1:(13)")
-
-    elif cfg.version == "V1prime":
-        active_pair_rows("V1p", lambda h: 2 * h, "14", "15")
-        zero_rows(baseline.inactive_pairs(terminals), "V1p:inactive")
-
-    elif cfg.version == "V2":
-        active_pair_rows("V1p", lambda h: 2 * h, "14", "15")
-        inactive_terms = set(baseline.inactive_terminals(terminals))
-        zero_rows(
-            [(k, d) for (k, d) in baseline.inactive_pairs(terminals) if k not in inactive_terms],
-            "V1p:inactive",
-        )
-        for k in sorted(inactive_terms):
-            new_vars.append(VarRef(id=f"z1:{k}", family="z1", subject=k, lower=0, upper=1, binary=True))
-        rows.append(
-            LinearConstraint(
-                [(f"z1:{k}", 1) for k in sorted(inactive_terms)], "<=", cfg.alpha_c, BUDGET_ROW["V2"]
-            )
-        )
-        gate_rows(
-            [(k, d) for k in sorted(inactive_terms) for d in range(n_days)],
-            lambda k, d: f"z1:{k}",
-            "V2:(17)",
-        )
-
-    elif cfg.version == "V3":
-        active_pair_rows("V1p", lambda h: 2 * h, "14", "15")
-        inactive_pairs = baseline.inactive_pairs(terminals)
-        for (k, d) in inactive_pairs:
-            new_vars.append(
-                VarRef(id=f"z2:{k}:{d}", family="z2", subject=f"{k}:{d}", lower=0, upper=1, binary=True)
-            )
-        rows.append(
-            LinearConstraint(
-                [(f"z2:{k}:{d}", 1) for (k, d) in inactive_pairs], "<=", cfg.alpha_d, BUDGET_ROW["V3"]
-            )
-        )
-        gate_rows(inactive_pairs, lambda k, d: f"z2:{k}:{d}", "V3:(20)")
-
-    elif cfg.version == "V4":
-        for k in terminals:
-            new_vars.append(VarRef(id=f"w1:{k}", family="w1", subject=k, lower=0, upper=1, binary=True))
-        rows.append(LinearConstraint([(f"w1:{k}", 1) for k in terminals], "<=", cfg.alpha_e, BUDGET_ROW["V4"]))
-        gate_rows(
-            [(k, d) for k in terminals for d in range(n_days)],
-            lambda k, d: f"w1:{k}",
-            "V4:(23)",
-        )
-
-    elif cfg.version == "V5":
-        all_pairs = [(k, d) for k in terminals for d in range(n_days)]
-        for (k, d) in all_pairs:
-            new_vars.append(
-                VarRef(id=f"w2:{k}:{d}", family="w2", subject=f"{k}:{d}", lower=0, upper=1, binary=True)
-            )
-        rows.append(
-            LinearConstraint([(f"w2:{k}:{d}", 1) for (k, d) in all_pairs], "<=", cfg.alpha_f, BUDGET_ROW["V5"])
-        )
-        gate_rows(all_pairs, lambda k, d: f"w2:{k}:{d}", "V5:(26)")
-
-    else:
-        raise ConfigError(f"unknown extension version {cfg.version!r}")
+    new_vars: list[VarRef] = []
+    if gate is not None:
+        new_vars = [VarRef(f"{gate.family}:{subject}", gate.family, subject, 0, 1, True) for subject in covers]
+        budget = getattr(cfg, BUDGET_FIELD[cfg.version])
+        rows.append(LinearConstraint([(var.id, 1) for var in new_vars], "<=", budget, BUDGET_ROW[cfg.version]))
+        for var, keys in zip(new_vars, covers.values()):
+            for (k, d) in keys:
+                pairs = groups.get((k, d))
+                if pairs:
+                    terms = _event_terms(pairs) + [(var.id, -_group_capacity(pairs, theta))]
+                    rows.append(LinearConstraint(terms, "<=", 0, f"{gate.row}:{k}:{d}"))
 
     return m.extended(new_vars, rows, cfg, name_suffix=f"+{cfg.version}")
 
 
 def _check_budget(cfg: ExtensionConfig) -> None:
     budget_field = BUDGET_FIELD.get(cfg.version)
-    if budget_field is not None and getattr(cfg, budget_field) is None:
+    if budget_field is None:
+        return
+    budget = getattr(cfg, budget_field)
+    if budget is None:
         raise ConfigError(f"{cfg.version} requires {budget_field}")
-    if cfg.version == "V1" and cfg.lambda_ < 0:
-        raise ConfigError("V1 requires lambda >= 0")
+    if budget < 0:
+        raise ConfigError(f"{cfg.version} requires {budget_field.rstrip('_')} >= 0")
 
 
 def with_budget(m: MilpModel, budget) -> MilpModel:
@@ -716,11 +685,12 @@ def _gate_incidence(m: MilpModel) -> tuple[np.ndarray, sparse.csr_matrix]:
     for (k, d), pairs in groups.items():
         by_terminal.setdefault(k, []).extend(pairs)
         by_day[f"{k}:{d}"] = pairs
-    covered = {"z1": by_terminal, "w1": by_terminal, "z2": by_day, "w2": by_day}
+    per_day = {gate.family: gate.per_day for gate in _GATES.values()}
     gate_cols, rows, events = [], [], []
     for j, var in enumerate(m.variables):
-        if var.family in GATE_FAMILIES:
-            for pair in covered[var.family].get(var.subject, ()):
+        if var.family in per_day:
+            covered = by_day if per_day[var.family] else by_terminal
+            for pair in covered.get(var.subject, ()):
                 rows += [len(gate_cols)] * len(pair)
                 events += [mx.column.get(e, n) for e in pair]
             gate_cols.append(j)

@@ -27,11 +27,15 @@ from .model import (
     InfeasibleStartError,
     MilpModel,
     _price,
+    _stop_arcs,
     apply_extension,
     build_base_model,
     events_per_terminal_day,
     warm_start_from,
     with_budget,
+    x_id,
+    ypu_id,
+    yso_id,
 )
 from .solver import Solution, SolveBudget, check_feasibility, evaluate_objective, solve_bb
 from .spacetime import SpaceTimeNetwork, build_network, with_light_arcs
@@ -163,7 +167,7 @@ def compute_kpis(net: SpaceTimeNetwork | None, model: MilpModel, sol: Solution) 
     # events_per_terminal_day counts them.
     events: dict[tuple[str, int], int] = {}
     for arc in net.arcs_in_order():
-        x = values[f"x:{arc.id}"]
+        x = values[x_id(arc.id)]
         fleet += arc.crossings * x
         if arc.kind == "train":
             minutes["active"] += arc.b * arc.duration
@@ -171,7 +175,7 @@ def compute_kpis(net: SpaceTimeNetwork | None, model: MilpModel, sol: Solution) 
         elif arc.kind == "ground_departure":
             minutes["pre_departure"] += x * arc.duration
             if arc.decision:
-                y = values[f"ypu:{arc.id}"]
+                y = values[ypu_id(arc.id)]
                 pickups += y
                 if y > 0:
                     pickup_units += x
@@ -179,7 +183,7 @@ def compute_kpis(net: SpaceTimeNetwork | None, model: MilpModel, sol: Solution) 
         elif arc.kind == "arrival_ground":
             minutes["post_arrival"] += x * arc.duration
             if arc.decision:
-                y = values[f"yso:{arc.id}"]
+                y = values[yso_id(arc.id)]
                 setouts += y
                 if y > 0:
                     setout_units += x
@@ -188,8 +192,8 @@ def compute_kpis(net: SpaceTimeNetwork | None, model: MilpModel, sol: Solution) 
             minutes["connection"] += x * arc.duration
             tail = net.nodes[arc.tail]
             key = (tail.terminal, tail.time // MINUTES_PER_DAY)
-            n = values[f"yso:R:{arc.train_id}:{arc.seq}"] + values[f"ypu:E:{arc.train_id}:{arc.seq + 1}"]
-            events[key] = events.get(key, 0) + n
+            so_arc, pu_arc = _stop_arcs(arc)
+            events[key] = events.get(key, 0) + values[yso_id(so_arc)] + values[ypu_id(pu_arc)]
         elif arc.kind == "ground":
             minutes["idle"] += x * arc.duration
         elif arc.kind == "light":

@@ -37,6 +37,7 @@ from .model import (
     MilpModel,
     ModelMatrix,
     gate_incidence,
+    x_id,
 )
 
 log = logging.getLogger(__name__)
@@ -436,10 +437,10 @@ class _Repair:
                 flow_cols.append(j)
             elif var.family in ("yso", "ypu"):
                 y_cols.append(j)
-                y_src.append(col(f"x:{var.subject}"))
+                y_src.append(col(x_id(var.subject)))
             elif var.family == "u":
                 u_cols.append(j)
-                u_src.append(col(f"x:{var.subject}"))
+                u_src.append(col(x_id(var.subject)))
             elif var.family not in GATE_FAMILIES:
                 self.usable = False  # a family without a cheapest completion
                 return

@@ -68,6 +68,11 @@ def mcf_cost_by_enumeration(supplies: dict, costs: dict, cap: int | None = None)
     return best
 
 
+def mcf_flow_cost(problem, flows: dict[tuple[str, str], int]):
+    """The cost of ``flows`` under ``problem``'s pair costs, summed directly."""
+    return sum(problem.costs[pair] * units for pair, units in flows.items())
+
+
 def mcf_cost_by_lp(supplies: dict, costs: dict) -> float:
     """Minimum-cost flow via an LP on the node-arc incidence matrix.
 

@@ -26,7 +26,6 @@ from railplan.model import (
     ExtensionConfig,
     apply_extension,
     build_base_model,
-    rc_penalty_terms,
 )
 from railplan.report import SweepConfig, compute_kpis, run_sweep
 from railplan.solver import SolveBudget, check_feasibility, solve_bb
@@ -154,7 +153,7 @@ def test_work_event_cost_truth_table(cost_vector):
             c1=c1, c2=c2, c3=c3,
         )
         net = build_network(inst)
-        assert dict(rc_penalty_terms(net, inst.costs)) == {
+        assert build_base_model(net, [], inst.costs).decomposition["work_events"] == {
             "yso:R:t:1": so_coef,
             "ypu:E:t:2": pu_coef,
         }

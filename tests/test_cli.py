@@ -104,6 +104,24 @@ def test_solve_budget_exit_code(tmp_path):
     assert data["status"] in ("budget_exceeded", "optimal")
 
 
+def test_negative_alpha_exits_2(tmp_path, capsys, ladder_instance):
+    # A negative budget once solved to "infeasible" (exit 3).
+    inst_path = _write(tmp_path, ladder_instance)
+    code = main(["solve", "--instance", inst_path, "--extension", "V3", "--alpha", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: V3 requires alpha_d >= 0\n"
+
+
+def test_ladder_negative_alpha_exits_2(tmp_path, capsys, ladder_instance):
+    # Such a rung once went into the rows as "infeasible" (exit 0).
+    inst_path = _write(tmp_path, ladder_instance)
+    out = tmp_path / "rows.csv"
+    code = main(["ladder", "--instance", inst_path, "--versions", "V3", "--alphas", "-1", "--out", str(out)])
+    assert code == 2
+    assert "error: V3 requires alpha_d >= 0\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_cli_writes_rows(tmp_path, round_trip_instance):
     inst_path = _write(tmp_path, round_trip_instance)
     out = tmp_path / "sweep.csv"

@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from railplan.instance import (
+    CostParams,
     InstanceError,
     RailcarFlags,
     attach_synthetic_baseline,
@@ -38,6 +40,19 @@ def test_load_minimal_file(tmp_path):
     assert len(inst.terminals) == 2
     assert len(inst.legs()) == 1
     assert inst.costs.horizon == 10080
+
+
+def test_empty_costs_take_the_defaults():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["costs"] = {}
+    inst = instance_from_dict(doc)
+    for f in fields(CostParams):
+        got, want = getattr(inst.costs, f.name), getattr(CostParams(), f.name)
+        assert (got, type(got)) == (want, type(want)), f.name
+    assert list(instance_to_dict(inst)["costs"].items()) == [
+        ("q", 5000), ("c1", 20), ("c2", 100), ("c3", 180), ("e_rate", 2), ("g_rate", 1),
+        ("f", 4), ("rho_u", 3), ("prep", 60), ("inspect", 120), ("horizon", 10080),
+    ]
 
 
 def test_load_rejects_duration_mismatch(tmp_path):

@@ -16,7 +16,6 @@ from railplan.lighttravel import (
     enumerate_full_arcs,
     full_pairwise_arcs,
     mcf_cost,
-    mcf_flow_cost,
     mcf_insert_arcs,
     reduce_exact,
     solve_mcf,
@@ -26,7 +25,7 @@ from railplan.solver import solve_bb
 from railplan.spacetime import build_network, with_light_arcs
 
 from .conftest import make_instance
-from .oracles import dense_and_reduced_optima, mcf_cost_by_enumeration, mcf_cost_by_lp
+from .oracles import dense_and_reduced_optima, mcf_cost_by_enumeration, mcf_cost_by_lp, mcf_flow_cost
 
 
 def _shape_id(shape):

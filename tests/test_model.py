@@ -19,7 +19,6 @@ from railplan.model import (
     apply_extension,
     build_base_model,
     group_events_by_terminal_day,
-    rc_penalty_terms,
     warm_start_from,
 )
 from railplan.solver import SolveBudget, solve_bb
@@ -90,7 +89,7 @@ def test_objective_terms_in_pricing_order():
     inst = generate_synthetic(5, 4, 6, 2)
     merged, model = _build(inst)
     priced = [v.id for v in model.variables if v.family in ("x", "u") and v.id in model.objective]
-    penalties = [var for var, coef in rc_penalty_terms(merged, inst.costs) if coef != 0]
+    penalties = sorted(v.id for v in model.variables if v.family in ("yso", "ypu"))
     assert model.vars_of_family("u") and penalties
     assert list(model.objective) == priced + penalties
     for bucket in model.decomposition.values():
@@ -257,7 +256,7 @@ def test_work_event_cost_truth_table(costs):
             c1=c1, c2=c2, c3=c3,
         )
         net = build_network(inst)
-        coefs = dict(rc_penalty_terms(net, inst.costs))
+        coefs = build_base_model(net, [], inst.costs).decomposition["work_events"]
         assert coefs == {"yso:R:t:1": so_coef, "ypu:E:t:2": pu_coef}
 
 
@@ -305,6 +304,32 @@ def test_extensions_require_parameters(ladder_instance):
     for version, kwargs in [("V2", {}), ("V3", {}), ("V4", {}), ("V5", {})]:
         with pytest.raises(ConfigError):
             apply_extension(model, ExtensionConfig(version=version, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "version, field, message",
+    [
+        ("V1", "lambda_", "V1 requires lambda >= 0"),
+        ("V2", "alpha_c", "V2 requires alpha_c >= 0"),
+        ("V3", "alpha_d", "V3 requires alpha_d >= 0"),
+        ("V4", "alpha_e", "V4 requires alpha_e >= 0"),
+        ("V5", "alpha_f", "V5 requires alpha_f >= 0"),
+    ],
+)
+def test_negative_budget_is_rejected(ladder_instance, version, field, message):
+    # V2-V5 once built a budget row with right-hand side -1 that solved to
+    # "infeasible".
+    _net, model = _build(ladder_instance)
+    apply_extension(model, ExtensionConfig(version=version, **{field: 0}))
+    with pytest.raises(ConfigError) as err:
+        apply_extension(model, ExtensionConfig(version=version, **{field: -1}))
+    assert str(err.value) == message
+
+
+def test_unknown_version_is_rejected(ladder_instance):
+    _net, model = _build(ladder_instance)
+    with pytest.raises(ConfigError, match="unknown extension version 'V9'"):
+        apply_extension(model, ExtensionConfig(version="V9"))
 
 
 def test_extensions_require_baseline(round_trip_instance):

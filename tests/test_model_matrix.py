@@ -331,7 +331,7 @@ def test_rung_with_budget_equals_rebuilt_rung(theta):
 
 
 def test_with_budget_needs_a_budgeted_extension():
-    from railplan.model import ConfigError, with_budget
+    from railplan.model import BUDGET_FIELD, ConfigError, with_budget
 
     inst = attach_synthetic_baseline(generate_synthetic(1, 4, 8, 2), 1)
     _net, _specs, base = assemble(inst)
@@ -344,3 +344,9 @@ def test_with_budget_needs_a_budgeted_extension():
         with_budget(v1, -1)
     with pytest.raises(ConfigError, match="requires alpha_d"):
         with_budget(apply_extension(base, ExtensionConfig(version="V3", alpha_d=5)), None)
+    for version in ("V2", "V3", "V4", "V5"):
+        field = BUDGET_FIELD[version]
+        model = apply_extension(base, ExtensionConfig(version=version, **{field: 1}))
+        assert with_budget(model, 0).extension == ExtensionConfig(version=version, **{field: 0})
+        with pytest.raises(ConfigError, match=f"{version} requires {field} >= 0"):
+            with_budget(model, -1)

@@ -152,6 +152,18 @@ def _frozen_models(shape, seeds):
                 yield f"{seed} {version} {theta}", apply_extension(base, cfg)
 
 
+def _v1prime_models():
+    """V1' has no budget, so _frozen_models skips it; its rows are pinned
+    here at both thetas."""
+    for shape in ((4, 8, 2), (5, 12, 3)):
+        for seed in range(1, 6):
+            inst = attach_synthetic_baseline(generate_synthetic(seed, *shape), seed)
+            base = assemble(inst)[2]
+            for theta in (6, 5.5):
+                cfg = ExtensionConfig(version="V1prime", theta=theta)
+                yield f"{shape} {seed} V1prime {theta}", apply_extension(base, cfg)
+
+
 def _fractional_rate_models():
     inst = generate_synthetic(1, 4, 8, 2)
     for parameter, factor in (("q", 1.5), ("e", 0.3), ("g", 1.5)):
@@ -173,6 +185,8 @@ _MPS_DIGESTS = {
     "(10,80,4)": "19b8fd91fb436e2ced0bcbccd38e7d29e7fb495a2682fa2e31b5e90072b4f227",
     "fractional rates": "655cdd802a425357f29eb402fe5b6c1fb9fe7bfea83f32ff002f0a4d7bcc0db2",
     "hand": "ae45288f02d5449c5647c4475b6e89a9d57c467d23344aba32d47a5336bf7ea3",
+    # Recorded before apply_extension's gate blocks were merged into one.
+    "V1prime": "e0082033cd4c3974890148652fce78128c0264290ed1d4c855510ad643a4d47b",
 }
 
 _MPS_CASES = {
@@ -182,6 +196,7 @@ _MPS_CASES = {
     "(10,80,4)": lambda: _frozen_models((10, 80, 4), (1,)),
     "fractional rates": _fractional_rate_models,
     "hand": _hand_models,
+    "V1prime": _v1prime_models,
 }
 
 

@@ -33,6 +33,7 @@ from .lighttravel import (
     solve_mcf,
 )
 from .model import (
+    VERSIONS,
     ConfigError,
     ExtensionConfig,
     InfeasibleStartError,

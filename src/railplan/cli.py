@@ -22,7 +22,7 @@ from .instance import (
     validate_instance,
 )
 from .lighttravel import CapExceededError, McfError
-from .model import BUDGET_FIELD, ConfigError, ExtensionConfig
+from .model import BUDGET_FIELD, VERSIONS, ConfigError, ExtensionConfig
 from .mps import export_mps
 from .report import (
     KPI_COLUMNS,
@@ -44,16 +44,7 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
 
-_VERSION_ALIASES = {
-    "v0": "V0",
-    "v1": "V1",
-    "v1prime": "V1prime",
-    "v1'": "V1prime",
-    "v2": "V2",
-    "v3": "V3",
-    "v4": "V4",
-    "v5": "V5",
-}
+_VERSION_ALIASES = {v.lower(): v for v in VERSIONS} | {"v1'": "V1prime"}
 
 
 def _normalize_version(text: str) -> str:
@@ -103,7 +94,7 @@ def _add_theta_flag(p: argparse.ArgumentParser) -> None:
 def _add_build_flags(p: argparse.ArgumentParser) -> None:
     _add_instance_flags(p)
     _add_mcf_flags(p)
-    p.add_argument("--extension", type=_normalize_version, default="V0", help="V0|V1|V1prime|V2|V3|V4|V5")
+    p.add_argument("--extension", type=_normalize_version, default="V0", help="|".join(VERSIONS))
     p.add_argument("--lambda", dest="lambda_", type=int, default=0, help="extra events per baseline-active pair (V1)")
     _add_theta_flag(p)
     p.add_argument("--alpha", type=int, default=None, help="activation budget for V2-V5")

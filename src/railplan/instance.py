@@ -486,6 +486,8 @@ def validate_instance(inst: Instance, include_warnings: bool = False) -> list[Vi
 
     if inst.baseline is not None:
         bp = inst.baseline
+        if bp.days != c.n_days:
+            out.append(Violation("BASELINE_DAYS", "baseline", f"{bp.days} days, but the horizon has {c.n_days}"))
         for (k, d), v in bp.h.items():
             if v < 0:
                 out.append(Violation("BASELINE_NEGATIVE", f"{k}:{d}", "baseline counts must be >= 0"))

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .instance import MINUTES_PER_DAY, BaselinePlan, CostParams
+from .instance import MINUTES_PER_DAY, CostParams
 from .spacetime import SpaceTimeNetwork, with_light_arcs
 
 # Row senses as stored in a ModelMatrix.
@@ -129,16 +129,15 @@ class ExtensionConfig:
     alpha_d: int | None = None
     alpha_e: int | None = None
     alpha_f: int | None = None
-    baseline: BaselinePlan | None = None
+
+
+# The extension versions: the base model (V0) and its restriction schemes.
+VERSIONS = ("V0", "V1", "V1prime", "V2", "V3", "V4", "V5")
 
 
 # The ExtensionConfig field that holds each version's budget: the extra
 # events per baseline-active terminal-day (V1) or the activation budget.
 BUDGET_FIELD = {"V1": "lambda_", "V2": "alpha_c", "V3": "alpha_d", "V4": "alpha_e", "V5": "alpha_f"}
-
-# The tag of the row whose right-hand side is each version's budget, or for
-# V1 the tag prefix of its rows, one per baseline-active terminal-day.
-BUDGET_ROW = {"V1": "V1:(11):", "V2": "V2:(16)", "V3": "V3:(19)", "V4": "V4:(22)", "V5": "V5:(25)"}
 
 # The versions that cap and close terminal-days by a baseline plan.
 _ON_BASELINE = ("V1", "V1prime", "V2", "V3")
@@ -148,15 +147,16 @@ class _Gate(NamedTuple):
     family: str  # of the gate variables
     per_day: bool  # a gate covers one terminal-day, not a whole terminal
     row: str  # tag prefix of the rows tying a terminal-day's events to its gate
+    budget_row: str  # tag of the row capping the open gates at the budget
 
 
 # The activation gates of V2-V5.  V2 and V3 gate what the baseline closes,
 # V4 and V5 every terminal or terminal-day.
 _GATES = {
-    "V2": _Gate("z1", False, "V2:(17)"),
-    "V3": _Gate("z2", True, "V3:(20)"),
-    "V4": _Gate("w1", False, "V4:(23)"),
-    "V5": _Gate("w2", True, "V5:(26)"),
+    "V2": _Gate("z1", False, "V2:(17)", "V2:(16)"),
+    "V3": _Gate("z2", True, "V3:(20)", "V3:(19)"),
+    "V4": _Gate("w1", False, "V4:(23)", "V4:(22)"),
+    "V5": _Gate("w2", True, "V5:(26)", "V5:(25)"),
 }
 GATE_FAMILIES = tuple(gate.family for gate in _GATES.values())
 
@@ -549,24 +549,35 @@ def _group_capacity(pairs: list[tuple[str, str]], theta: float | int) -> int:
 
 def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
     """Return a new model with the work-event restriction scheme applied."""
+    if cfg.version not in VERSIONS:
+        raise ConfigError(f"unknown extension version {cfg.version!r}")
     if cfg.version == "V0":
         return m.extended([], [], cfg)
-    if cfg.version not in _ON_BASELINE and cfg.version not in _GATES:
-        raise ConfigError(f"unknown extension version {cfg.version!r}")
     if m.network is None:
         raise ConfigError("extensions need the model's network for event grouping")
-
     inst = m.network.instance
+    if cfg.version in _ON_BASELINE:
+        if inst.baseline is None:
+            raise ConfigError(f"{cfg.version} requires a baseline work-event plan")
+        # A shorter plan leaves the later days' events free.
+        if inst.baseline.days != inst.costs.n_days:
+            raise ConfigError(f"{cfg.version} requires a baseline of {inst.costs.n_days} days, got {inst.baseline.days}")
+    if not cfg.theta >= 0:  # NaN fails every comparison
+        raise ConfigError(f"{cfg.version} requires theta >= 0, got {cfg.theta}")
+    _check_budget(cfg)
+    new_vars, rows = _extension_rows(m.network, cfg)
+    return m.extended(new_vars, rows, cfg, name_suffix=f"+{cfg.version}")
+
+
+def _extension_rows(net: SpaceTimeNetwork, cfg: ExtensionConfig) -> tuple[list[VarRef], list[LinearConstraint]]:
+    """The gate variables and rows that ``cfg``, checked by
+    ``apply_extension``, adds to a base model over ``net``."""
+    inst = net.instance
     days = range(inst.costs.n_days)
     terminals = sorted(inst.terminal_ids())
-    groups = group_events_by_terminal_day(m.network)
-    theta = cfg.theta
-
-    baseline = cfg.baseline if cfg.baseline is not None else inst.baseline
+    groups = group_events_by_terminal_day(net)
+    baseline = inst.baseline
     on_baseline = cfg.version in _ON_BASELINE
-    if on_baseline and baseline is None:
-        raise ConfigError(f"{cfg.version} requires a baseline work-event plan")
-    _check_budget(cfg)
 
     # Gate subject -> the terminal-days that gate opens, in variable order.
     gate = _GATES.get(cfg.version)
@@ -594,8 +605,8 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
                 terms = _event_terms(pairs)
                 cap = cap_of_h(baseline.count(k, d))
                 rows.append(LinearConstraint(terms, "<=", cap, f"{tag}:({cap_row}):{k}:{d}"))
-                if not math.isinf(theta):
-                    rows.append(LinearConstraint(terms, "<=", theta, f"{tag}:({theta_row}):{k}:{d}"))
+                if not math.isinf(cfg.theta):
+                    rows.append(LinearConstraint(terms, "<=", cfg.theta, f"{tag}:({theta_row}):{k}:{d}"))
         opened = {key for keys in covers.values() for key in keys}
         for (k, d) in baseline.inactive_pairs(terminals):
             pairs = groups.get((k, d))
@@ -606,15 +617,14 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
     if gate is not None:
         new_vars = [VarRef(f"{gate.family}:{subject}", gate.family, subject, 0, 1, True) for subject in covers]
         budget = getattr(cfg, BUDGET_FIELD[cfg.version])
-        rows.append(LinearConstraint([(var.id, 1) for var in new_vars], "<=", budget, BUDGET_ROW[cfg.version]))
+        rows.append(LinearConstraint([(var.id, 1) for var in new_vars], "<=", budget, gate.budget_row))
         for var, keys in zip(new_vars, covers.values()):
             for (k, d) in keys:
                 pairs = groups.get((k, d))
                 if pairs:
-                    terms = _event_terms(pairs) + [(var.id, -_group_capacity(pairs, theta))]
+                    terms = _event_terms(pairs) + [(var.id, -_group_capacity(pairs, cfg.theta))]
                     rows.append(LinearConstraint(terms, "<=", 0, f"{gate.row}:{k}:{d}"))
-
-    return m.extended(new_vars, rows, cfg, name_suffix=f"+{cfg.version}")
+    return new_vars, rows
 
 
 def _check_budget(cfg: ExtensionConfig) -> None:
@@ -633,29 +643,24 @@ def with_budget(m: MilpModel, budget) -> MilpModel:
 
     For ``m = apply_extension(base, cfg)`` this is ``apply_extension(base,
     cfg')`` where ``cfg'`` is ``cfg`` with its budget field set to
-    ``budget``: the same variables, prices and rows, with only the budget
-    rows' right-hand sides replaced.  Its matrix shares ``m``'s structure and
-    ``sessions`` slot (``ModelMatrix.with_rhs``), so the rungs of a ladder's
-    version chain compile one matrix and load one LP per thread.
+    ``budget``: its extension rows, rebuilt, replace ``m``'s trailing rows,
+    which must differ from them in right-hand sides only (``ConfigError``
+    otherwise).  Its matrix shares ``m``'s structure and ``sessions`` slot
+    (``ModelMatrix.with_rhs``), so a ladder's version chain compiles one
+    matrix and loads one LP per thread.
     """
     version = m.extension.version if m.extension is not None else None
     if version not in BUDGET_FIELD:
         raise ConfigError(f"{m.name} has no budget: only V1-V5 extension models do")
     cfg = replace(m.extension, **{BUDGET_FIELD[version]: budget})
     _check_budget(cfg)
-    prefix = BUDGET_ROW[version]
-    if version == "V1":
-        baseline = cfg.baseline if cfg.baseline is not None else m.network.instance.baseline
-
-        def rhs_of(tag: str):
-            k, d = tag[len(prefix) :].rsplit(":", 1)
-            return baseline.count(k, int(d)) + budget  # apply_extension's h + lambda
-
-    else:
-        rhs_of = lambda tag: budget
-    rows = [c._replace(rhs=rhs_of(c.tag)) if c.tag.startswith(prefix) else c for c in m.constraints]
-    matrix = m.matrix().with_rhs([c.rhs for c in rows])
-    return m._derived(constraints=tuple(rows), extension=cfg, start=None, _matrix=matrix)
+    _gate_vars, rows = _extension_rows(m.network, cfg)
+    kept = max(0, len(m.constraints) - len(rows))
+    if [(c.terms, c.sense, c.tag) for c in m.constraints[kept:]] != [(c.terms, c.sense, c.tag) for c in rows]:
+        raise ConfigError(f"{m.name} does not end in the rows of its {version} extension")
+    constraints = m.constraints[:kept] + tuple(rows)
+    matrix = m.matrix().with_rhs([c.rhs for c in constraints])
+    return m._derived(constraints=constraints, extension=cfg, start=None, _matrix=matrix)
 
 
 def gate_incidence(m: MilpModel) -> tuple[np.ndarray, sparse.csr_matrix]:

@@ -445,19 +445,13 @@ def run_extension_ladder(
     solved side by side on threads; rows come back in the order of
     ``versions``.
     """
-    if inst.baseline is None:
-        raise ConfigError("extension ladders require an instance with a baseline plan")
     chains = [version for version in versions if version != "V1prime"]
     if any(version not in BUDGET_FIELD for version in chains):
         raise ConfigError(f"ladder versions must be among V1prime, {', '.join(BUDGET_FIELD)}; got {versions}")
     net, _specs, base_model = assemble(inst, lt_method=lt_method)
 
     v1p_model = apply_extension(base_model, ExtensionConfig(version="V1prime", theta=theta))
-    v1p_sol = solve_bb(v1p_model, budget=budget)
-    _log_rung("V1prime", None, False, v1p_sol)
-    row = {"version": "V1prime", "alpha": None, "warm_started": False}
-    row.update(_solution_row(v1p_sol, net, v1p_model))
-    row["improvement_vs_v1prime_pct"] = 0.0
+    v1p_sol, v1p_row = _rung(net, v1p_model, budget, "V1prime", None, False)
     reference = v1p_sol.objective
 
     def chain(version: str) -> list[dict]:
@@ -482,28 +476,33 @@ def run_extension_ladder(
                         break
                     except InfeasibleStartError:
                         continue
-            sol = solve_bb(model, budget=budget)
-            _log_rung(version, alpha, warm_used, sol)
-            row = {"version": version, "alpha": alpha, "warm_started": warm_used}
-            row.update(_solution_row(sol, net, model))
-            if reference and sol.objective is not None:
-                row["improvement_vs_v1prime_pct"] = 100.0 * (reference - sol.objective) / reference
-            else:
-                row["improvement_vs_v1prime_pct"] = None
+            sol, row = _rung(net, model, budget, version, alpha, warm_used, reference)
             rows.append(row)
             if sol.values is not None:
                 prev_sol = sol
         return rows
 
     chain_rows = _thread_map(chain, chains, "ladder", "version chains")
-    return [row] + [r for rows in chain_rows for r in rows]
+    return [v1p_row] + [r for rows in chain_rows for r in rows]
 
 
-def _log_rung(version: str, alpha, warm_used: bool, sol: Solution) -> None:
+def _rung(net, model: MilpModel, budget, version: str, alpha, warm_used: bool, reference=None):
+    """Solve one ladder rung: its solution and its row.  The V1prime
+    reference improves on itself by 0%."""
+    sol = solve_bb(model, budget=budget)
     log.debug(
         "rung %s alpha=%s warm_started=%s: status=%s nodes=%d wall=%.3fs",
         version, alpha, warm_used, sol.status, sol.node_count, sol.wall_time,
     )
+    row = {"version": version, "alpha": alpha, "warm_started": warm_used}
+    row.update(_solution_row(sol, net, model))
+    if version == "V1prime":
+        row["improvement_vs_v1prime_pct"] = 0.0
+    elif reference and sol.objective is not None:
+        row["improvement_vs_v1prime_pct"] = 100.0 * (reference - sol.objective) / reference
+    else:
+        row["improvement_vs_v1prime_pct"] = None
+    return sol, row
 
 
 # ---------------------------------------------------------------------------

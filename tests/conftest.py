@@ -114,3 +114,17 @@ def ladder_instance() -> Instance:
 
     inst = generate_synthetic(12, 3, 4, 2)
     return replace(inst, baseline=BaselinePlan(days=7, h={("K1", 0): 1}))
+
+
+@pytest.fixture
+def short_baseline_instance() -> Instance:
+    """A week-long schedule whose baseline plan covers only its first three
+    days: the plan's own entries are all in range, so only its length is
+    wrong."""
+    from dataclasses import replace
+
+    from railplan.instance import attach_synthetic_baseline, generate_synthetic
+
+    inst = attach_synthetic_baseline(generate_synthetic(1, 4, 8, 2), 1)
+    h = {(k, d): n for (k, d), n in inst.baseline.h.items() if d < 3}
+    return replace(inst, baseline=BaselinePlan(days=3, h=h))

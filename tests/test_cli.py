@@ -63,6 +63,11 @@ def test_validate_rejects_bad_instance(tmp_path, round_trip_instance):
     assert main(["validate", "--instance", str(bad)]) == 2
 
 
+def test_validate_rejects_a_baseline_shorter_than_the_horizon(tmp_path, capsys, short_baseline_instance):
+    assert main(["validate", "--instance", _write(tmp_path, short_baseline_instance)]) == 2
+    assert capsys.readouterr().err == "[BASELINE_DAYS] baseline: 3 days, but the horizon has 7\n"
+
+
 def test_validate_rejects_unparseable_file(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{nope")
@@ -204,6 +209,32 @@ def test_ladder_cli_writes_rows(tmp_path, ladder_instance):
 def test_unknown_extension_version_fails_cleanly(tmp_path, round_trip_instance):
     inst_path = _write(tmp_path, round_trip_instance)
     assert main(["solve", "--instance", inst_path, "--extension", "V3", "--budget-seconds", "10"]) == 2  # missing --alpha
+
+
+@pytest.mark.parametrize(
+    "alias, version",
+    [
+        ("v0", "V0"),
+        ("v1", "V1"),
+        ("v1prime", "V1prime"),
+        ("V1Prime", "V1prime"),
+        ("v1'", "V1prime"),
+        ("V1'", "V1prime"),
+        ("v2", "V2"),
+        ("V3", "V3"),
+        (" v4 ", "V4"),
+        ("v5", "V5"),
+    ],
+)
+def test_every_version_alias_reaches_its_version(monkeypatch, tmp_path, ladder_instance, alias, version):
+    import railplan.cli
+
+    built = []
+    monkeypatch.setattr(railplan.cli, "export_mps", lambda model, path: built.append(model))
+    argv = ["build", "--instance", _write(tmp_path, ladder_instance), "--extension", alias, "--alpha", "1"]
+    assert main(argv + ["--out", str(tmp_path / "m.mps")]) == 0
+    (model,) = built
+    assert (model.extension.version if model.extension else "V0") == version
 
 
 def test_mcf_knobs_accepted(tmp_path, strict_dominance_instance):

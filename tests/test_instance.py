@@ -266,6 +266,16 @@ def test_save_load_round_trip(tmp_path):
     assert (tmp_path / "inst.json").read_text() == (tmp_path / "inst2.json").read_text()
 
 
+def test_baseline_must_span_the_horizon(tmp_path, short_baseline_instance):
+    # Such a plan once validated, and V1, V1' and V3 then put no row on the
+    # stops of its missing days.
+    violations = validate_instance(short_baseline_instance)
+    assert [str(v) for v in violations] == ["[BASELINE_DAYS] baseline: 3 days, but the horizon has 7"]
+    save_instance(short_baseline_instance, tmp_path / "short.json")
+    with pytest.raises(InstanceError, match="BASELINE_DAYS"):
+        load_instance(tmp_path / "short.json")
+
+
 def test_synthetic_baseline_has_active_and_inactive_parts():
     inst = attach_synthetic_baseline(generate_synthetic(3, 3, 4, 2), 3)
     bp = inst.baseline

@@ -326,6 +326,33 @@ def test_negative_budget_is_rejected(ladder_instance, version, field, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("theta, shown", [(-1, "-1"), (math.nan, "nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("version", ["V1", "V1prime", "V2", "V3", "V4", "V5"])
+def test_negative_or_nan_theta_is_rejected(ladder_instance, version, theta, shown):
+    # theta=-1 once solved V1 and V3 to "infeasible" and V5 under a
+    # nonsense cap; NaN failed in int() or in HiGHS.
+    from railplan.model import BUDGET_FIELD
+
+    _net, model = _build(ladder_instance)
+    budget = {BUDGET_FIELD[version]: 0} if version in BUDGET_FIELD else {}
+    with pytest.raises(ConfigError) as err:
+        apply_extension(model, ExtensionConfig(version=version, theta=theta, **budget))
+    assert str(err.value) == f"{version} requires theta >= 0, got {shown}"
+
+
+def test_baseline_versions_need_a_plan_over_the_horizon(short_baseline_instance):
+    # Programmatic instances skip validation; V1, V1' and V3 once left the
+    # events of the plan's missing days free.
+    _net, model = _build(short_baseline_instance)
+    for version in ("V1", "V1prime", "V2", "V3"):
+        with pytest.raises(ConfigError) as err:
+            apply_extension(model, ExtensionConfig(version=version, lambda_=0, alpha_c=0, alpha_d=0))
+        assert str(err.value) == f"{version} requires a baseline of 7 days, got 3"
+    # V4 and V5 redesign from scratch and read no plan.
+    apply_extension(model, ExtensionConfig(version="V4", alpha_e=1))
+    apply_extension(model, ExtensionConfig(version="V5", alpha_f=1))
+
+
 def test_unknown_version_is_rejected(ladder_instance):
     _net, model = _build(ladder_instance)
     with pytest.raises(ConfigError, match="unknown extension version 'V9'"):

@@ -6,6 +6,7 @@ relaxation is built from the same matrix.  Both must give exactly what the
 row walks in ``tests/oracles.py`` give.
 """
 
+import math
 from datetime import timedelta
 
 import numpy as np
@@ -297,7 +298,7 @@ def _typed_rows(model):
     return [(c.terms, [type(coef) for _v, coef in c.terms], c.sense, c.rhs, type(c.rhs), c.tag) for c in model.constraints]
 
 
-@pytest.mark.parametrize("theta", [6, 5.5])
+@pytest.mark.parametrize("theta", [6, 5.5, math.inf])
 def test_rung_with_budget_equals_rebuilt_rung(theta):
     """A ladder rung derived from the rung before it is the model
     apply_extension builds for its budget, row for row, and its matrix is
@@ -313,8 +314,9 @@ def test_rung_with_budget_equals_rebuilt_rung(theta):
         # after it makes it integral again.  Both take a full compile.
         budgets = grid + [grid[-1] + 0.5, grid[0]] if theta == 6 else grid
         first = prev = apply_extension(base, ExtensionConfig(version=version, theta=theta, **{field: budgets[0]}))
-        # theta caps the V1-V3 rows; V4 and V5 gates take int(theta).
-        assert first.matrix().integral == (theta == 6 or version in ("V4", "V5")), version
+        # theta caps the V1-V3 rows unless infinite; V4 and V5 gates take
+        # int(theta).
+        assert first.matrix().integral == (theta != 5.5 or version in ("V4", "V5")), version
         for budget in budgets[1:]:
             case = (version, budget)
             rung = with_budget(prev, budget)
@@ -350,3 +352,7 @@ def test_with_budget_needs_a_budgeted_extension():
         assert with_budget(model, 0).extension == ExtensionConfig(version=version, **{field: 0})
         with pytest.raises(ConfigError, match=f"{version} requires {field} >= 0"):
             with_budget(model, -1)
+        # A row after the extension's would shift the rows being replaced.
+        row = LinearConstraint([(model.variables[-1].id, 1)], "<=", 1, "extra")
+        with pytest.raises(ConfigError, match=f"does not end in the rows of its {version} extension"):
+            with_budget(model.extended([], [row], model.extension), 0)

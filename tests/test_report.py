@@ -169,6 +169,15 @@ def test_ladder_requires_baseline(round_trip_instance):
         run_extension_ladder(round_trip_instance, ["V3"])
 
 
+@pytest.mark.parametrize("theta, shown", [(-1, "-1"), (math.nan, "nan")], ids=["negative", "nan"])
+def test_ladder_rejects_negative_or_nan_theta(ladder_instance, theta, shown):
+    from railplan.model import ConfigError
+
+    with pytest.raises(ConfigError) as err:
+        run_extension_ladder(ladder_instance, ["V3", "V5"], theta=theta)
+    assert str(err.value) == f"V1prime requires theta >= 0, got {shown}"
+
+
 def test_ladder_reports_reference_and_improvement(ladder_instance):
     rows = run_extension_ladder(
         ladder_instance, ["V3"], steps=2, budget=SolveBudget(max_seconds=60)

@@ -95,9 +95,11 @@ def _add_build_flags(p: argparse.ArgumentParser) -> None:
     _add_instance_flags(p)
     _add_mcf_flags(p)
     p.add_argument("--extension", type=_normalize_version, default="V0", help="|".join(VERSIONS))
-    p.add_argument("--lambda", dest="lambda_", type=int, default=0, help="extra events per baseline-active pair (V1)")
+    p.add_argument(
+        "--lambda", dest="lambda_", type=int, default=None, help="extra events per baseline-active pair (V1 only; default 0)"
+    )
     _add_theta_flag(p)
-    p.add_argument("--alpha", type=int, default=None, help="activation budget for V2-V5")
+    p.add_argument("--alpha", type=int, default=None, help="activation budget (V2-V5 only)")
     p.add_argument("--no-mutual-exclusion", action="store_true", help="drop the per-stop pick-up/set-out exclusivity rows")
 
 
@@ -116,11 +118,19 @@ def _budget(args) -> SolveBudget:
 
 
 def _extension_config(args) -> ExtensionConfig | None:
+    """The extension the build flags ask for; ``ConfigError`` for a budget
+    flag the version does not read, which would otherwise be dropped."""
+    field = BUDGET_FIELD.get(args.extension)  # V1 takes --lambda, V2-V5 --alpha
+    if args.alpha is not None and field in (None, "lambda_"):
+        raise ConfigError(f"--alpha does not apply to {args.extension}: it is the V2-V5 activation budget")
+    if args.lambda_ is not None and field != "lambda_":
+        raise ConfigError(f"--lambda does not apply to {args.extension}: it is V1's extra events per pair")
     if args.extension == "V0":
         return None
-    kwargs = {"version": args.extension, "theta": args.theta, "lambda_": args.lambda_}
-    field = BUDGET_FIELD.get(args.extension)
-    if field not in (None, "lambda_"):  # V1 takes --lambda, V1prime no budget
+    kwargs = {"version": args.extension, "theta": args.theta}
+    if field == "lambda_":
+        kwargs[field] = 0 if args.lambda_ is None else args.lambda_
+    elif field is not None:
         if args.alpha is None:
             raise ConfigError(f"{args.extension} requires --alpha")
         kwargs[field] = args.alpha
@@ -174,7 +184,7 @@ def cmd_build(args) -> int:
     if args.network_dump:
         save_network(merged, args.network_dump)
     print(
-        f"wrote {args.out}: {len(model.variables)} variables, {len(model.constraints)} constraints, "
+        f"wrote {args.out}: {len(model.variables)} variables, {len(model.matrix().tags)} constraints, "
         f"{len(specs)} light arcs ({args.lt_method})"
     )
     return EXIT_OK

@@ -20,7 +20,10 @@ from __future__ import annotations
 import copy
 import math
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -163,9 +166,19 @@ GATE_FAMILIES = tuple(gate.family for gate in _GATES.values())
 
 @dataclass
 class MilpModel:
+    """A model's variables, rows, prices and provenance.
+
+    ``constraints`` is a sequence of ``LinearConstraint``s.  A model built
+    by hand holds the rows it is given and compiles its matrix from them on
+    first use.  A built model (``build_base_model``, ``apply_extension``,
+    ``with_budget``) holds its matrix and reads its rows from it only when
+    something iterates or indexes ``constraints``.  A copy made by
+    ``dataclasses.replace`` compiles a matrix of its own.
+    """
+
     name: str
     variables: tuple[VarRef, ...]
-    constraints: tuple[LinearConstraint, ...]
+    constraints: Sequence[LinearConstraint]
     objective: dict[str, float | int]
     offset: float | int
     decomposition: dict[str, dict[str, float | int]]
@@ -178,7 +191,10 @@ class MilpModel:
     def __post_init__(self):
         if not self._index:
             self._index = {v.id: i for i, v in enumerate(self.variables)}
-        _check_declared(self._index, self.constraints, self.objective)
+        rows = self.constraints
+        if isinstance(rows, _MatrixRows) and rows.matrix.column is self._index:
+            rows = ()  # read from a matrix over this model's own columns
+        _check_declared(self._index, rows, self.objective)
 
     def var(self, var_id: str) -> VarRef:
         return self.variables[self._index[var_id]]
@@ -189,7 +205,7 @@ class MilpModel:
     def matrix(self) -> "ModelMatrix":
         """The compiled rows and column bounds, built on first use."""
         if self._matrix is None:
-            self._matrix = ModelMatrix(self)
+            self._matrix = ModelMatrix.from_rows(self.variables, self._index, self.constraints)
         return self._matrix
 
     def extended(
@@ -199,21 +215,22 @@ class MilpModel:
         extension: ExtensionConfig,
         name_suffix: str = "",
     ) -> "MilpModel":
-        """This model plus ``new_vars`` and ``new_constraints``.  The new
-        variables are unpriced, so the prices are this model's own dicts,
-        shared rather than copied: nothing writes to a model's objective.
-        Only the new rows are checked against the variables."""
+        """This model plus ``new_vars`` and ``new_constraints``, whose terms
+        are canonical.  The new variables are unpriced, so the prices are
+        this model's own dicts, shared rather than copied: nothing writes to
+        a model's objective.  The new rows are appended to this model's
+        matrix, and only they are checked against the variables."""
         index = dict(self._index)
         index.update((v.id, len(self.variables) + i) for i, v in enumerate(new_vars))
-        _check_declared(index, new_constraints)
+        matrix = self.matrix().appended(new_vars, index, new_constraints)
         return self._derived(
             name=self.name + name_suffix,
             variables=self.variables + tuple(new_vars),
-            constraints=self.constraints + tuple(new_constraints),
+            constraints=_MatrixRows(matrix),
             extension=extension,
             start=None,
             _index=index,
-            _matrix=None,
+            _matrix=matrix,
         )
 
     def _derived(self, **changes) -> "MilpModel":
@@ -237,20 +254,66 @@ def _check_declared(index: dict[str, int], constraints, objective=()) -> None:
             raise ValueError(f"objective references undeclared {var}")
 
 
+class _Block(NamedTuple):
+    """Rows walked into flat lists: CSR row pointers from 0, column indices,
+    coefficients, right-hand sides, sense codes and tags, plus the largest
+    sum of absolute coefficients in a row."""
+
+    indptr: list[int]
+    indices: list[int]
+    data: list
+    rhs: list
+    sense: list[int]
+    tags: list[str]
+    max_row_abs: float | int
+
+
+def _walk(rows, column: dict[str, int]) -> _Block:
+    """``rows``, each ``(terms, sense, rhs, tag)`` with canonical terms, as a
+    ``_Block``; ``ValueError`` for a term whose variable ``column`` lacks."""
+    indptr = [0]
+    indices: list[int] = []
+    data: list = []
+    rhs: list = []
+    sense: list[int] = []
+    tags: list[str] = []
+    max_row_abs = 0
+    for terms, row_sense, row_rhs, tag in rows:
+        row_abs = 0
+        for var, coef in terms:
+            try:
+                indices.append(column[var])
+            except KeyError:
+                raise ValueError(f"constraint {tag} references undeclared {var}") from None
+            data.append(coef)
+            row_abs += abs(coef)
+        max_row_abs = max(max_row_abs, row_abs)
+        indptr.append(len(indices))
+        rhs.append(row_rhs)
+        sense.append(_SENSE_CODES[row_sense])
+        tags.append(tag)
+    return _Block(indptr, indices, data, rhs, sense, tags, max_row_abs)
+
+
 class ModelMatrix:
     """A model's column bounds and rows as arrays, in model order.
 
     ``A`` is a CSR matrix whose row i is constraint i (its terms in the
-    constraint's own order), with ``sense`` coded as SENSE_LE/EQ/GE and
-    ``rhs`` its right-hand sides.  ``integral`` holds when every bound,
-    coefficient and right-hand side is a Python int within EXACT_INT_LIMIT;
-    the arrays are int64 then and float64 otherwise.  Integer points whose
-    entries stay within ``value_limit`` have exact int64 row values.  The
-    objective is not compiled: a sweep reprices one model per cost factor
-    and shares its matrix across them.  The rungs of a ladder's version
-    chain differ only in budget right-hand sides: each later rung's matrix
-    comes from ``with_rhs`` and shares ``A``, the bounds, ``ids``, ``column``
-    and ``sessions`` with the first rung's, so a chain compiles one matrix.
+    constraint's own order), with ``sense`` coded as SENSE_LE/EQ/GE, ``rhs``
+    its right-hand sides and ``tags`` its tags.  ``integral`` holds when
+    every bound, coefficient and right-hand side is a Python int within
+    EXACT_INT_LIMIT; the arrays are int64 then and float64 otherwise.
+    Integer points whose entries stay within ``value_limit`` have exact
+    int64 row values.  The objective is not compiled: a sweep reprices one
+    model per cost factor and shares its matrix across them.  The rungs of a
+    ladder's version chain differ only in budget right-hand sides: each
+    later rung's matrix comes from ``with_rhs`` and shares ``A``, the
+    bounds, ``ids``, ``column``, ``tags`` and ``sessions`` with the first
+    rung's, so a chain compiles one matrix.
+
+    A float matrix remembers which of its entries were Python floats, so
+    that a model's rows read from it carry the numbers they were built
+    from: the others were ints.
 
     ``sessions`` holds per-thread state over the shared structure: the HiGHS
     LP and repair that every model sharing it re-solves under its own costs
@@ -258,56 +321,223 @@ class ModelMatrix:
     It lives as long as the last matrix that shares it.
     """
 
-    def __init__(self, m: MilpModel):
-        self.ids = tuple(v.id for v in m.variables)
-        self.column = m._index
-        indptr = [0]
-        indices: list[int] = []
-        data: list = []
-        rhs: list = []
-        max_row_abs = 0
-        for con in m.constraints:
-            row_abs = 0
-            for var, coef in con.terms:
-                indices.append(self.column[var])
-                data.append(coef)
-                row_abs += abs(coef)
-            max_row_abs = max(max_row_abs, row_abs)
-            indptr.append(len(indices))
-            rhs.append(con.rhs)
-        lower = [v.lower for v in m.variables]
-        upper = [v.upper for v in m.variables]
-        self._integral_lhs = _exact_ints(lower, upper, data)
-        self.integral = self._integral_lhs and _exact_ints(rhs)
-        dtype = np.int64 if self.integral else float
-        self.lower = np.array(lower, dtype=dtype)
-        self.upper = np.array(upper, dtype=dtype)
-        self.rhs = np.array(rhs, dtype=dtype)
-        self.sense = np.array([_SENSE_CODES[con.sense] for con in m.constraints], dtype=np.int8)
-        self.A = sparse.csr_matrix(
-            (np.array(data, dtype=dtype), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-            shape=(len(m.constraints), len(self.ids)),
-        )
+    def __init__(
+        self, ids, column, A, lower, upper, rhs, sense, tags, *,
+        integral_lhs: bool, integral_rhs: bool, max_row_abs, float_data=None, float_rhs=None,
+    ):
+        self.ids = ids
+        self.column = column
+        self.tags = tags
+        self.sense = sense
+        self._integral_lhs = integral_lhs
+        self._integral_rhs = integral_rhs
+        self._max_row_abs = max_row_abs
+        self.integral = integral_lhs and integral_rhs
+        dtype = np.int64 if self.integral else np.float64
+        if A.dtype != dtype:  # not A.astype, which sorts each row's entries by column
+            A = sparse.csr_matrix((A.data.astype(dtype), A.indices, A.indptr), shape=A.shape)
+        self.A = A
+        self.lower = np.asarray(lower, dtype=dtype)
+        self.upper = np.asarray(upper, dtype=dtype)
+        self.rhs = np.asarray(rhs, dtype=dtype)
         self.value_limit = EXACT_INT_LIMIT // max(1, max_row_abs) if self.integral else 0
+        self._float_data = None if self.integral else float_data
+        self._float_rhs = None if self.integral else float_rhs
         self.sessions = threading.local()
 
-    def with_rhs(self, rhs: list) -> "ModelMatrix | None":
-        """This matrix with right-hand sides ``rhs``, in row order, and every
-        other array, the column index and the ``sessions`` slot shared.  The
-        constructor would derive the same ``integral`` flag and, as the
-        coefficients are the same, the same ``value_limit``; ``None`` when
-        ``rhs`` changes the flag and so the dtype of every array."""
-        integral = self._integral_lhs and _exact_ints(rhs)
-        if integral != self.integral:
-            return None
+    @classmethod
+    def from_rows(cls, variables, column: dict[str, int], rows) -> "ModelMatrix":
+        """The matrix of ``variables`` and ``rows`` (``column`` maps each
+        variable id to its position), compiled by a walk over the rows."""
+        block = _walk(rows, column)
+        lower = [v.lower for v in variables]
+        upper = [v.upper for v in variables]
+        integral_lhs = _exact_ints(lower, upper, block.data)
+        integral_rhs = _exact_ints(block.rhs)
+        dtype = np.int64 if integral_lhs and integral_rhs else np.float64
+        A = sparse.csr_matrix(
+            (
+                np.array(block.data, dtype=dtype),
+                np.array(block.indices, dtype=np.int64),
+                np.array(block.indptr, dtype=np.int64),
+            ),
+            shape=(len(block.tags), len(variables)),
+        )
+        exact = integral_lhs and integral_rhs
+        return cls(
+            tuple(v.id for v in variables), column, A, lower, upper, block.rhs,
+            np.array(block.sense, dtype=np.int8), tuple(block.tags),
+            integral_lhs=integral_lhs, integral_rhs=integral_rhs, max_row_abs=block.max_row_abs,
+            float_data=None if exact else _float_mask(block.data),
+            float_rhs=None if exact else _float_mask(block.rhs),
+        )
+
+    def appended(self, new_vars, column: dict[str, int], rows) -> "ModelMatrix":
+        """This matrix with columns for ``new_vars`` and then ``rows`` added;
+        ``column`` maps every id, old and new, to its position."""
+        block = _walk(rows, column)
+        lower = [v.lower for v in new_vars]
+        upper = [v.upper for v in new_vars]
+        integral_lhs = self._integral_lhs and _exact_ints(lower, upper, block.data)
+        integral_rhs = self._integral_rhs and _exact_ints(block.rhs)
+        exact = integral_lhs and integral_rhs
+        dtype = np.int64 if exact else np.float64
+        A = self.A
+        n_rows, n_cols = A.shape
+        A = sparse.csr_matrix(
+            (
+                np.concatenate((A.data.astype(dtype, copy=False), np.array(block.data, dtype=dtype))),
+                np.concatenate((A.indices, np.array(block.indices, dtype=np.int64))),
+                np.concatenate((A.indptr, A.indptr[-1] + np.array(block.indptr[1:], dtype=np.int64))),
+            ),
+            shape=(n_rows + len(block.tags), n_cols + len(new_vars)),
+        )
+        return ModelMatrix(
+            self.ids + tuple(v.id for v in new_vars),
+            column,
+            A,
+            np.concatenate((self.lower.astype(dtype, copy=False), np.array(lower, dtype=dtype))),
+            np.concatenate((self.upper.astype(dtype, copy=False), np.array(upper, dtype=dtype))),
+            np.concatenate((self.rhs.astype(dtype, copy=False), np.array(block.rhs, dtype=dtype))),
+            np.concatenate((self.sense, np.array(block.sense, dtype=np.int8))),
+            self.tags + tuple(block.tags),
+            integral_lhs=integral_lhs,
+            integral_rhs=integral_rhs,
+            max_row_abs=max(self._max_row_abs, block.max_row_abs),
+            float_data=None if exact else _joined(self._float_data, self.A.nnz, _float_mask(block.data)),
+            float_rhs=None if exact else _joined(self._float_rhs, n_rows, _float_mask(block.rhs)),
+        )
+
+    def ends_in(self, block: _Block) -> bool:
+        """Whether this matrix's last rows are ``block``'s, right-hand
+        sides aside."""
+        kept = len(self.tags) - len(block.tags)
+        if kept < 0:
+            return False
+        start = self.A.indptr[kept]
+        return (
+            self.tags[kept:] == tuple(block.tags)
+            and self.sense[kept:].tolist() == block.sense
+            and (self.A.indptr[kept:] - start).tolist() == block.indptr
+            and self.A.indices[start:].tolist() == block.indices
+            and self.A.data[start:].tolist() == block.data
+        )
+
+    def rhs_values(self) -> list:
+        """The right-hand sides as the Python numbers they were built from."""
+        return _py_values(self.rhs, self._float_rhs)
+
+    def with_rhs(self, rhs: list) -> "ModelMatrix":
+        """This matrix with right-hand sides ``rhs``, in row order.  Every
+        other array, the column index and the ``sessions`` slot are shared
+        while ``rhs`` keeps the ``integral`` flag; a change of the flag, and
+        so of every array's dtype, gives converted copies and a new slot."""
+        integral_rhs = _exact_ints(rhs)
+        exact = self._integral_lhs and integral_rhs
+        float_rhs = None if exact else _float_mask(rhs)
+        if exact != self.integral:
+            return ModelMatrix(
+                self.ids, self.column, self.A, self.lower, self.upper, rhs, self.sense, self.tags,
+                integral_lhs=self._integral_lhs, integral_rhs=integral_rhs, max_row_abs=self._max_row_abs,
+                float_data=self._float_data, float_rhs=float_rhs,
+            )
         mx = copy.copy(self)
         mx.rhs = np.array(rhs, dtype=self.rhs.dtype)
+        mx._integral_rhs = integral_rhs
+        mx._float_rhs = float_rhs
         return mx
 
 
 def _exact_ints(*seqs) -> bool:
-    """Whether every entry of ``seqs`` is a Python int within EXACT_INT_LIMIT."""
-    return all(isinstance(x, int) and abs(x) <= EXACT_INT_LIMIT for seq in seqs for x in seq)
+    """Whether every entry of ``seqs`` is a Python int within EXACT_INT_LIMIT.
+
+    Each sequence is judged by the set of its entries' types, then by its
+    extremes, so that the per-entry work is done in C."""
+    for seq in seqs:
+        if seq and not (
+            all(issubclass(t, int) for t in set(map(type, seq)))
+            and -EXACT_INT_LIMIT <= min(seq)
+            and max(seq) <= EXACT_INT_LIMIT
+        ):
+            return False
+    return True
+
+
+def _float_mask(values) -> np.ndarray | None:
+    """Which of ``values`` are Python floats; ``None`` when none is."""
+    mask = [isinstance(v, float) for v in values]
+    return np.array(mask, dtype=bool) if any(mask) else None
+
+
+def _joined(head: np.ndarray | None, head_len: int, tail: np.ndarray | None) -> np.ndarray | None:
+    if head is None and tail is None:
+        return None
+    if head is None:
+        head = np.zeros(head_len, dtype=bool)
+    return head if tail is None else np.concatenate((head, tail))
+
+
+def _py_values(values: np.ndarray, floats: np.ndarray | None) -> list:
+    """``values`` as Python numbers: a float matrix's entries are ints
+    unless ``floats`` marks them or they are not integral."""
+    out = values.tolist()
+    if values.dtype.kind != "f":
+        return out
+    if floats is None:
+        return [int(v) if v.is_integer() else v for v in out]
+    return [v if is_float or not v.is_integer() else int(v) for v, is_float in zip(out, floats.tolist())]
+
+
+_SENSE_TEXT = {code: text for text, code in _SENSE_CODES.items()}
+
+
+class _MatrixRows(Sequence):
+    """A built model's rows as ``LinearConstraint``s, read from its matrix
+    and tags on first use and then kept."""
+
+    __slots__ = ("matrix", "_rows")
+
+    def __init__(self, matrix: ModelMatrix):
+        self.matrix = matrix
+        self._rows = None
+
+    def _read(self) -> tuple[LinearConstraint, ...]:
+        if self._rows is None:
+            mx = self.matrix
+            ids = mx.ids
+            terms = list(zip([ids[j] for j in mx.A.indices.tolist()], _py_values(mx.A.data, mx._float_data)))
+            bounds = mx.A.indptr.tolist()
+            senses = [_SENSE_TEXT[code] for code in mx.sense.tolist()]
+            # The terms are canonical by construction, so the rows skip
+            # LinearConstraint's checks.
+            make = tuple.__new__
+            self._rows = tuple(
+                make(LinearConstraint, (tuple(terms[a:b]), sense, rhs, tag))
+                for a, b, sense, rhs, tag in zip(bounds, bounds[1:], senses, mx.rhs_values(), mx.tags)
+            )
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.matrix.tags)
+
+    def __getitem__(self, i):
+        return self._read()[i]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __add__(self, other) -> tuple:
+        return self._read() + tuple(other)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _MatrixRows)):
+            return self._read() == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} rows of a model matrix>"
 
 
 # Variable-id helpers keep the naming convention in one place.
@@ -409,41 +639,56 @@ def _price(net: SpaceTimeNetwork, costs: CostParams, x: dict[str, str], act: dic
     rates q, g_rate, e_rate and c1-c3 enter here; f and rho_u shape bounds
     and rows instead.  Insertion order is part of the result:
     ``evaluate_objective`` sums in dict order, so terms go in per arc (x),
-    then per light arc (u), then the work-event penalties.
+    then per light arc (u), then the work-event penalties.  A zero term is
+    left out; an arc's ownership term comes before its deadhead or light
+    travel term in its objective sum.
     """
     objective: dict[str, float | int] = {}
-    decomposition: dict[str, dict[str, float | int]] = {
-        "ownership": {},
-        "deadhead": {},
-        "light_travel": {},
-        "work_events": {},
-    }
+    ownership: dict[str, float | int] = {}
+    deadhead: dict[str, float | int] = {}
+    light_travel: dict[str, float | int] = {}
+    work_events: dict[str, float | int] = {}
     offset: float | int = 0
-
-    def add_obj(category: str, var: str, coef) -> None:
-        if coef == 0:
-            return
-        objective[var] = objective.get(var, 0) + coef
-        bucket = decomposition[category]
-        bucket[var] = bucket.get(var, 0) + coef
-
+    q, g_rate = costs.q, costs.g_rate
     light_arcs = []
     for arc in net.arcs_in_order():
         xv = x[arc.id]
-        if arc.crossings > 0:
-            add_obj("ownership", xv, costs.q * arc.crossings)
+        own = q * arc.crossings if arc.crossings > 0 else 0
+        if own != 0:
+            objective[xv] = ownership[xv] = own
         if arc.kind == "train":
-            g_l = costs.g_rate * arc.duration
-            add_obj("deadhead", xv, g_l)
-            offset -= g_l * arc.b
+            coef, bucket = g_rate * arc.duration, deadhead
+            offset -= coef * arc.b
         elif arc.kind == "light":
-            add_obj("light_travel", xv, costs.g_rate * arc.transit)
+            coef, bucket = g_rate * arc.transit, light_travel
             light_arcs.append(arc)
+        else:
+            continue
+        if coef != 0:
+            bucket[xv] = coef
+            objective[xv] = own + coef if own != 0 else coef
     for arc in light_arcs:
-        add_obj("light_travel", act[arc.id], costs.e_rate * arc.transit)
+        coef = costs.e_rate * arc.transit
+        if coef != 0:
+            objective[act[arc.id]] = light_travel[act[arc.id]] = coef
     for var, coef in _rc_penalties(net, costs, act):
-        add_obj("work_events", var, coef)
+        if coef != 0:
+            objective[var] = work_events[var] = coef
+    decomposition = {
+        "ownership": ownership,
+        "deadhead": deadhead,
+        "light_travel": light_travel,
+        "work_events": work_events,
+    }
     return objective, offset, decomposition
+
+
+# The activation variable family of each decision arc kind, and the tag
+# prefix of the row tying the arc's flow to it.
+_DECISION = {"arrival_ground": ("yso", "so"), "ground_departure": ("ypu", "pu")}
+# Arc field readers and a positional VarRef maker that run in C.
+_KIND, _TAIL, _HEAD = itemgetter(1), itemgetter(2), itemgetter(3)
+_new_var = partial(tuple.__new__, VarRef)
 
 
 def build_base_model(
@@ -458,72 +703,155 @@ def build_base_model(
     ``light_arcs`` are merged into the network if not already present.  Light
     arcs are priced from ``costs`` and each arc's transit time, so sweeps
     can rescale rates without regenerating arcs.
+
+    The rows go straight from the arcs into the model's matrix, in this
+    order: flow conservation per node (``flow:<node>``), ``x - f y <= 0``
+    per set-out and pick-up decision arc and ``x - rho_u u <= 0`` per light
+    arc (``so:``, ``pu:``, ``lt:`` plus the arc id, in arc order), then one
+    ``y_so + y_pu <= 1`` per intermediate stop (``mutex:<transition arc>``).
+    Each row's terms are canonical: sorted by variable id, a self-loop
+    arc's +1 and -1 cancelled, zero coefficients dropped.
     """
     if light_arcs and not any(a.kind == "light" for a in net.arcs.values()):
         net = with_light_arcs(net, light_arcs)
 
-    variables: list[VarRef] = []
-    constraints: list[LinearConstraint] = []
+    f, rho_u = costs.f, costs.rho_u
     U = flow_upper_bound(net)
-    u_cap = max(1, math.ceil(U / costs.rho_u))
+    u_cap = max(1, math.ceil(U / rho_u))
     arcs = net.arcs_in_order()
+    arc_ids = net.arc_order
+    n_arcs = len(arcs)
+    kinds = list(map(_KIND, arcs))
     # One id string per variable, shared by every row it is in: x per arc,
     # and the activation variable (yso, ypu or u) per decision or light arc.
-    x = {arc.id: x_id(arc.id) for arc in arcs}
-    act: dict[str, str] = {}
+    x_ids = list(map(x_id, arc_ids))
+    x = dict(zip(arc_ids, x_ids))
+    decision = [j for j, arc in enumerate(arcs) if arc.decision and arc.kind in _DECISION]
+    light = [j for j, kind in enumerate(kinds) if kind == "light"]
+    gated = decision + light
+    families = [_DECISION[kinds[j]][0] for j in decision]
+    act_ids = [f"{family}:{arc_ids[j]}" for family, j in zip(families, decision)] + [u_id(arc_ids[j]) for j in light]
+    act = dict(zip([arc_ids[j] for j in gated], act_ids))
+    ids = x_ids + act_ids
+    is_train = [kind == "train" for kind in kinds]
+    lower = [arc.b if train else 0 for arc, train in zip(arcs, is_train)] + [0] * len(gated)
+    upper = [f if train else U for train in is_train] + [1] * len(decision) + [u_cap] * len(light)
+    variables = tuple(map(_new_var, zip(
+        ids,
+        chain(repeat("x", n_arcs), families, repeat("u", len(light))),
+        chain(arc_ids, (arc_ids[j] for j in gated)),
+        lower,
+        upper,
+        chain(repeat(False, n_arcs), repeat(True, len(decision)), repeat(False, len(light))),
+    )))
+    column = dict(zip(ids, range(len(ids))))
 
-    for arc in arcs:
-        if arc.kind == "train":
-            lower, upper = arc.b, costs.f
-        else:
-            lower, upper = 0, U
-        variables.append(VarRef(x[arc.id], "x", arc.id, lower, upper))
+    # Coefficients are codes into this table until the dtype is known.
+    table = (1, -1, -f, -rho_u)
+    ONE, MINUS_ONE, MINUS_F, MINUS_RHO = range(4)
 
-    for arc in arcs:
-        if arc.kind == "arrival_ground" and arc.decision:
-            act[arc.id] = yso_id(arc.id)
-            variables.append(VarRef(act[arc.id], "yso", arc.id, 0, 1, True))
-        elif arc.kind == "ground_departure" and arc.decision:
-            act[arc.id] = ypu_id(arc.id)
-            variables.append(VarRef(act[arc.id], "ypu", arc.id, 0, 1, True))
-    for arc in arcs:
-        if arc.kind == "light":
-            act[arc.id] = u_id(arc.id)
-            variables.append(VarRef(act[arc.id], "u", arc.id, 0, u_cap))
+    # Flow rows: +1 at each arc's head node, -1 at its tail, sorted by x id.
+    node_row = {node_id: i for i, node_id in enumerate(net.node_order)}
+    head = np.fromiter(map(node_row.__getitem__, map(_HEAD, arcs)), np.int64, n_arcs)
+    tail = np.fromiter(map(node_row.__getitem__, map(_TAIL, arcs)), np.int64, n_arcs)
+    id_rank = np.empty(n_arcs, dtype=np.int64)
+    id_rank[sorted(range(n_arcs), key=arc_ids.__getitem__)] = np.arange(n_arcs)
+    through = np.flatnonzero(head != tail)
+    flow_rows = np.concatenate((head[through], tail[through]))
+    flow_cols = np.concatenate((through, through))
+    flow_codes = np.repeat(np.array([ONE, MINUS_ONE], dtype=np.int8), through.size)
+    order = np.lexsort((id_rank[flow_cols], flow_rows))
+    n_flow = len(node_row)
 
-    for node_id in net.node_order:
-        terms = [(x[a], 1) for a in net.in_arcs[node_id]] + [(x[a], -1) for a in net.out_arcs[node_id]]
-        constraints.append(LinearConstraint(terms, "=", 0, f"flow:{node_id}"))
+    # Activation rows in arc order: x then y (x:... < y...:...) for
+    # decisions, u then x for light arcs.
+    by_arc = np.argsort(gated, kind="stable")
+    gated, is_light, act_cols = np.array(gated, dtype=np.int64)[by_arc], by_arc >= len(decision), n_arcs + by_arc
+    act_cols = np.where(is_light[:, None], np.column_stack((act_cols, gated)), np.column_stack((gated, act_cols)))
+    act_codes = np.where(
+        is_light[:, None], np.array([MINUS_RHO, ONE], dtype=np.int8), np.array([ONE, MINUS_F], dtype=np.int8)
+    )
+    act_tags = [
+        f"{'lt' if light_row else _DECISION[kinds[j]][1]}:{arc_ids[j]}"
+        for j, light_row in zip(gated.tolist(), is_light.tolist())
+    ]
+    n_act = gated.size
 
-    for arc in arcs:
-        if arc.kind == "arrival_ground" and arc.decision:
-            constraints.append(LinearConstraint(((x[arc.id], 1), (act[arc.id], -costs.f)), "<=", 0, f"so:{arc.id}"))
-        elif arc.kind == "ground_departure" and arc.decision:
-            constraints.append(LinearConstraint(((x[arc.id], 1), (act[arc.id], -costs.f)), "<=", 0, f"pu:{arc.id}"))
-        elif arc.kind == "light":
-            constraints.append(
-                LinearConstraint(((x[arc.id], 1), (act[arc.id], -costs.rho_u)), "<=", 0, f"lt:{arc.id}")
-            )
+    # Mutual-exclusion rows: y_pu then y_so (ypu:... < yso:...) per stop.
+    transitions = [arc for arc in arcs if arc.kind == "transition"] if mutual_exclusion else []
+    mutex_cols = np.array(
+        [(column[act[pu]], column[act[so]]) for so, pu in map(_stop_arcs, transitions)], dtype=np.int64
+    ).reshape(-1, 2)
+    n_mutex = len(transitions)
 
-    if mutual_exclusion:
-        # Stated stop semantics: locomotives are picked up only if none are
-        # set out, so at most one of the two decision arcs per stop is used.
-        for arc in arcs:
-            if arc.kind != "transition":
-                continue
-            so_arc, pu_arc = _stop_arcs(arc)
-            constraints.append(LinearConstraint(((act[so_arc], 1), (act[pu_arc], 1)), "<=", 1, f"mutex:{arc.id}"))
+    n_rows = n_flow + n_act + n_mutex
+    rows = np.concatenate((
+        flow_rows[order],
+        np.repeat(n_flow + np.arange(n_act), 2),
+        np.repeat(n_flow + n_act + np.arange(n_mutex), 2),
+    ))
+    cols = np.concatenate((
+        flow_cols[order],
+        act_cols.ravel(),
+        mutex_cols.ravel(),
+    ))
+    codes = np.concatenate((flow_codes[order], act_codes.ravel(), np.full(2 * n_mutex, ONE, dtype=np.int8)))
+    used = [table[code] for code in np.unique(codes).tolist()]
+    if 0 in used:  # a zero f or rho_u: its terms drop out
+        keep = np.array([value != 0 for value in table])[codes]
+        rows, cols, codes = rows[keep], cols[keep], codes[keep]
+        used = [value for value in used if value != 0]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
 
+    integral_lhs = _exact_ints(lower, upper, used)
+    integral = integral_lhs  # every right-hand side is 0 or 1
+    dtype = np.int64 if integral else np.float64
+    A = sparse.csr_matrix(
+        (np.array(table, dtype=dtype)[codes], cols, indptr.astype(np.int64)), shape=(n_rows, len(variables))
+    )
+    tags = list(map("flow:".__add__, net.node_order)) + act_tags + [f"mutex:{arc.id}" for arc in transitions]
+    sense = np.full(n_rows, SENSE_LE, dtype=np.int8)
+    sense[:n_flow] = SENSE_EQ
+    rhs = np.zeros(n_rows, dtype=np.int64)
+    rhs[n_flow + n_act:] = 1
+    floats = np.array([isinstance(value, float) for value in table])
+    matrix = ModelMatrix(
+        tuple(ids),
+        column,
+        A,
+        lower,
+        upper,
+        rhs,
+        sense,
+        tuple(tags),
+        integral_lhs=integral_lhs,
+        integral_rhs=True,
+        max_row_abs=_max_row_abs(A) if integral_lhs else 0,
+        float_data=floats[codes] if floats.any() else None,
+    )
     objective, offset, decomposition = _price(net, costs, x, act)
-    return MilpModel(
+    model = MilpModel(
         name=name,
-        variables=tuple(variables),
-        constraints=tuple(constraints),
+        variables=variables,
+        constraints=_MatrixRows(matrix),
         objective=objective,
         offset=offset,
         decomposition=decomposition,
         network=net,
+        _index=column,
     )
+    model._matrix = matrix
+    return model
+
+
+def _max_row_abs(A: sparse.csr_matrix) -> int:
+    """The largest sum of absolute coefficients in a row of an integral
+    ``A``, summed in int64.  Not ``abs(A)``: it sorts each row of ``A`` by
+    column, in place."""
+    filled = np.flatnonzero(np.diff(A.indptr))
+    if filled.size == 0:
+        return 0
+    return int(np.add.reduceat(np.abs(A.data), A.indptr[filled]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +897,10 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
     return m.extended(new_vars, rows, cfg, name_suffix=f"+{cfg.version}")
 
 
-def _extension_rows(net: SpaceTimeNetwork, cfg: ExtensionConfig) -> tuple[list[VarRef], list[LinearConstraint]]:
+def _extension_rows(net: SpaceTimeNetwork, cfg: ExtensionConfig) -> tuple[list[VarRef], list[tuple]]:
     """The gate variables and rows that ``cfg``, checked by
-    ``apply_extension``, adds to a base model over ``net``."""
+    ``apply_extension``, adds to a base model over ``net``; each row is a
+    ``(terms, sense, rhs, tag)`` tuple with canonical terms."""
     inst = net.instance
     days = range(inst.costs.n_days)
     terminals = sorted(inst.terminal_ids())
@@ -590,7 +919,7 @@ def _extension_rows(net: SpaceTimeNetwork, cfg: ExtensionConfig) -> tuple[list[V
             gated = baseline.inactive_terminals(terminals) if on_baseline else terminals
             covers = {k: [(k, d) for d in days] for k in gated}
 
-    rows: list[LinearConstraint] = []
+    rows: list[tuple] = []
     if on_baseline:
         # A baseline-active terminal-day takes at most h + lambda events (V1)
         # or 2h (the others), and at most theta; the closed ones no gate
@@ -604,27 +933,31 @@ def _extension_rows(net: SpaceTimeNetwork, cfg: ExtensionConfig) -> tuple[list[V
             if pairs:
                 terms = _event_terms(pairs)
                 cap = cap_of_h(baseline.count(k, d))
-                rows.append(LinearConstraint(terms, "<=", cap, f"{tag}:({cap_row}):{k}:{d}"))
+                rows.append(_row(terms, "<=", cap, f"{tag}:({cap_row}):{k}:{d}"))
                 if not math.isinf(cfg.theta):
-                    rows.append(LinearConstraint(terms, "<=", cfg.theta, f"{tag}:({theta_row}):{k}:{d}"))
+                    rows.append(_row(terms, "<=", cfg.theta, f"{tag}:({theta_row}):{k}:{d}"))
         opened = {key for keys in covers.values() for key in keys}
         for (k, d) in baseline.inactive_pairs(terminals):
             pairs = groups.get((k, d))
             if pairs and (k, d) not in opened:
-                rows.append(LinearConstraint(_event_terms(pairs), "=", 0, f"{closed}:{k}:{d}"))
+                rows.append(_row(_event_terms(pairs), "=", 0, f"{closed}:{k}:{d}"))
 
     new_vars: list[VarRef] = []
     if gate is not None:
         new_vars = [VarRef(f"{gate.family}:{subject}", gate.family, subject, 0, 1, True) for subject in covers]
         budget = getattr(cfg, BUDGET_FIELD[cfg.version])
-        rows.append(LinearConstraint([(var.id, 1) for var in new_vars], "<=", budget, gate.budget_row))
+        rows.append(_row([(var.id, 1) for var in new_vars], "<=", budget, gate.budget_row))
         for var, keys in zip(new_vars, covers.values()):
             for (k, d) in keys:
                 pairs = groups.get((k, d))
                 if pairs:
                     terms = _event_terms(pairs) + [(var.id, -_group_capacity(pairs, cfg.theta))]
-                    rows.append(LinearConstraint(terms, "<=", 0, f"{gate.row}:{k}:{d}"))
+                    rows.append(_row(terms, "<=", 0, f"{gate.row}:{k}:{d}"))
     return new_vars, rows
+
+
+def _row(terms, sense: str, rhs, tag: str) -> tuple:
+    return _canonical_terms(terms), sense, rhs, tag
 
 
 def _check_budget(cfg: ExtensionConfig) -> None:
@@ -643,11 +976,11 @@ def with_budget(m: MilpModel, budget) -> MilpModel:
 
     For ``m = apply_extension(base, cfg)`` this is ``apply_extension(base,
     cfg')`` where ``cfg'`` is ``cfg`` with its budget field set to
-    ``budget``: its extension rows, rebuilt, replace ``m``'s trailing rows,
-    which must differ from them in right-hand sides only (``ConfigError``
-    otherwise).  Its matrix shares ``m``'s structure and ``sessions`` slot
-    (``ModelMatrix.with_rhs``), so a ladder's version chain compiles one
-    matrix and loads one LP per thread.
+    ``budget``: its extension rows, rebuilt, must equal ``m``'s trailing
+    rows but for their right-hand sides (``ConfigError`` otherwise), which
+    take the rebuilt ones'.  Its matrix shares ``m``'s structure and
+    ``sessions`` slot (``ModelMatrix.with_rhs``), so a ladder's version
+    chain compiles one matrix and loads one LP per thread.
     """
     version = m.extension.version if m.extension is not None else None
     if version not in BUDGET_FIELD:
@@ -655,12 +988,17 @@ def with_budget(m: MilpModel, budget) -> MilpModel:
     cfg = replace(m.extension, **{BUDGET_FIELD[version]: budget})
     _check_budget(cfg)
     _gate_vars, rows = _extension_rows(m.network, cfg)
-    kept = max(0, len(m.constraints) - len(rows))
-    if [(c.terms, c.sense, c.tag) for c in m.constraints[kept:]] != [(c.terms, c.sense, c.tag) for c in rows]:
+    mx = m.matrix()
+    try:
+        block = _walk(rows, mx.column)
+    except ValueError:
+        block = None
+    if block is None or not mx.ends_in(block):
         raise ConfigError(f"{m.name} does not end in the rows of its {version} extension")
-    constraints = m.constraints[:kept] + tuple(rows)
-    matrix = m.matrix().with_rhs([c.rhs for c in constraints])
-    return m._derived(constraints=constraints, extension=cfg, start=None, _matrix=matrix)
+    rhs = mx.rhs_values()
+    rhs[len(rhs) - len(block.rhs):] = block.rhs
+    matrix = mx.with_rhs(rhs)
+    return m._derived(constraints=_MatrixRows(matrix), extension=cfg, start=None, _matrix=matrix)
 
 
 def gate_incidence(m: MilpModel) -> tuple[np.ndarray, sparse.csr_matrix]:

@@ -4,7 +4,8 @@ Each function here recomputes a quantity by a different route than the
 library (direct summation, literal enumeration, an LP on the node-arc
 incidence matrix, an exhaustive scan of a model's integer box, HiGHS's own
 MPS reader and MIP solver, scipy's ``milp``, the model over a denser
-light-arc set, a walk over the model's constraint objects, a fresh
+light-arc set, a walk over the model's constraint objects, the model's
+rows built one constraint object at a time and compiled by a walk, a fresh
 ``linprog`` call per node LP, linprog's point check spelled out test by
 test, or a dict walk over each gate's terminal-day event groups) so
 expected values in tests are never produced by the code path under test.
@@ -21,7 +22,20 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from railplan.lighttravel import reduce_exact
-from railplan.model import MilpModel, build_base_model, group_events_by_terminal_day
+from railplan.model import (
+    _GATES,
+    _ON_BASELINE,
+    _SENSE_CODES,
+    BUDGET_FIELD,
+    EXACT_INT_LIMIT,
+    LinearConstraint,
+    MilpModel,
+    VarRef,
+    _stop_arcs,
+    build_base_model,
+    flow_upper_bound,
+    group_events_by_terminal_day,
+)
 from railplan.solver import (
     FEAS_TOL,
     ConstraintViolation,
@@ -244,6 +258,154 @@ def check_feasibility_by_row_walk(m: MilpModel, values: dict) -> list[Constraint
         if slack < -FEAS_TOL * scale:
             out.append(ConstraintViolation(con.tag, slack, f"lhs={lhs} {con.sense} {con.rhs}"))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The model's rows built one constraint object at a time, then compiled by a
+# walk over them: the route the library took before it built its matrix
+# from the network's arcs as arrays.
+
+
+def rows_by_constraint_objects(net, costs, mutual_exclusion=True, cfg=None):
+    """(variables, rows) of the base model over ``net`` (light arcs merged),
+    plus the gate variables and rows of ``cfg`` when given and not V0,
+    each row a ``LinearConstraint``."""
+    variables: list[VarRef] = []
+    rows: list[LinearConstraint] = []
+    U = flow_upper_bound(net)
+    u_cap = max(1, math.ceil(U / costs.rho_u))
+    arcs = net.arcs_in_order()
+    act: dict[str, str] = {}
+    for arc in arcs:
+        lower, upper = (arc.b, costs.f) if arc.kind == "train" else (0, U)
+        variables.append(VarRef(f"x:{arc.id}", "x", arc.id, lower, upper))
+    for arc in arcs:
+        if arc.kind == "arrival_ground" and arc.decision:
+            act[arc.id] = f"yso:{arc.id}"
+            variables.append(VarRef(act[arc.id], "yso", arc.id, 0, 1, True))
+        elif arc.kind == "ground_departure" and arc.decision:
+            act[arc.id] = f"ypu:{arc.id}"
+            variables.append(VarRef(act[arc.id], "ypu", arc.id, 0, 1, True))
+    for arc in arcs:
+        if arc.kind == "light":
+            act[arc.id] = f"u:{arc.id}"
+            variables.append(VarRef(act[arc.id], "u", arc.id, 0, u_cap))
+    for node_id in net.node_order:
+        terms = [(f"x:{a}", 1) for a in net.in_arcs[node_id]] + [(f"x:{a}", -1) for a in net.out_arcs[node_id]]
+        rows.append(LinearConstraint(terms, "=", 0, f"flow:{node_id}"))
+    for arc in arcs:
+        if arc.kind == "arrival_ground" and arc.decision:
+            rows.append(LinearConstraint(((f"x:{arc.id}", 1), (act[arc.id], -costs.f)), "<=", 0, f"so:{arc.id}"))
+        elif arc.kind == "ground_departure" and arc.decision:
+            rows.append(LinearConstraint(((f"x:{arc.id}", 1), (act[arc.id], -costs.f)), "<=", 0, f"pu:{arc.id}"))
+        elif arc.kind == "light":
+            rows.append(LinearConstraint(((f"x:{arc.id}", 1), (act[arc.id], -costs.rho_u)), "<=", 0, f"lt:{arc.id}"))
+    if mutual_exclusion:
+        for arc in arcs:
+            if arc.kind == "transition":
+                so_arc, pu_arc = _stop_arcs(arc)
+                rows.append(LinearConstraint(((act[so_arc], 1), (act[pu_arc], 1)), "<=", 1, f"mutex:{arc.id}"))
+    if cfg is not None and cfg.version != "V0":
+        gate_vars, gate_rows = _extension_rows_by_constraint_objects(net, cfg)
+        variables += gate_vars
+        rows += gate_rows
+    return variables, rows
+
+
+def _extension_rows_by_constraint_objects(net, cfg):
+    inst = net.instance
+    days = range(inst.costs.n_days)
+    terminals = sorted(inst.terminal_ids())
+    groups = group_events_by_terminal_day(net)
+    baseline = inst.baseline
+    on_baseline = cfg.version in _ON_BASELINE
+
+    def event_terms(pairs):
+        return [term for so_var, pu_var in pairs for term in ((so_var, 1), (pu_var, 1))]
+
+    def capacity(pairs):
+        cap = 2 * len(pairs)
+        return cap if math.isinf(cfg.theta) else min(cap, int(cfg.theta))
+
+    gate = _GATES.get(cfg.version)
+    covers: dict[str, list[tuple[str, int]]] = {}
+    if gate is not None:
+        if gate.per_day:
+            gated = baseline.inactive_pairs(terminals) if on_baseline else [(k, d) for k in terminals for d in days]
+            covers = {f"{k}:{d}": [(k, d)] for (k, d) in gated}
+        else:
+            gated = baseline.inactive_terminals(terminals) if on_baseline else terminals
+            covers = {k: [(k, d) for d in days] for k in gated}
+    rows: list[LinearConstraint] = []
+    if on_baseline:
+        if cfg.version == "V1":
+            tag, cap_of_h, cap_row, theta_row, closed = "V1", lambda h: h + cfg.lambda_, 11, 12, "V1:(13)"
+        else:
+            tag, cap_of_h, cap_row, theta_row, closed = "V1p", lambda h: 2 * h, 14, 15, "V1p:inactive"
+        for (k, d) in baseline.active_pairs():
+            pairs = groups.get((k, d))
+            if pairs:
+                terms = event_terms(pairs)
+                rows.append(LinearConstraint(terms, "<=", cap_of_h(baseline.count(k, d)), f"{tag}:({cap_row}):{k}:{d}"))
+                if not math.isinf(cfg.theta):
+                    rows.append(LinearConstraint(terms, "<=", cfg.theta, f"{tag}:({theta_row}):{k}:{d}"))
+        opened = {key for keys in covers.values() for key in keys}
+        for (k, d) in baseline.inactive_pairs(terminals):
+            pairs = groups.get((k, d))
+            if pairs and (k, d) not in opened:
+                rows.append(LinearConstraint(event_terms(pairs), "=", 0, f"{closed}:{k}:{d}"))
+    new_vars: list[VarRef] = []
+    if gate is not None:
+        new_vars = [VarRef(f"{gate.family}:{subject}", gate.family, subject, 0, 1, True) for subject in covers]
+        budget = getattr(cfg, BUDGET_FIELD[cfg.version])
+        rows.append(LinearConstraint([(var.id, 1) for var in new_vars], "<=", budget, gate.budget_row))
+        for var, keys in zip(new_vars, covers.values()):
+            for (k, d) in keys:
+                pairs = groups.get((k, d))
+                if pairs:
+                    terms = event_terms(pairs) + [(var.id, -capacity(pairs))]
+                    rows.append(LinearConstraint(terms, "<=", 0, f"{gate.row}:{k}:{d}"))
+    return new_vars, rows
+
+
+def compile_by_row_walk(variables, rows) -> dict:
+    """A model's matrix fields compiled by a walk over its rows: CSR ``A``
+    (row i's entries in row i's term order), ``lower``, ``upper``, ``rhs``,
+    ``sense``, ``tags``, ``integral`` and ``value_limit``, as the library's
+    ``ModelMatrix`` defines them."""
+    column = {v.id: i for i, v in enumerate(variables)}
+    indptr, indices, data, rhs = [0], [], [], []
+    max_row_abs = 0
+    for con in rows:
+        row_abs = 0
+        for var, coef in con.terms:
+            indices.append(column[var])
+            data.append(coef)
+            row_abs += abs(coef)
+        max_row_abs = max(max_row_abs, row_abs)
+        indptr.append(len(indices))
+        rhs.append(con.rhs)
+    lower = [v.lower for v in variables]
+    upper = [v.upper for v in variables]
+
+    def exact_ints(*seqs):
+        return all(isinstance(x, int) and abs(x) <= EXACT_INT_LIMIT for seq in seqs for x in seq)
+
+    integral = exact_ints(lower, upper, data, rhs)
+    dtype = np.int64 if integral else float
+    return {
+        "A": sparse.csr_matrix(
+            (np.array(data, dtype=dtype), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+            shape=(len(rows), len(variables)),
+        ),
+        "lower": np.array(lower, dtype=dtype),
+        "upper": np.array(upper, dtype=dtype),
+        "rhs": np.array(rhs, dtype=dtype),
+        "sense": np.array([_SENSE_CODES[con.sense] for con in rows], dtype=np.int8),
+        "tags": tuple(con.tag for con in rows),
+        "integral": integral,
+        "value_limit": EXACT_INT_LIMIT // max(1, max_row_abs) if integral else 0,
+    }
 
 
 def infer_gate_values(m: MilpModel, values: dict[str, int]) -> dict[str, int]:

@@ -117,6 +117,57 @@ def test_negative_alpha_exits_2(tmp_path, capsys, ladder_instance):
     assert capsys.readouterr().err == "error: V3 requires alpha_d >= 0\n"
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("build", ["--extension", "V0", "--alpha", "1"], "--alpha does not apply to V0"),
+        ("build", ["--alpha", "1"], "--alpha does not apply to V0"),
+        ("build", ["--extension", "V1", "--alpha", "3"], "--alpha does not apply to V1"),
+        ("solve", ["--extension", "V1prime", "--alpha", "3"], "--alpha does not apply to V1prime"),
+        ("build", ["--extension", "V0", "--lambda", "1"], "--lambda does not apply to V0"),
+        ("build", ["--extension", "V1prime", "--lambda", "0"], "--lambda does not apply to V1prime"),
+        ("build", ["--extension", "V3", "--alpha", "1", "--lambda", "5"], "--lambda does not apply to V3"),
+        ("solve", ["--extension", "V5", "--alpha", "1", "--lambda", "0"], "--lambda does not apply to V5"),
+    ],
+    ids=lambda v: v if isinstance(v, str) and not v.startswith("-") else None,
+)
+def test_budget_flag_the_version_ignores_exits_2(tmp_path, capsys, ladder_instance, command, flags, message):
+    # Such a flag was once dropped: the model was built without it, exit 0.
+    argv = [command, "--instance", _write(tmp_path, ladder_instance), *flags]
+    out = tmp_path / "m.mps"
+    if command == "build":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--extension", "V1"], ["--extension", "V1", "--lambda", "2"]], ids=["default", "given"])
+def test_lambda_is_read_by_v1(monkeypatch, tmp_path, ladder_instance, flags):
+    import railplan.cli
+
+    built = []
+    monkeypatch.setattr(railplan.cli, "export_mps", lambda model, path: built.append(model))
+    argv = ["build", "--instance", _write(tmp_path, ladder_instance), *flags, "--out", str(tmp_path / "m.mps")]
+    assert main(argv) == 0
+    assert built[0].extension.lambda_ == (2 if "--lambda" in flags else 0)
+
+
+@pytest.mark.parametrize("extension", [[], ["--extension", "V3", "--alpha", "1"]], ids=["V0", "V3"])
+def test_build_makes_no_row_objects(monkeypatch, tmp_path, ladder_instance, extension):
+    """``railplan build`` fills the model's matrix from the network's arcs
+    and writes the MPS file from it, so it never makes a LinearConstraint."""
+    from railplan.model import LinearConstraint
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("railplan build made a LinearConstraint")
+
+    monkeypatch.setattr(LinearConstraint, "__new__", refuse)
+    out = tmp_path / "m.mps"
+    assert main(["build", "--instance", _write(tmp_path, ladder_instance), *extension, "--out", str(out)]) == 0
+    assert out.read_text().endswith("ENDATA\n")
+
+
 def test_ladder_negative_alpha_exits_2(tmp_path, capsys, ladder_instance):
     # Such a rung once went into the rows as "infeasible" (exit 0).
     inst_path = _write(tmp_path, ladder_instance)
@@ -231,7 +282,9 @@ def test_every_version_alias_reaches_its_version(monkeypatch, tmp_path, ladder_i
 
     built = []
     monkeypatch.setattr(railplan.cli, "export_mps", lambda model, path: built.append(model))
-    argv = ["build", "--instance", _write(tmp_path, ladder_instance), "--extension", alias, "--alpha", "1"]
+    argv = ["build", "--instance", _write(tmp_path, ladder_instance), "--extension", alias]
+    if version in ("V2", "V3", "V4", "V5"):
+        argv += ["--alpha", "1"]  # the other versions refuse it
     assert main(argv + ["--out", str(tmp_path / "m.mps")]) == 0
     (model,) = built
     assert (model.extension.version if model.extension else "V0") == version

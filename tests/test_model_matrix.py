@@ -3,7 +3,10 @@
 ``check_feasibility`` decides integer points of an integral model with one
 int64 matrix product and walks the rows only to name violations; the LP
 relaxation is built from the same matrix.  Both must give exactly what the
-row walks in ``tests/oracles.py`` give.
+row walks in ``tests/oracles.py`` give.  A built model's matrix comes
+straight from the network's arcs; it must equal the walk over the rows
+built one constraint object at a time, and the rows read back from it must
+equal those rows.
 """
 
 import math
@@ -16,18 +19,24 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from railplan.instance import attach_synthetic_baseline, generate_synthetic
+from railplan.lighttravel import generate_light_arcs
 from railplan.model import (
+    BUDGET_FIELD,
     EXACT_INT_LIMIT,
+    VERSIONS,
     ExtensionConfig,
     LinearConstraint,
     MilpModel,
     VarRef,
     apply_extension,
+    build_base_model,
+    with_budget,
 )
 from railplan.report import assemble, default_alpha_grid
 from railplan.solver import SolveBudget, _exact_verdict, _LpData, check_feasibility, solve_bb
+from railplan.spacetime import build_network, with_light_arcs
 
-from .oracles import check_feasibility_by_row_walk, list_built_lp
+from .oracles import check_feasibility_by_row_walk, compile_by_row_walk, list_built_lp, rows_by_constraint_objects
 
 
 def _extension_configs(baseline):
@@ -356,3 +365,66 @@ def test_with_budget_needs_a_budgeted_extension():
         row = LinearConstraint([(model.variables[-1].id, 1)], "<=", 1, "extra")
         with pytest.raises(ConfigError, match=f"does not end in the rows of its {version} extension"):
             with_budget(model.extended([], [row], model.extension), 0)
+
+
+def _typed(rows):
+    return [(c.terms, [type(coef) for _v, coef in c.terms], c.sense, c.rhs, type(c.rhs), c.tag) for c in rows]
+
+
+def _assert_matrix_equals_row_walk(model, want_vars, want_rows, case):
+    want = compile_by_row_walk(want_vars, want_rows)
+    mx = model.matrix()
+    assert model.variables == tuple(want_vars), case
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(mx.A, name), getattr(want["A"], name)
+        assert got.dtype == ref.dtype and got.tolist() == ref.tolist(), (case, name)
+    assert mx.A.shape == want["A"].shape, case
+    for name in ("lower", "upper", "rhs", "sense"):
+        got, ref = getattr(mx, name), want[name]
+        assert got.dtype == ref.dtype and got.tolist() == ref.tolist(), (case, name)
+    assert (mx.tags, mx.integral, mx.value_limit) == (want["tags"], want["integral"], want["value_limit"]), case
+    assert len(model.constraints) == len(want_rows), case
+    assert _typed(model.constraints) == _typed(want_rows), case
+
+
+@settings(
+    max_examples=120,
+    deadline=timedelta(seconds=5),
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    shape=st.tuples(st.integers(2, 7), st.integers(1, 12), st.integers(1, 3)),
+    seed=st.integers(1, 10**6),
+    lt_method=st.sampled_from(("exact", "full")),
+    mutual_exclusion=st.booleans(),
+    version=st.sampled_from(VERSIONS),
+    theta=st.sampled_from((6, 5.5, math.inf)),
+    budgets=st.lists(st.one_of(st.integers(0, 12), st.sampled_from((1.5, 4.0))), min_size=1, max_size=3),
+)
+def test_array_built_matrix_equals_row_walk(shape, seed, lt_method, mutual_exclusion, version, theta, budgets):
+    """The matrix ``build_base_model`` fills from the network's arcs, with
+    ``apply_extension``'s block and ``with_budget``'s right-hand sides on
+    it, equals the walk over the rows built one constraint object at a time,
+    field by field; the rows read back from it are those rows, types and
+    all.  Shapes with idle terminals give a self-loop ground arc, whose flow
+    row is empty."""
+    inst = attach_synthetic_baseline(generate_synthetic(seed, *shape), seed)
+    net = build_network(inst)
+    specs = generate_light_arcs(net, method=lt_method)
+    merged = with_light_arcs(net, specs)
+    base = build_base_model(merged, specs, inst.costs, mutual_exclusion=mutual_exclusion)
+    case = (shape, seed, lt_method, mutual_exclusion)
+    _assert_matrix_equals_row_walk(base, *rows_by_constraint_objects(merged, inst.costs, mutual_exclusion), case)
+    field = BUDGET_FIELD.get(version)
+    cfg = ExtensionConfig(version=version, theta=theta, **({field: budgets[0]} if field else {}))
+    model = apply_extension(base, cfg)
+    _assert_matrix_equals_row_walk(model, *rows_by_constraint_objects(merged, inst.costs, mutual_exclusion, cfg), cfg)
+    if field is None:
+        return
+    for budget in budgets[1:]:
+        model = with_budget(model, budget)
+        cfg = ExtensionConfig(version=version, theta=theta, **{field: budget})
+        want = rows_by_constraint_objects(merged, inst.costs, mutual_exclusion, cfg)
+        _assert_matrix_equals_row_walk(model, *want, (cfg, "with_budget"))

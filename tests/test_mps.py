@@ -170,6 +170,25 @@ def _fractional_rate_models():
         yield f"{parameter} {factor}", assemble(inst, costs=scaled_costs(inst.costs, parameter, factor))[2]
 
 
+def _variant_models(**assemble_kwargs):
+    """V0 and V3 built with non-default ``assemble`` options on seeds 1-3
+    of (4,8,2) and (5,12,3)."""
+    for shape in ((4, 8, 2), (5, 12, 3)):
+        for seed in range(1, 4):
+            inst = attach_synthetic_baseline(generate_synthetic(seed, *shape), seed)
+            base = assemble(inst, **assemble_kwargs)[2]
+            yield f"{shape} {seed} V0", base
+            yield f"{shape} {seed} V3", apply_extension(base, ExtensionConfig(version="V3", alpha_d=1))
+
+
+def _largest_build_models():
+    """The benchmark's largest build shape, at V0 and at its V3 config."""
+    inst = attach_synthetic_baseline(generate_synthetic(1, 16, 320, 4), 1)
+    base = assemble(inst)[2]
+    yield "V0", base
+    yield "V3", apply_extension(base, ExtensionConfig(version="V3", theta=6.0, alpha_d=5))
+
+
 def _hand_models():
     yield "empty column", _empty_column_model()
     yield "offset", _offset_model()
@@ -187,6 +206,11 @@ _MPS_DIGESTS = {
     "hand": "ae45288f02d5449c5647c4475b6e89a9d57c467d23344aba32d47a5336bf7ea3",
     # Recorded before apply_extension's gate blocks were merged into one.
     "V1prime": "e0082033cd4c3974890148652fce78128c0264290ed1d4c855510ad643a4d47b",
+    # Recorded before the base model was built as arrays and exported from
+    # its matrix.
+    "no mutual exclusion": "95d71d3b3f72590073f35a28fe5e5f6676db1c2e58ca0c48440a9950d86351bd",
+    "mcf light arcs": "937db6832ad3029669a29f12819c8ce7a1a22c27a147e981ee996ab4b1952721",
+    "(16,320,4)": "e5c861626c11fd56cfc737e0c8d6febddfb0888839ab0415c140744a95feb3d2",
 }
 
 _MPS_CASES = {
@@ -197,6 +221,9 @@ _MPS_CASES = {
     "fractional rates": _fractional_rate_models,
     "hand": _hand_models,
     "V1prime": _v1prime_models,
+    "no mutual exclusion": lambda: _variant_models(mutual_exclusion=False),
+    "mcf light arcs": lambda: _variant_models(lt_method="mcf"),
+    "(16,320,4)": _largest_build_models,
 }
 
 

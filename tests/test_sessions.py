@@ -114,22 +114,29 @@ def _lp_arrays(lp):
 
 
 def test_ladder_chain_compiles_one_matrix_and_loads_one_lp(monkeypatch):
-    """A V2-V5 ladder compiles one matrix and builds one LP for V1' and for
-    each version chain; the later rungs load only their right-hand sides."""
-    compiled = []
-    compile_matrix = ModelMatrix.__init__
+    """A V2-V5 ladder builds one matrix for its base model and one for V1'
+    and for each version chain, and one LP for V1' and for each chain; the
+    later rungs load only their right-hand sides."""
+    matrices, extended = [], []
+    init, extend = ModelMatrix.__init__, MilpModel.extended
 
-    def counting_compile(self, m):
-        compile_matrix(self, m)
-        compiled.append(m.extension.version)
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        matrices.append(self)
 
-    monkeypatch.setattr(ModelMatrix, "__init__", counting_compile)
+    def counting_extended(self, new_vars, new_constraints, extension, **kwargs):
+        extended.append(extension.version)
+        return extend(self, new_vars, new_constraints, extension, **kwargs)
+
+    monkeypatch.setattr(ModelMatrix, "__init__", counting_init)
+    monkeypatch.setattr(MilpModel, "extended", counting_extended)
     built = _count_new_lps(monkeypatch)
     inst = attach_synthetic_baseline(generate_synthetic(1, 5, 12, 3), 1)
     versions = ["V2", "V3", "V4", "V5"]
     rows = run_extension_ladder(inst, versions, steps=3, budget=SolveBudget(max_nodes=25))
     assert len(rows) == 13
-    assert sorted(compiled) == ["V1prime", *versions]
+    assert sorted(extended) == ["V1prime", *versions]
+    assert len(matrices) == 1 + len(extended)
     assert len(built) == 5
 
 

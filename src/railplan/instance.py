@@ -388,9 +388,9 @@ def load_instance(path) -> Instance:
 
 
 def save_instance(inst: Instance, path) -> None:
+    text = json.dumps(instance_to_dict(inst), indent=2)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

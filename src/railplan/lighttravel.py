@@ -20,11 +20,15 @@ import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain, compress
 from operator import attrgetter
 from typing import NamedTuple
 
+import numpy as np
+
 from .instance import Instance, net_power_balance
-from .spacetime import Node, SpaceTimeNetwork
+from .spacetime import Node, SpaceTimeNetwork, _id_rank
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +69,9 @@ class LightArcSpec(NamedTuple):
     @property
     def wrap(self) -> bool:
         return self.crossings > 0
+
+
+_new_spec = partial(tuple.__new__, LightArcSpec)
 
 
 def _spec_sort_key(spec: LightArcSpec) -> tuple:
@@ -185,24 +192,83 @@ def reduce_exact(net: SpaceTimeNetwork) -> list[LightArcSpec]:
     crosses the horizon are wrap arcs; this includes the deceptive case where
     the head lies numerically ahead of the tail but cannot be reached within
     the travel time, so it is only caught after the plan wraps around.
+
+    Both steps run as one array pass over every (tail, destination terminal)
+    pair: the heads are keyed ``terminal * (H + 1) + time`` in chain order,
+    so one sorted search finds each tail's first head at or after its
+    arrival + transit in every destination terminal's block, wrapping to the
+    block's start.  Per (head, origin terminal) the least wait wins; ties go
+    to the latest tail in chain order, which is (time, id) order.
     """
     H = net.horizon
-    # Per (head, origin terminal): minimal destination idle wins; ties go to
-    # the latest tail event in chain order.  Candidates are ranked before a
-    # spec is built, so only the winners get one.
-    best: dict[tuple[str, str], tuple[tuple, Node, Node, int]] = {}
-    for origin, dest, delta in _terminal_pairs(net):
-        heads = _of_kind(dest, "ground_departure")
-        if not heads:
-            continue
-        for tail in _of_kind(origin, "arrival_ground"):
-            head = _first_at_or_after(heads, tail.time + delta, H)
-            rank = (-((head.time - tail.time - delta) % H), tail.time, tail.id)
-            key = (head.id, tail.terminal)
-            if key not in best or rank > best[key][0]:
-                best[key] = (rank, tail, head, delta)
-    specs = [_make_spec(net, tail, head, delta) for _rank, tail, head, delta in best.values()]
-    return sorted(specs, key=_spec_sort_key)
+    terminals = sorted(net.ground_chains)
+    index = {term: i for i, term in enumerate(terminals)}
+    pairs = [
+        (index[o], index[d], minutes)
+        for (o, d), minutes in net.instance.transit.items()
+        if o != d and o in index and d in index
+    ]
+    if not pairs:
+        return []
+    chains = [net.ground_chains[term] for term in terminals]
+    ids, kinds, _terms, times = zip(*map(net.nodes.__getitem__, chain.from_iterable(chains)))
+    times = np.array(times)
+    term_of = np.repeat(np.arange(len(terminals)), list(map(len, chains)))
+    is_tail = np.fromiter(map("arrival_ground".__eq__, kinds), bool, len(kinds))
+    is_head = np.fromiter(map("ground_departure".__eq__, kinds), bool, len(kinds))
+    tail_ids = list(compress(ids, is_tail.tolist()))
+    head_ids = list(compress(ids, is_head.tolist()))
+    tail_term, tail_time = term_of[is_tail], times[is_tail]
+    head_term, head_time = term_of[is_head], times[is_head]
+
+    # Each destination terminal's block of heads, and the transit minutes of
+    # the pairs that have an entry and a head to reach.
+    first = np.searchsorted(head_term, np.arange(len(terminals)))
+    stop = np.searchsorted(head_term, np.arange(len(terminals)), side="right")
+    o, d, minutes = map(np.array, zip(*pairs))
+    transit = np.zeros((len(terminals), len(terminals)), dtype=minutes.dtype)
+    transit[o, d] = minutes
+    reachable = np.zeros(transit.shape, dtype=bool)
+    reachable[o, d] = True
+    reachable &= stop > first
+    tail, dest = np.nonzero(reachable[tail_term])
+    if tail.size == 0:
+        return []
+
+    # Step 1: per (tail, destination), the first head at or after arrival +
+    # transit, and the wait there.
+    origin = tail_term[tail]
+    delta = transit[origin, dest]
+    arrive = tail_time[tail] + delta
+    head = np.searchsorted(head_term * (H + 1) + head_time, dest * (H + 1) + arrive % H)
+    head = np.where(head < stop[dest], head, first[dest])
+    wait = (head_time[head] - arrive) % H
+
+    # Step 2: per (head, origin terminal), the least wait, then the latest
+    # tail; tails are numbered in chain order, so each candidate's rank in
+    # its group is one int.
+    n_terms, n_tails, n_heads = len(terminals), len(tail_ids), len(head_ids)
+    group = head * n_terms + origin
+    rank = wait * n_tails + (n_tails - 1 - tail)
+    best = np.full(n_heads * n_terms, np.inf)
+    np.minimum.at(best, group, rank)
+    won = np.flatnonzero(rank == best[group])
+
+    # The winners in (tail terminal, head terminal, tail id, head id) order,
+    # as one int key per winner.
+    key = (origin[won] * n_terms + dest[won]) * n_tails + _id_rank(tail_ids)[tail[won]]
+    won = won[np.argsort(key * n_heads + _id_rank(head_ids)[head[won]])]
+    tail, head, origin, dest, delta = tail[won], head[won], origin[won], dest[won], delta[won]
+    span = delta + wait[won]
+    return list(map(_new_spec, zip(
+        map(tail_ids.__getitem__, tail.tolist()),
+        map(head_ids.__getitem__, head.tolist()),
+        map(terminals.__getitem__, origin.tolist()),
+        map(terminals.__getitem__, dest.tolist()),
+        delta.tolist(),
+        span.tolist(),
+        ((tail_time[tail] + span) // H).tolist(),
+    )))
 
 
 # ---------------------------------------------------------------------------

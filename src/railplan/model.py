@@ -22,16 +22,16 @@ import math
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import chain, repeat
-from operator import itemgetter
+from functools import partial, reduce
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
 from .instance import MINUTES_PER_DAY, CostParams
-from .spacetime import SpaceTimeNetwork, with_light_arcs
+from .spacetime import ARC_KINDS, Arc, SpaceTimeNetwork, _id_rank, with_light_arcs
 
 # Row senses as stored in a ModelMatrix.
 SENSE_LE, SENSE_EQ, SENSE_GE = 1, 0, -1
@@ -168,16 +168,17 @@ GATE_FAMILIES = tuple(gate.family for gate in _GATES.values())
 class MilpModel:
     """A model's variables, rows, prices and provenance.
 
-    ``constraints`` is a sequence of ``LinearConstraint``s.  A model built
-    by hand holds the rows it is given and compiles its matrix from them on
-    first use.  A built model (``build_base_model``, ``apply_extension``,
-    ``with_budget``) holds its matrix and reads its rows from it only when
-    something iterates or indexes ``constraints``.  A copy made by
+    ``variables`` is a sequence of ``VarRef``s and ``constraints`` one of
+    ``LinearConstraint``s.  A model built by hand holds the variables and
+    rows it is given and compiles its matrix from them on first use.  A
+    built model (``build_base_model``, ``apply_extension``, ``with_budget``)
+    holds its matrix and reads its variables and rows from it only when
+    something iterates or indexes them.  A copy made by
     ``dataclasses.replace`` compiles a matrix of its own.
     """
 
     name: str
-    variables: tuple[VarRef, ...]
+    variables: Sequence[VarRef]
     constraints: Sequence[LinearConstraint]
     objective: dict[str, float | int]
     offset: float | int
@@ -187,6 +188,8 @@ class MilpModel:
     start: dict[str, int] | None = None
     _index: dict[str, int] = field(default_factory=dict, repr=False)
     _matrix: "ModelMatrix | None" = field(default=None, init=False, repr=False, compare=False)
+    # What a built model's prices are computed from, for repricing.
+    _prices: "_PriceBasis | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._index:
@@ -216,16 +219,31 @@ class MilpModel:
         name_suffix: str = "",
     ) -> "MilpModel":
         """This model plus ``new_vars`` and ``new_constraints``, whose terms
-        are canonical.  The new variables are unpriced, so the prices are
-        this model's own dicts, shared rather than copied: nothing writes to
-        a model's objective.  The new rows are appended to this model's
-        matrix, and only they are checked against the variables."""
+        are canonical.  ``new_vars`` are ``VarRef``s, or the ``_Columns`` of
+        variables named ``family:subject``, whose ``VarRef``s are made only
+        when something reads the variables.  The new variables are unpriced,
+        so the prices are this model's own dicts, shared rather than copied:
+        nothing writes to a model's objective.  The new rows are appended to
+        this model's matrix, and only they are checked against the
+        variables."""
+        mx = self.matrix()
+        variables = self.variables
+        given = variables.given if isinstance(variables, _MatrixVars) else ((0, tuple(variables)),)
+        if isinstance(new_vars, _Columns):
+            columns = new_vars
+        else:
+            new_vars = tuple(new_vars)
+            columns = _Columns(
+                [v.id for v in new_vars], [v.lower for v in new_vars], [v.upper for v in new_vars],
+                [v.binary for v in new_vars],
+            )
+            given += ((len(mx.ids), new_vars),)
         index = dict(self._index)
-        index.update((v.id, len(self.variables) + i) for i, v in enumerate(new_vars))
-        matrix = self.matrix().appended(new_vars, index, new_constraints)
+        index.update(zip(columns.ids, range(len(mx.ids), len(mx.ids) + len(columns.ids))))
+        matrix = mx.appended(columns, index, new_constraints)
         return self._derived(
             name=self.name + name_suffix,
-            variables=self.variables + tuple(new_vars),
+            variables=_MatrixVars(matrix, given),
             constraints=_MatrixRows(matrix),
             extension=extension,
             start=None,
@@ -295,14 +313,25 @@ def _walk(rows, column: dict[str, int]) -> _Block:
     return _Block(indptr, indices, data, rhs, sense, tags, max_row_abs)
 
 
+class _Columns(NamedTuple):
+    """New columns for a matrix: their ids, bounds and binary flags."""
+
+    ids: list[str]
+    lower: list
+    upper: list
+    binary: list[bool]
+
+
 class ModelMatrix:
-    """A model's column bounds and rows as arrays, in model order.
+    """A model's columns and rows as arrays, in model order.
 
     ``A`` is a CSR matrix whose row i is constraint i (its terms in the
     constraint's own order), with ``sense`` coded as SENSE_LE/EQ/GE, ``rhs``
-    its right-hand sides and ``tags`` its tags.  ``integral`` holds when
-    every bound, coefficient and right-hand side is a Python int within
-    EXACT_INT_LIMIT; the arrays are int64 then and float64 otherwise.
+    its right-hand sides and ``tags`` its tags; ``lower`` and ``upper`` are
+    the column bounds and ``binary`` marks the binary columns.
+    ``integral`` holds when every bound, coefficient and right-hand side is
+    a Python int within EXACT_INT_LIMIT; the arrays are int64 then and
+    float64 otherwise.
     Integer points whose entries stay within ``value_limit`` have exact
     int64 row values.  The objective is not compiled: a sweep reprices one
     model per cost factor and shares its matrix across them.  The rungs of a
@@ -313,7 +342,8 @@ class ModelMatrix:
 
     A float matrix remembers which of its entries were Python floats, so
     that a model's rows read from it carry the numbers they were built
-    from: the others were ints.
+    from: the others were ints.  The bounds of the columns that
+    ``build_base_model`` and ``apply_extension`` make are ints.
 
     ``sessions`` holds per-thread state over the shared structure: the HiGHS
     LP and repair that every model sharing it re-solves under its own costs
@@ -322,11 +352,13 @@ class ModelMatrix:
     """
 
     def __init__(
-        self, ids, column, A, lower, upper, rhs, sense, tags, *,
-        integral_lhs: bool, integral_rhs: bool, max_row_abs, float_data=None, float_rhs=None,
+        self, ids, column, A, lower, upper, binary, rhs, sense, tags, *,
+        integral_lhs: bool, integral_rhs: bool, max_row_abs,
+        float_data=None, float_rhs=None,
     ):
         self.ids = ids
         self.column = column
+        self.binary = binary
         self.tags = tags
         self.sense = sense
         self._integral_lhs = integral_lhs
@@ -365,19 +397,19 @@ class ModelMatrix:
         )
         exact = integral_lhs and integral_rhs
         return cls(
-            tuple(v.id for v in variables), column, A, lower, upper, block.rhs,
+            tuple(v.id for v in variables), column, A, lower, upper,
+            np.array([v.binary for v in variables], dtype=bool), block.rhs,
             np.array(block.sense, dtype=np.int8), tuple(block.tags),
             integral_lhs=integral_lhs, integral_rhs=integral_rhs, max_row_abs=block.max_row_abs,
             float_data=None if exact else _float_mask(block.data),
             float_rhs=None if exact else _float_mask(block.rhs),
         )
 
-    def appended(self, new_vars, column: dict[str, int], rows) -> "ModelMatrix":
-        """This matrix with columns for ``new_vars`` and then ``rows`` added;
-        ``column`` maps every id, old and new, to its position."""
+    def appended(self, columns: _Columns, column: dict[str, int], rows) -> "ModelMatrix":
+        """This matrix with ``columns`` and then ``rows`` added; ``column``
+        maps every id, old and new, to its position."""
         block = _walk(rows, column)
-        lower = [v.lower for v in new_vars]
-        upper = [v.upper for v in new_vars]
+        lower, upper = columns.lower, columns.upper
         integral_lhs = self._integral_lhs and _exact_ints(lower, upper, block.data)
         integral_rhs = self._integral_rhs and _exact_ints(block.rhs)
         exact = integral_lhs and integral_rhs
@@ -390,14 +422,15 @@ class ModelMatrix:
                 np.concatenate((A.indices, np.array(block.indices, dtype=np.int64))),
                 np.concatenate((A.indptr, A.indptr[-1] + np.array(block.indptr[1:], dtype=np.int64))),
             ),
-            shape=(n_rows + len(block.tags), n_cols + len(new_vars)),
+            shape=(n_rows + len(block.tags), n_cols + len(columns.ids)),
         )
         return ModelMatrix(
-            self.ids + tuple(v.id for v in new_vars),
+            self.ids + tuple(columns.ids),
             column,
             A,
             np.concatenate((self.lower.astype(dtype, copy=False), np.array(lower, dtype=dtype))),
             np.concatenate((self.upper.astype(dtype, copy=False), np.array(upper, dtype=dtype))),
+            np.concatenate((self.binary, np.array(columns.binary, dtype=bool))),
             np.concatenate((self.rhs.astype(dtype, copy=False), np.array(block.rhs, dtype=dtype))),
             np.concatenate((self.sense, np.array(block.sense, dtype=np.int8))),
             self.tags + tuple(block.tags),
@@ -437,7 +470,7 @@ class ModelMatrix:
         float_rhs = None if exact else _float_mask(rhs)
         if exact != self.integral:
             return ModelMatrix(
-                self.ids, self.column, self.A, self.lower, self.upper, rhs, self.sense, self.tags,
+                self.ids, self.column, self.A, self.lower, self.upper, self.binary, rhs, self.sense, self.tags,
                 integral_lhs=self._integral_lhs, integral_rhs=integral_rhs, max_row_abs=self._max_row_abs,
                 float_data=self._float_data, float_rhs=float_rhs,
             )
@@ -491,34 +524,20 @@ def _py_values(values: np.ndarray, floats: np.ndarray | None) -> list:
 _SENSE_TEXT = {code: text for text, code in _SENSE_CODES.items()}
 
 
-class _MatrixRows(Sequence):
-    """A built model's rows as ``LinearConstraint``s, read from its matrix
-    and tags on first use and then kept."""
+class _ReadFromMatrix(Sequence):
+    """Items of a built model read from its matrix on first use and then
+    kept."""
 
-    __slots__ = ("matrix", "_rows")
+    __slots__ = ("matrix", "_items")
 
     def __init__(self, matrix: ModelMatrix):
         self.matrix = matrix
-        self._rows = None
+        self._items = None
 
-    def _read(self) -> tuple[LinearConstraint, ...]:
-        if self._rows is None:
-            mx = self.matrix
-            ids = mx.ids
-            terms = list(zip([ids[j] for j in mx.A.indices.tolist()], _py_values(mx.A.data, mx._float_data)))
-            bounds = mx.A.indptr.tolist()
-            senses = [_SENSE_TEXT[code] for code in mx.sense.tolist()]
-            # The terms are canonical by construction, so the rows skip
-            # LinearConstraint's checks.
-            make = tuple.__new__
-            self._rows = tuple(
-                make(LinearConstraint, (tuple(terms[a:b]), sense, rhs, tag))
-                for a, b, sense, rhs, tag in zip(bounds, bounds[1:], senses, mx.rhs_values(), mx.tags)
-            )
-        return self._rows
-
-    def __len__(self) -> int:
-        return len(self.matrix.tags)
+    def _read(self) -> tuple:
+        if self._items is None:
+            self._items = self._build()
+        return self._items
 
     def __getitem__(self, i):
         return self._read()[i]
@@ -530,17 +549,81 @@ class _MatrixRows(Sequence):
         return self._read() + tuple(other)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, _MatrixRows)):
+        if isinstance(other, (tuple, type(self))):
             return self._read() == tuple(other)
         return NotImplemented
 
     __hash__ = None
 
+
+class _MatrixRows(_ReadFromMatrix):
+    """A built model's rows as ``LinearConstraint``s."""
+
+    __slots__ = ()
+
+    def _build(self) -> tuple[LinearConstraint, ...]:
+        mx = self.matrix
+        ids = mx.ids
+        terms = list(zip([ids[j] for j in mx.A.indices.tolist()], _py_values(mx.A.data, mx._float_data)))
+        bounds = mx.A.indptr.tolist()
+        senses = [_SENSE_TEXT[code] for code in mx.sense.tolist()]
+        # The terms are canonical by construction, so the rows skip
+        # LinearConstraint's checks.
+        make = tuple.__new__
+        return tuple(
+            make(LinearConstraint, (tuple(terms[a:b]), sense, rhs, tag))
+            for a, b, sense, rhs, tag in zip(bounds, bounds[1:], senses, mx.rhs_values(), mx.tags)
+        )
+
+    def __len__(self) -> int:
+        return len(self.matrix.tags)
+
     def __repr__(self) -> str:
         return f"<{len(self)} rows of a model matrix>"
 
 
-# Variable-id helpers keep the naming convention in one place.
+class _MatrixVars(_ReadFromMatrix):
+    """A built model's variables as ``VarRef``s read from its matrix: an
+    id's family and subject are its parts before and after its first ``:``,
+    and its bounds are ints.  ``given`` holds ``(position, VarRefs)``
+    stretches that were handed in and are kept as they are: a hand-built
+    model's variables, and those ``MilpModel.extended`` was given."""
+
+    __slots__ = ("given",)
+
+    def __init__(self, matrix: ModelMatrix, given: tuple = ()):
+        super().__init__(matrix)
+        self.given = given
+
+    def _build(self) -> tuple[VarRef, ...]:
+        mx = self.matrix
+        parts = list(map(str.partition, mx.ids, repeat(":")))
+        variables = list(map(_new_var, zip(
+            mx.ids,
+            map(_first, parts),
+            map(_third, parts),
+            _py_values(mx.lower, None),
+            _py_values(mx.upper, None),
+            mx.binary.tolist(),
+        )))
+        for start, given in self.given:
+            variables[start:start + len(given)] = given
+        return tuple(variables)
+
+    def __len__(self) -> int:
+        return len(self.matrix.ids)
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} variables of a model matrix>"
+
+
+_third = itemgetter(2)
+# A positional VarRef maker that runs in C.
+_new_var = partial(tuple.__new__, VarRef)
+
+
+# Variable-id helpers keep the naming convention, ``family:subject``, in
+# one place; ``build_base_model`` makes the same ids by prefix (_ACT_ID).
 
 
 def x_id(arc_id: str) -> str:
@@ -555,42 +638,17 @@ def ypu_id(arc_id: str) -> str:
     return f"ypu:{arc_id}"
 
 
-def u_id(arc_id: str) -> str:
-    return f"u:{arc_id}"
-
-
 def _stop_arcs(arc) -> tuple[str, str]:
     """The set-out and pick-up arc ids of the stop that transition ``arc``
     crosses: the train's arrival at the stop and its next departure."""
     return f"R:{arc.train_id}:{arc.seq}", f"E:{arc.train_id}:{arc.seq + 1}"
 
 
-def _rc_penalties(net: SpaceTimeNetwork, costs: CostParams, act: dict[str, str]) -> list[tuple[str, float | int]]:
-    """Work-event objective coefficients from railcar alignment, keyed by the
-    ids ``act`` maps set-out and pick-up arc ids to, sorted by id.
-
-    Per intermediate stop, the set-out and pick-up activation variables are
-    priced by how the locomotive event aligns with the railcar event there:
-    matched kinds cost c1, mismatched c2, stand-alone (no railcar event) c3,
-    and a stop with both railcar kinds treats either locomotive event as
-    aligned at c1.
-    """
-    coefs: dict[str, float | int] = {}
-    c1, c2, c3 = costs.c1, costs.c2, costs.c3
-    table = {
-        "so": (c1, c2),
-        "pu": (c2, c1),
-        "no": (c3, c3),
-        "both": (c1, c1),
-    }
-    for arc in net.arcs_in_order():
-        if arc.kind != "transition":
-            continue
-        so_coef, pu_coef = table[arc.flags.category]
-        so_arc, pu_arc = _stop_arcs(arc)
-        coefs[act[so_arc]] = so_coef
-        coefs[act[pu_arc]] = pu_coef
-    return sorted(coefs.items())
+# Per railcar category of a stop, the rates (indices into (c1, c2, c3)) of
+# its set-out and pick-up events: matched kinds cost c1, mismatched c2,
+# stand-alone (no railcar event) c3, and a stop with both railcar kinds
+# treats either locomotive event as aligned at c1.
+_EVENT_RATES = {"so": (0, 1), "pu": (1, 0), "no": (2, 2), "both": (0, 0)}
 
 
 def group_events_by_terminal_day(net: SpaceTimeNetwork) -> dict[tuple[str, int], list[tuple[str, str]]]:
@@ -623,72 +681,87 @@ def flow_upper_bound(net: SpaceTimeNetwork) -> int:
     In some optimal solution every locomotive rides at least one scheduled
     leg (circulations that never touch a train can be removed at no extra
     cost), so the fleet and hence any single arc flow is at most f per leg.
+    Each leg is one train arc.
     """
     f = net.instance.costs.f
-    n_legs = sum(1 for a in net.arcs_in_order() if a.kind == "train")
+    n_legs = sum(len(train.legs) for train in net.instance.trains)
     return max(f, f * n_legs, 1)
 
 
-def _price(net: SpaceTimeNetwork, costs: CostParams, x: dict[str, str], act: dict[str, str]):
-    """Objective coefficients, constant offset and cost decomposition of the
-    base model over ``net`` (light arcs merged) at ``costs``.
+class _PriceBasis(NamedTuple):
+    """What ``_price`` reads of a base model: the model's own id strings of
+    the variables it prices, and the arc numbers the cost rates multiply."""
 
-    ``x`` maps each arc id to the model's own ``x`` variable id, and ``act``
-    each set-out, pick-up and light arc id to its ``yso``, ``ypu`` or ``u``
-    variable id; the price dicts use those id strings as keys.  Only the
-    rates q, g_rate, e_rate and c1-c3 enter here; f and rho_u shape bounds
-    and rows instead.  Insertion order is part of the result:
-    ``evaluate_objective`` sums in dict order, so terms go in per arc (x),
-    then per light arc (u), then the work-event penalties.  A zero term is
-    left out; an arc's ownership term comes before its deadhead or light
-    travel term in its objective sum.
+    x_ids: list[str]  # of the arcs with a crossing, train or light term, in arc order
+    wrap_ids: list[str]  # x ids of the arcs that cross the week's end
+    crossings: list[int]  # how often each of them crosses it
+    train_ids: list[str]  # x ids of the train arcs
+    train_minutes: list[int]  # their durations
+    train_power: list[int]  # their required active power b
+    light_ids: list[str]  # x ids of the light arcs
+    light_minutes: list[int]  # their transit minutes
+    u_ids: list[str]  # their u ids
+    event_ids: list[str]  # set-out and pick-up variables of the stops, sorted
+    event_rates: list[int]  # each one's rate, an index into (c1, c2, c3)
+
+
+def _price(basis: _PriceBasis, costs: CostParams):
+    """Objective coefficients, constant offset and cost decomposition of a
+    base model at ``costs``, keyed by the model's own variable id strings.
+
+    Only the rates q, g_rate, e_rate and c1-c3 enter here; f and rho_u shape
+    bounds and rows instead.  Each coefficient is a rate times an arc's
+    number, multiplied as Python numbers so that an int rate stays exact at
+    any size, and a zero one is left out.  Insertion order is part of the
+    result: ``evaluate_objective`` sums in dict order, so terms go in per
+    arc (x, in arc order), then per light arc (u), then the work-event
+    penalties by id.  An arc's ownership term comes before its deadhead or
+    light travel term in its objective sum.
     """
-    objective: dict[str, float | int] = {}
-    ownership: dict[str, float | int] = {}
-    deadhead: dict[str, float | int] = {}
-    light_travel: dict[str, float | int] = {}
-    work_events: dict[str, float | int] = {}
-    offset: float | int = 0
-    q, g_rate = costs.q, costs.g_rate
-    light_arcs = []
-    for arc in net.arcs_in_order():
-        xv = x[arc.id]
-        own = q * arc.crossings if arc.crossings > 0 else 0
-        if own != 0:
-            objective[xv] = ownership[xv] = own
-        if arc.kind == "train":
-            coef, bucket = g_rate * arc.duration, deadhead
-            offset -= coef * arc.b
-        elif arc.kind == "light":
-            coef, bucket = g_rate * arc.transit, light_travel
-            light_arcs.append(arc)
-        else:
-            continue
-        if coef != 0:
-            bucket[xv] = coef
-            objective[xv] = own + coef if own != 0 else coef
-    for arc in light_arcs:
-        coef = costs.e_rate * arc.transit
-        if coef != 0:
-            objective[act[arc.id]] = light_travel[act[arc.id]] = coef
-    for var, coef in _rc_penalties(net, costs, act):
-        if coef != 0:
-            objective[var] = work_events[var] = coef
+    own = list(map(mul, repeat(costs.q), basis.crossings))
+    deadhead_coefs = list(map(mul, repeat(costs.g_rate), basis.train_minutes))
+    light_coefs = list(map(mul, repeat(costs.g_rate), basis.light_minutes))
+    crew = list(map(mul, repeat(costs.e_rate), basis.light_minutes))
+    rates = (costs.c1, costs.c2, costs.c3)
+    events = list(map(rates.__getitem__, basis.event_rates))
+
+    ownership = _nonzero(basis.wrap_ids, own)
+    deadhead = _nonzero(basis.train_ids, deadhead_coefs)
+    light_x = _nonzero(basis.light_ids, light_coefs)
+    objective = dict.fromkeys(basis.x_ids)
+    objective.update(deadhead)
+    objective.update(light_x)
+    priced = len(deadhead) + len(light_x)
+    for var, coef in ownership.items():
+        move = objective[var]
+        objective[var] = coef if move is None else coef + move
+        priced += move is None
+    if priced < len(objective):  # some arc's terms are all zero
+        objective = {var: coef for var, coef in objective.items() if coef is not None}
+    light_u = _nonzero(basis.u_ids, crew)
+    work_events = _nonzero(basis.event_ids, events)
+    objective.update(light_u)
+    objective.update(work_events)
     decomposition = {
         "ownership": ownership,
         "deadhead": deadhead,
-        "light_travel": light_travel,
+        "light_travel": light_x | light_u,
         "work_events": work_events,
     }
-    return objective, offset, decomposition
+    return objective, reduce(sub, map(mul, deadhead_coefs, basis.train_power), 0), decomposition
 
 
-# The activation variable family of each decision arc kind, and the tag
-# prefix of the row tying the arc's flow to it.
-_DECISION = {"arrival_ground": ("yso", "so"), "ground_departure": ("ypu", "pu")}
-# Arc field readers and a positional VarRef maker that run in C.
-_KIND, _TAIL, _HEAD = itemgetter(1), itemgetter(2), itemgetter(3)
-_new_var = partial(tuple.__new__, VarRef)
+def _nonzero(ids: list[str], coefs: list) -> dict:
+    """The nonzero ``coefs``, keyed by ``ids``."""
+    return dict(compress(zip(ids, coefs), coefs))
+
+
+# Per kind of gated arc (set-out and pick-up decisions, light arcs): the
+# prefix of its activation variable's id, and of the tag of the row tying
+# the arc's flow to that variable.
+_ACT_ID = {"arrival_ground": "yso:", "ground_departure": "ypu:", "light": "u:"}
+_ACT_ROW = {"arrival_ground": "so:", "ground_departure": "pu:", "light": "lt:"}
+_KIND_CODE = {kind: code for code, kind in enumerate(ARC_KINDS)}
 
 
 def build_base_model(
@@ -704,46 +777,42 @@ def build_base_model(
     arcs are priced from ``costs`` and each arc's transit time, so sweeps
     can rescale rates without regenerating arcs.
 
-    The rows go straight from the arcs into the model's matrix, in this
-    order: flow conservation per node (``flow:<node>``), ``x - f y <= 0``
-    per set-out and pick-up decision arc and ``x - rho_u u <= 0`` per light
-    arc (``so:``, ``pu:``, ``lt:`` plus the arc id, in arc order), then one
+    The arcs are read once, as one tuple per field.  The columns and rows go
+    straight from them into the model's matrix; the rows in this order: flow
+    conservation per node (``flow:<node>``), ``x - f y <= 0`` per set-out
+    and pick-up decision arc and ``x - rho_u u <= 0`` per light arc
+    (``so:``, ``pu:``, ``lt:`` plus the arc id, in arc order), then one
     ``y_so + y_pu <= 1`` per intermediate stop (``mutex:<transition arc>``).
     Each row's terms are canonical: sorted by variable id, a self-loop
     arc's +1 and -1 cancelled, zero coefficients dropped.
     """
-    if light_arcs and not any(a.kind == "light" for a in net.arcs.values()):
+    arcs = _arc_fields(net)
+    if light_arcs and "light" not in arcs.kind:
         net = with_light_arcs(net, light_arcs)
+        arcs = _arc_fields(net)
 
     f, rho_u = costs.f, costs.rho_u
     U = flow_upper_bound(net)
     u_cap = max(1, math.ceil(U / rho_u))
-    arcs = net.arcs_in_order()
-    arc_ids = net.arc_order
-    n_arcs = len(arcs)
-    kinds = list(map(_KIND, arcs))
-    # One id string per variable, shared by every row it is in: x per arc,
-    # and the activation variable (yso, ypu or u) per decision or light arc.
-    x_ids = list(map(x_id, arc_ids))
-    x = dict(zip(arc_ids, x_ids))
-    decision = [j for j, arc in enumerate(arcs) if arc.decision and arc.kind in _DECISION]
-    light = [j for j, kind in enumerate(kinds) if kind == "light"]
+    arc_ids, kinds = arcs.id, arcs.kind
+    n_arcs = len(arc_ids)
+    kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), np.int8, n_arcs)
+    is_train = kind == _KIND_CODE["train"]
+    is_light = kind == _KIND_CODE["light"]
+    train_at = np.flatnonzero(is_train).tolist()
+    # One id string per variable, shared by every row and price it is in: x
+    # per arc (x_id), and the activation variable (yso, ypu or u) per
+    # decision or light arc.
+    x_ids = tuple(map("x:".__add__, arc_ids))
+    decision = list(compress(range(n_arcs), arcs.decision))
+    light = np.flatnonzero(is_light).tolist()
     gated = decision + light
-    families = [_DECISION[kinds[j]][0] for j in decision]
-    act_ids = [f"{family}:{arc_ids[j]}" for family, j in zip(families, decision)] + [u_id(arc_ids[j]) for j in light]
-    act = dict(zip([arc_ids[j] for j in gated], act_ids))
-    ids = x_ids + act_ids
-    is_train = [kind == "train" for kind in kinds]
-    lower = [arc.b if train else 0 for arc, train in zip(arcs, is_train)] + [0] * len(gated)
-    upper = [f if train else U for train in is_train] + [1] * len(decision) + [u_cap] * len(light)
-    variables = tuple(map(_new_var, zip(
-        ids,
-        chain(repeat("x", n_arcs), families, repeat("u", len(light))),
-        chain(arc_ids, (arc_ids[j] for j in gated)),
-        lower,
-        upper,
-        chain(repeat(False, n_arcs), repeat(True, len(decision)), repeat(False, len(light))),
-    )))
+    gated_ids = list(map(arc_ids.__getitem__, gated))
+    act_ids = list(map(add, map(_ACT_ID.__getitem__, map(kinds.__getitem__, gated)), gated_ids))
+    act = dict(zip(gated_ids, act_ids))
+    ids = x_ids + tuple(act_ids)
+    binary = np.zeros(len(ids), dtype=bool)
+    binary[n_arcs:n_arcs + len(decision)] = True
     column = dict(zip(ids, range(len(ids))))
 
     # Coefficients are codes into this table until the dtype is known.
@@ -752,37 +821,41 @@ def build_base_model(
 
     # Flow rows: +1 at each arc's head node, -1 at its tail, sorted by x id.
     node_row = {node_id: i for i, node_id in enumerate(net.node_order)}
-    head = np.fromiter(map(node_row.__getitem__, map(_HEAD, arcs)), np.int64, n_arcs)
-    tail = np.fromiter(map(node_row.__getitem__, map(_TAIL, arcs)), np.int64, n_arcs)
-    id_rank = np.empty(n_arcs, dtype=np.int64)
-    id_rank[sorted(range(n_arcs), key=arc_ids.__getitem__)] = np.arange(n_arcs)
+    head = np.fromiter(map(node_row.__getitem__, arcs.head), np.int64, n_arcs)
+    tail = np.fromiter(map(node_row.__getitem__, arcs.tail), np.int64, n_arcs)
+    id_rank = _id_rank(arc_ids)
     through = np.flatnonzero(head != tail)
     flow_rows = np.concatenate((head[through], tail[through]))
     flow_cols = np.concatenate((through, through))
     flow_codes = np.repeat(np.array([ONE, MINUS_ONE], dtype=np.int8), through.size)
-    order = np.lexsort((id_rank[flow_cols], flow_rows))
+    order = np.argsort(flow_rows * n_arcs + id_rank[flow_cols])  # one key per (row, column)
     n_flow = len(node_row)
 
     # Activation rows in arc order: x then y (x:... < y...:...) for
     # decisions, u then x for light arcs.
     by_arc = np.argsort(gated, kind="stable")
-    gated, is_light, act_cols = np.array(gated, dtype=np.int64)[by_arc], by_arc >= len(decision), n_arcs + by_arc
-    act_cols = np.where(is_light[:, None], np.column_stack((act_cols, gated)), np.column_stack((gated, act_cols)))
+    gated, light_row, act_cols = np.array(gated, dtype=np.int64)[by_arc], by_arc >= len(decision), n_arcs + by_arc
+    act_cols = np.where(light_row[:, None], np.column_stack((act_cols, gated)), np.column_stack((gated, act_cols)))
     act_codes = np.where(
-        is_light[:, None], np.array([MINUS_RHO, ONE], dtype=np.int8), np.array([ONE, MINUS_F], dtype=np.int8)
+        light_row[:, None], np.array([MINUS_RHO, ONE], dtype=np.int8), np.array([ONE, MINUS_F], dtype=np.int8)
     )
-    act_tags = [
-        f"{'lt' if light_row else _DECISION[kinds[j]][1]}:{arc_ids[j]}"
-        for j, light_row in zip(gated.tolist(), is_light.tolist())
-    ]
-    n_act = gated.size
+    gated = gated.tolist()
+    act_tags = list(map(add, map(_ACT_ROW.__getitem__, map(kinds.__getitem__, gated)), map(arc_ids.__getitem__, gated)))
+    n_act = len(gated)
 
-    # Mutual-exclusion rows: y_pu then y_so (ypu:... < yso:...) per stop.
-    transitions = [arc for arc in arcs if arc.kind == "transition"] if mutual_exclusion else []
+    # Per intermediate stop, its set-out and pick-up variables: priced by
+    # railcar alignment, and with mutual exclusion one row, y_pu then y_so
+    # (ypu:... < yso:...).
+    transitions = list(map(net.arcs.__getitem__, compress(arc_ids, (kind == _KIND_CODE["transition"]).tolist())))
+    stops = [(act[so], act[pu]) for so, pu in map(_stop_arcs, transitions)]
+    event_ids = list(chain.from_iterable(stops))
+    event_rates = [rate for arc in transitions for rate in _EVENT_RATES[arc.flags.category]]
+    by_id = sorted(range(len(event_ids)), key=event_ids.__getitem__)
+    mutex = transitions if mutual_exclusion else []
     mutex_cols = np.array(
-        [(column[act[pu]], column[act[so]]) for so, pu in map(_stop_arcs, transitions)], dtype=np.int64
+        [(column[pu], column[so]) for so, pu in (stops if mutual_exclusion else [])], dtype=np.int64
     ).reshape(-1, 2)
-    n_mutex = len(transitions)
+    n_mutex = len(mutex)
 
     n_rows = n_flow + n_act + n_mutex
     rows = np.concatenate((
@@ -803,24 +876,33 @@ def build_base_model(
         used = [value for value in used if value != 0]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
 
-    integral_lhs = _exact_ints(lower, upper, used)
+    # Bounds: b (0 off train arcs) to f on train arcs, 0 to U on the other
+    # arcs, binary decisions and 0 to u_cap light trains.
+    integral_lhs = _exact_ints(arcs.b, (f, U, u_cap), used)
     integral = integral_lhs  # every right-hand side is 0 or 1
     dtype = np.int64 if integral else np.float64
+    lower = np.zeros(len(ids), dtype=dtype)
+    lower[:n_arcs] = arcs.b
+    upper = np.full(len(ids), U, dtype=dtype)
+    upper[train_at] = f
+    upper[n_arcs:n_arcs + len(decision)] = 1
+    upper[n_arcs + len(decision):] = u_cap
     A = sparse.csr_matrix(
-        (np.array(table, dtype=dtype)[codes], cols, indptr.astype(np.int64)), shape=(n_rows, len(variables))
+        (np.array(table, dtype=dtype)[codes], cols, indptr.astype(np.int64)), shape=(n_rows, len(ids))
     )
-    tags = list(map("flow:".__add__, net.node_order)) + act_tags + [f"mutex:{arc.id}" for arc in transitions]
+    tags = list(map("flow:".__add__, net.node_order)) + act_tags + [f"mutex:{arc.id}" for arc in mutex]
     sense = np.full(n_rows, SENSE_LE, dtype=np.int8)
     sense[:n_flow] = SENSE_EQ
     rhs = np.zeros(n_rows, dtype=np.int64)
     rhs[n_flow + n_act:] = 1
     floats = np.array([isinstance(value, float) for value in table])
     matrix = ModelMatrix(
-        tuple(ids),
+        ids,
         column,
         A,
         lower,
         upper,
+        binary,
         rhs,
         sense,
         tuple(tags),
@@ -829,10 +911,26 @@ def build_base_model(
         max_row_abs=_max_row_abs(A) if integral_lhs else 0,
         float_data=floats[codes] if floats.any() else None,
     )
-    objective, offset, decomposition = _price(net, costs, x, act)
+
+    wraps = np.array(arcs.crossings) > 0
+    wrap_at = np.flatnonzero(wraps).tolist()
+    basis = _PriceBasis(
+        list(map(x_ids.__getitem__, np.flatnonzero(wraps | is_train | is_light).tolist())),
+        list(map(x_ids.__getitem__, wrap_at)),
+        list(map(arcs.crossings.__getitem__, wrap_at)),
+        list(map(x_ids.__getitem__, train_at)),
+        list(map(arcs.duration.__getitem__, train_at)),
+        list(map(arcs.b.__getitem__, train_at)),
+        list(map(x_ids.__getitem__, light)),
+        list(map(arcs.transit.__getitem__, light)),
+        act_ids[len(decision):],
+        list(map(event_ids.__getitem__, by_id)),
+        list(map(event_rates.__getitem__, by_id)),
+    )
+    objective, offset, decomposition = _price(basis, costs)
     model = MilpModel(
         name=name,
-        variables=variables,
+        variables=_MatrixVars(matrix),
         constraints=_MatrixRows(matrix),
         objective=objective,
         offset=offset,
@@ -841,7 +939,15 @@ def build_base_model(
         _index=column,
     )
     model._matrix = matrix
+    model._prices = basis
     return model
+
+
+def _arc_fields(net: SpaceTimeNetwork) -> Arc:
+    """The network's arcs read once, as an ``Arc`` whose every field is a
+    tuple of that field of every arc, in arc order."""
+    arcs = list(map(net.arcs.__getitem__, net.arc_order))
+    return Arc._make(tuple(map(itemgetter(i), arcs)) for i in range(len(Arc._fields)))
 
 
 def _max_row_abs(A: sparse.csr_matrix) -> int:
@@ -893,14 +999,15 @@ def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
     if not cfg.theta >= 0:  # NaN fails every comparison
         raise ConfigError(f"{cfg.version} requires theta >= 0, got {cfg.theta}")
     _check_budget(cfg)
-    new_vars, rows = _extension_rows(m.network, cfg)
-    return m.extended(new_vars, rows, cfg, name_suffix=f"+{cfg.version}")
+    gate_ids, rows = _extension_rows(m.network, cfg)
+    n = len(gate_ids)
+    return m.extended(_Columns(gate_ids, [0] * n, [1] * n, [True] * n), rows, cfg, name_suffix=f"+{cfg.version}")
 
 
-def _extension_rows(net: SpaceTimeNetwork, cfg: ExtensionConfig) -> tuple[list[VarRef], list[tuple]]:
-    """The gate variables and rows that ``cfg``, checked by
-    ``apply_extension``, adds to a base model over ``net``; each row is a
-    ``(terms, sense, rhs, tag)`` tuple with canonical terms."""
+def _extension_rows(net: SpaceTimeNetwork, cfg: ExtensionConfig) -> tuple[list[str], list[tuple]]:
+    """The ids of the binary gate variables and the rows that ``cfg``,
+    checked by ``apply_extension``, adds to a base model over ``net``; each
+    row is a ``(terms, sense, rhs, tag)`` tuple with canonical terms."""
     inst = net.instance
     days = range(inst.costs.n_days)
     terminals = sorted(inst.terminal_ids())
@@ -942,18 +1049,18 @@ def _extension_rows(net: SpaceTimeNetwork, cfg: ExtensionConfig) -> tuple[list[V
             if pairs and (k, d) not in opened:
                 rows.append(_row(_event_terms(pairs), "=", 0, f"{closed}:{k}:{d}"))
 
-    new_vars: list[VarRef] = []
+    gate_ids: list[str] = []
     if gate is not None:
-        new_vars = [VarRef(f"{gate.family}:{subject}", gate.family, subject, 0, 1, True) for subject in covers]
+        gate_ids = [f"{gate.family}:{subject}" for subject in covers]
         budget = getattr(cfg, BUDGET_FIELD[cfg.version])
-        rows.append(_row([(var.id, 1) for var in new_vars], "<=", budget, gate.budget_row))
-        for var, keys in zip(new_vars, covers.values()):
+        rows.append(_row([(var_id, 1) for var_id in gate_ids], "<=", budget, gate.budget_row))
+        for var_id, keys in zip(gate_ids, covers.values()):
             for (k, d) in keys:
                 pairs = groups.get((k, d))
                 if pairs:
-                    terms = _event_terms(pairs) + [(var.id, -_group_capacity(pairs, cfg.theta))]
+                    terms = _event_terms(pairs) + [(var_id, -_group_capacity(pairs, cfg.theta))]
                     rows.append(_row(terms, "<=", 0, f"{gate.row}:{k}:{d}"))
-    return new_vars, rows
+    return gate_ids, rows
 
 
 def _row(terms, sense: str, rhs, tag: str) -> tuple:
@@ -987,7 +1094,7 @@ def with_budget(m: MilpModel, budget) -> MilpModel:
         raise ConfigError(f"{m.name} has no budget: only V1-V5 extension models do")
     cfg = replace(m.extension, **{BUDGET_FIELD[version]: budget})
     _check_budget(cfg)
-    _gate_vars, rows = _extension_rows(m.network, cfg)
+    _gate_ids, rows = _extension_rows(m.network, cfg)
     mx = m.matrix()
     try:
         block = _walk(rows, mx.column)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from itertools import islice
-from operator import itemgetter
 
 from .model import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
 
@@ -30,7 +29,6 @@ OBJ_ROW = "OBJ"
 _SENSE_TO_ROW = {SENSE_EQ: "E", SENSE_LE: "L", SENSE_GE: "G"}
 # Lines per write: bounds the text held in memory at once.
 _LINES_PER_WRITE = 512
-_BINARY = itemgetter(5)
 
 
 def _fmt(value) -> str:
@@ -123,7 +121,7 @@ def export_mps(m: MilpModel, path) -> None:
         _write_blocks(fh, (
             f" BV BND {var_id}\n" if binary else f" LO BND {var_id} {lo}\n UP BND {var_id} {up}\n"
             for var_id, binary, lo, up in zip(
-                ids, map(_BINARY, m.variables), texts_of(mx.lower.tolist()), texts_of(mx.upper.tolist())
+                ids, mx.binary.tolist(), texts_of(mx.lower.tolist()), texts_of(mx.upper.tolist())
             )
         ))
         fh.write("ENDATA\n")

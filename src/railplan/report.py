@@ -354,10 +354,9 @@ def _solution_row(sol: Solution, net, model) -> dict:
 def _cell_model(base: MilpModel, costs) -> MilpModel:
     """``base`` repriced at ``costs``.  A sweep's rates move no bound or row,
     so the cell keeps base's variables, id strings, rows and compiled
-    matrix, and its prices key on base's own variable ids."""
-    x = {v.subject: v.id for v in base.variables if v.family == "x"}
-    act = {v.subject: v.id for v in base.variables if v.family in ("yso", "ypu", "u")}
-    objective, offset, decomposition = _price(base.network, costs, x, act)
+    matrix, and its prices key on base's own variable ids.  ``base`` is a
+    built model: its prices are recomputed from what it was priced from."""
+    objective, offset, decomposition = _price(base._prices, costs)
     base.matrix()
     return base._derived(objective=objective, offset=offset, decomposition=decomposition)
 

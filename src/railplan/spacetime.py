@@ -23,6 +23,8 @@ import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .instance import Instance, RailcarFlags
 
 ARC_KINDS = ("train", "transition", "ground_departure", "arrival_ground", "ground", "light")
@@ -93,6 +95,13 @@ def _ground_sort_key(node: Node) -> tuple:
     return (node.time, _GROUND_ORDER[node.kind], node.id)
 
 
+def _id_rank(ids) -> np.ndarray:
+    """Each of ``ids``' position in the sorted ids."""
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
 def build_network(inst: Instance) -> SpaceTimeNetwork:
     """Build the full space-time network for a valid instance (no light arcs)."""
     H = inst.horizon
@@ -144,12 +153,13 @@ def build_network(inst: Instance) -> SpaceTimeNetwork:
 
     # Ground chains: per terminal, all ground nodes in time order, closed by
     # one wrap-around arc back to the initial node.
+    ground: dict[str, list[Node]] = {term.id: [] for term in inst.terminals}
+    for node in nodes.values():
+        if node.kind in GROUND_NODE_KINDS and node.terminal in ground:
+            ground[node.terminal].append(node)
     ground_chains: dict[str, tuple[str, ...]] = {}
     for term in inst.terminals:
-        chain = sorted(
-            (n for n in nodes.values() if n.terminal == term.id and n.kind in GROUND_NODE_KINDS),
-            key=_ground_sort_key,
-        )
+        chain = sorted(ground[term.id], key=_ground_sort_key)
         ground_chains[term.id] = tuple(n.id for n in chain)
         for i, tail in enumerate(chain):
             if i + 1 < len(chain):

@@ -7,12 +7,15 @@ MPS reader and MIP solver, scipy's ``milp``, the model over a denser
 light-arc set, a walk over the model's constraint objects, the model's
 rows built one constraint object at a time and compiled by a walk, a fresh
 ``linprog`` call per node LP, linprog's point check spelled out test by
-test, or a dict walk over each gate's terminal-day event groups) so
-expected values in tests are never produced by the code path under test.
+test, a dict walk over each gate's terminal-day event groups, the exact
+light-arc reduction walked terminal pair by terminal pair, or the prices
+walked arc by arc) so expected values in tests are never produced by the
+code path under test.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from time import perf_counter
@@ -21,7 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from railplan.lighttravel import reduce_exact
+from railplan.lighttravel import LightArcSpec, reduce_exact
 from railplan.model import (
     _GATES,
     _ON_BASELINE,
@@ -33,7 +36,6 @@ from railplan.model import (
     VarRef,
     _stop_arcs,
     build_base_model,
-    flow_upper_bound,
     group_events_by_terminal_day,
 )
 from railplan.solver import (
@@ -270,26 +272,9 @@ def rows_by_constraint_objects(net, costs, mutual_exclusion=True, cfg=None):
     """(variables, rows) of the base model over ``net`` (light arcs merged),
     plus the gate variables and rows of ``cfg`` when given and not V0,
     each row a ``LinearConstraint``."""
-    variables: list[VarRef] = []
+    variables, act = _base_variables_by_arc_walk(net, costs)
     rows: list[LinearConstraint] = []
-    U = flow_upper_bound(net)
-    u_cap = max(1, math.ceil(U / costs.rho_u))
     arcs = net.arcs_in_order()
-    act: dict[str, str] = {}
-    for arc in arcs:
-        lower, upper = (arc.b, costs.f) if arc.kind == "train" else (0, U)
-        variables.append(VarRef(f"x:{arc.id}", "x", arc.id, lower, upper))
-    for arc in arcs:
-        if arc.kind == "arrival_ground" and arc.decision:
-            act[arc.id] = f"yso:{arc.id}"
-            variables.append(VarRef(act[arc.id], "yso", arc.id, 0, 1, True))
-        elif arc.kind == "ground_departure" and arc.decision:
-            act[arc.id] = f"ypu:{arc.id}"
-            variables.append(VarRef(act[arc.id], "ypu", arc.id, 0, 1, True))
-    for arc in arcs:
-        if arc.kind == "light":
-            act[arc.id] = f"u:{arc.id}"
-            variables.append(VarRef(act[arc.id], "u", arc.id, 0, u_cap))
     for node_id in net.node_order:
         terms = [(f"x:{a}", 1) for a in net.in_arcs[node_id]] + [(f"x:{a}", -1) for a in net.out_arcs[node_id]]
         rows.append(LinearConstraint(terms, "=", 0, f"flow:{node_id}"))
@@ -310,6 +295,41 @@ def rows_by_constraint_objects(net, costs, mutual_exclusion=True, cfg=None):
         variables += gate_vars
         rows += gate_rows
     return variables, rows
+
+
+def variables_by_arc_walk(net, costs, cfg=None) -> list[VarRef]:
+    """The variables ``rows_by_constraint_objects`` gives, without its
+    rows."""
+    variables, _act = _base_variables_by_arc_walk(net, costs)
+    if cfg is not None and cfg.version != "V0":
+        variables += _extension_rows_by_constraint_objects(net, cfg)[0]
+    return variables
+
+
+def _base_variables_by_arc_walk(net, costs) -> tuple[list[VarRef], dict[str, str]]:
+    """The base model's variables, one ``VarRef`` per arc walked, and the
+    map of each decision or light arc id to its activation variable id."""
+    variables: list[VarRef] = []
+    arcs = net.arcs_in_order()
+    f = net.instance.costs.f  # the flow bound takes the instance's fleet cap
+    U = max(f, f * sum(arc.kind == "train" for arc in arcs), 1)
+    u_cap = max(1, math.ceil(U / costs.rho_u))
+    act: dict[str, str] = {}
+    for arc in arcs:
+        lower, upper = (arc.b, costs.f) if arc.kind == "train" else (0, U)
+        variables.append(VarRef(f"x:{arc.id}", "x", arc.id, lower, upper))
+    for arc in arcs:
+        if arc.kind == "arrival_ground" and arc.decision:
+            act[arc.id] = f"yso:{arc.id}"
+            variables.append(VarRef(act[arc.id], "yso", arc.id, 0, 1, True))
+        elif arc.kind == "ground_departure" and arc.decision:
+            act[arc.id] = f"ypu:{arc.id}"
+            variables.append(VarRef(act[arc.id], "ypu", arc.id, 0, 1, True))
+    for arc in arcs:
+        if arc.kind == "light":
+            act[arc.id] = f"u:{arc.id}"
+            variables.append(VarRef(act[arc.id], "u", arc.id, 0, u_cap))
+    return variables, act
 
 
 def _extension_rows_by_constraint_objects(net, cfg):
@@ -616,3 +636,95 @@ def dense_and_reduced_optima(inst, dense_generator):
     elapsed = perf_counter() - started
     assert elapsed < 60.0, f"pair of solves took {elapsed:.1f}s"
     return objectives
+
+
+# ---------------------------------------------------------------------------
+# The exact light-arc reduction as a walk over terminal pairs, and the base
+# model's prices as a walk over its arcs: the routes the library took before
+# it ran both as array passes.
+
+
+def reduce_exact_by_pair_walk(net) -> list[LightArcSpec]:
+    """The exact reduced light-arc set, per ordered terminal pair: each
+    arrival-ground tail's first ground-departure head at or after arrival +
+    transit (by a binary search over the heads, wrapping to the first),
+    then per (head, origin terminal) the candidate of least wait, ties to
+    the latest tail by (time, id)."""
+    H = net.horizon
+    ground = {term: [net.nodes[nid] for nid in chain] for term, chain in net.ground_chains.items()}
+    best = {}
+    for term_from in sorted(ground):
+        for term_to in sorted(ground):
+            delta = net.instance.transit.get(term_from, term_to)
+            if term_to == term_from or delta is None:
+                continue
+            heads = [n for n in ground[term_to] if n.kind == "ground_departure"]
+            if not heads:
+                continue
+            for tail in (n for n in ground[term_from] if n.kind == "arrival_ground"):
+                i = bisect.bisect_left(heads, (tail.time + delta) % H, key=lambda n: n.time)
+                head = heads[i] if i < len(heads) else heads[0]
+                rank = (-((head.time - tail.time - delta) % H), tail.time, tail.id)
+                key = (head.id, tail.terminal)
+                if key not in best or rank > best[key][0]:
+                    best[key] = (rank, tail, head, delta)
+    specs = []
+    for _rank, tail, head, delta in best.values():
+        span = delta + (head.time - (tail.time + delta)) % H
+        specs.append(
+            LightArcSpec(tail.id, head.id, tail.terminal, head.terminal, delta, span, (tail.time + span) // H)
+        )
+    return sorted(specs, key=lambda s: (s.tail_terminal, s.head_terminal, s.tail, s.head))
+
+
+def price_by_arc_walk(net, costs, x: dict, act: dict):
+    """(objective, offset, decomposition) of the base model over ``net`` at
+    ``costs``, keyed by the ids ``x`` and ``act`` map arc ids to: one pass
+    over the arcs in order (ownership before deadhead or light travel per
+    arc), then the light arcs' crew terms, then the work-event penalties
+    sorted by id; zero terms left out."""
+    objective, ownership, deadhead, light_travel, work_events = {}, {}, {}, {}, {}
+    offset = 0
+    q, g_rate = costs.q, costs.g_rate
+    light_arcs = []
+    for arc in net.arcs_in_order():
+        xv = x[arc.id]
+        own = q * arc.crossings if arc.crossings > 0 else 0
+        if own != 0:
+            objective[xv] = ownership[xv] = own
+        if arc.kind == "train":
+            coef, bucket = g_rate * arc.duration, deadhead
+            offset -= coef * arc.b
+        elif arc.kind == "light":
+            coef, bucket = g_rate * arc.transit, light_travel
+            light_arcs.append(arc)
+        else:
+            continue
+        if coef != 0:
+            bucket[xv] = coef
+            objective[xv] = own + coef if own != 0 else coef
+    for arc in light_arcs:
+        coef = costs.e_rate * arc.transit
+        if coef != 0:
+            objective[act[arc.id]] = light_travel[act[arc.id]] = coef
+    table = {
+        "so": (costs.c1, costs.c2),
+        "pu": (costs.c2, costs.c1),
+        "no": (costs.c3, costs.c3),
+        "both": (costs.c1, costs.c1),
+    }
+    penalties = {}
+    for arc in net.arcs_in_order():
+        if arc.kind == "transition":
+            so_arc, pu_arc = _stop_arcs(arc)
+            penalties[act[so_arc]], penalties[act[pu_arc]] = table[arc.flags.category]
+    for var, coef in sorted(penalties.items()):
+        if coef != 0:
+            objective[var] = work_events[var] = coef
+    decomposition = {
+        "ownership": ownership,
+        "deadhead": deadhead,
+        "light_travel": light_travel,
+        "work_events": work_events,
+    }
+    return objective, offset, decomposition

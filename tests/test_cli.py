@@ -168,6 +168,25 @@ def test_build_makes_no_row_objects(monkeypatch, tmp_path, ladder_instance, exte
     assert out.read_text().endswith("ENDATA\n")
 
 
+@pytest.mark.parametrize("extension", [[], ["--extension", "V3", "--alpha", "1"]], ids=["V0", "V3"])
+def test_build_makes_no_variable_objects(monkeypatch, tmp_path, ladder_instance, extension):
+    """``railplan build`` reads the columns' ids, bounds and binary flags
+    from the model's matrix and prices the model from its arcs, so it never
+    makes a VarRef: neither by the constructor nor by reading a model's
+    variables back from its matrix."""
+    import railplan.model
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("railplan build made a VarRef")
+
+    monkeypatch.setattr(railplan.model.VarRef, "__new__", refuse)
+    monkeypatch.setattr(railplan.model, "_new_var", refuse)
+    out = tmp_path / "m.mps"
+    argv = ["build", "--instance", _write(tmp_path, ladder_instance), *extension, "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().endswith("ENDATA\n")
+
+
 def test_ladder_negative_alpha_exits_2(tmp_path, capsys, ladder_instance):
     # Such a rung once went into the rows as "infeasible" (exit 0).
     inst_path = _write(tmp_path, ladder_instance)

@@ -4,10 +4,14 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from railplan.instance import generate_synthetic, net_power_balance
+from railplan.instance import TransitTable, generate_synthetic, net_power_balance
 from railplan.lighttravel import (
     CapExceededError,
     McfError,
@@ -22,10 +26,16 @@ from railplan.lighttravel import (
 )
 from railplan.model import build_base_model
 from railplan.solver import solve_bb
-from railplan.spacetime import build_network, with_light_arcs
+from railplan.spacetime import _ground_sort_key, build_network, with_light_arcs
 
 from .conftest import make_instance
-from .oracles import dense_and_reduced_optima, mcf_cost_by_enumeration, mcf_cost_by_lp, mcf_flow_cost
+from .oracles import (
+    dense_and_reduced_optima,
+    mcf_cost_by_enumeration,
+    mcf_cost_by_lp,
+    mcf_flow_cost,
+    reduce_exact_by_pair_walk,
+)
 
 
 def _shape_id(shape):
@@ -172,7 +182,9 @@ def test_full_enumeration_cap_guard():
 
 # sha256 of the exact, full and pairwise arc lists (one line per spec, its
 # fields space-separated, or the cap error) over seeds 1-40 of each shape,
-# recorded before the three generators shared one terminal-pair walk.
+# recorded before the three generators shared one terminal-pair walk; the
+# (16,320,4) entry was recorded while the exact reduction still walked the
+# terminal pairs, before it became one array pass.
 _ARC_LIST_DIGESTS = {
     (3, 4, 2): {
         "exact": "1ee3573ff67dbeb2baa8637d735c10a69a58dafe7ce235881c2aa625c1911324",
@@ -193,6 +205,11 @@ _ARC_LIST_DIGESTS = {
         "exact": "782a043d523275cd15e70ac5a243fe5dbf2607902ba682f820b1fa2ec107dd49",
         "full": "204fc328f7ec1029fe37739bb796f010bc344bef983c6fd91c67711303336dc3",
         "pairwise": "53f2e9691744d35f0a0baa3ec22036eea534003a452b0a0841719cab661d7161",
+    },
+    (16, 320, 4): {
+        "exact": "62234ab8b407466631809b3e2508b6f137adf5cbfdae6773426cdc477dd968e8",
+        "full": "0e7981a9f9dc1560d7dce1fbde40b4bc786290971f18543be452fce1e1608245",
+        "pairwise": "a641f233d482f12a00007915547f8999d4cb8b50e3426020f430e891f2fb61d1",
     },
 }
 
@@ -241,6 +258,60 @@ def test_reduced_is_subset_of_pairwise_universe():
             if a.terminal != g.terminal and inst.transit.has(a.terminal, g.terminal)
         )
         assert len(pairwise) == expected
+
+
+def _typed(specs):
+    return [(tuple(spec), tuple(map(type, spec))) for spec in specs]
+
+
+def _mutated(net, data):
+    """``net`` with drawn changes to what the reduction reads: transit
+    entries dropped or set to any length (long ones give deceptive wraps),
+    a terminal's ground departures or arrivals struck from its chain, and
+    arrival-ground times at one terminal pulled onto a few shared minutes,
+    each chain re-sorted as ``build_network`` sorts it."""
+    H = net.horizon
+    terminals = sorted(net.ground_chains)
+    entries = dict(net.instance.transit.items())
+    for pair in data.draw(st.lists(st.sampled_from(sorted(entries)), max_size=3), label="dropped transit"):
+        entries.pop(pair, None)
+    pairs = [(o, d) for o in terminals for d in terminals if o != d]
+    for pair, minutes in data.draw(
+        st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, H - 1)), max_size=3), label="transit set"
+    ):
+        entries[pair] = minutes
+    nodes = dict(net.nodes)
+    chains = dict(net.ground_chains)
+    shared = data.draw(st.lists(st.integers(0, H - 1), min_size=1, max_size=3), label="shared minutes")
+    term = data.draw(st.sampled_from(terminals), label="coincident terminal")
+    for i, nid in enumerate(chains[term]):
+        if nodes[nid].kind == "arrival_ground":
+            nodes[nid] = nodes[nid]._replace(time=shared[i % len(shared)])
+    for kind in data.draw(st.lists(st.sampled_from(("ground_departure", "arrival_ground")), max_size=2), label="strip"):
+        term = data.draw(st.sampled_from(terminals), label=f"no {kind}")
+        chains[term] = tuple(nid for nid in chains[term] if nodes[nid].kind != kind)
+    chains = {term: tuple(sorted(chain, key=lambda nid: _ground_sort_key(nodes[nid]))) for term, chain in chains.items()}
+    inst = replace(net.instance, transit=TransitTable(entries))
+    return replace(net, instance=inst, nodes=nodes, ground_chains=chains)
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True, database=None)
+@given(
+    shape=st.tuples(st.integers(2, 8), st.integers(1, 24), st.integers(1, 3)),
+    seed=st.integers(1, 10**6),
+    mutate=st.booleans(),
+    data=st.data(),
+)
+def test_array_reduction_equals_pair_walk(shape, seed, mutate, data):
+    """The exact reduction's array pass gives the pair walk's arcs, in
+    order and with the walk's field types, on generated networks and on
+    mutated ones: missing or long transit entries, terminals with no ground
+    departures or no arrivals, and coincident arrivals, whose tie goes to
+    the latest tail in chain order."""
+    net = build_network(generate_synthetic(seed, *shape))
+    if mutate:
+        net = _mutated(net, data)
+    assert _typed(reduce_exact(net)) == _typed(reduce_exact_by_pair_walk(net))
 
 
 def test_latest_origin_uniqueness_property():

@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import pickle
 from dataclasses import replace
@@ -21,10 +22,12 @@ from railplan.model import (
     group_events_by_terminal_day,
     warm_start_from,
 )
+from railplan.report import _cell_model, assemble
 from railplan.solver import SolveBudget, solve_bb
 from railplan.spacetime import Arc, Node, build_network, pickup_arcs, setout_arcs, with_light_arcs
 
 from .conftest import make_instance, prices_use_own_ids
+from .oracles import price_by_arc_walk
 
 
 def _build(inst, light="exact", **kwargs):
@@ -94,6 +97,45 @@ def test_objective_terms_in_pricing_order():
     assert list(model.objective) == priced + penalties
     for bucket in model.decomposition.values():
         assert list(bucket) == [var for var in model.objective if var in bucket]
+
+
+# Cost rates: ints (zero and past int64 among them) and floats (0.0 and
+# -0.0 among them).
+_RATE = st.one_of(
+    st.integers(-5, 5000),
+    st.sampled_from((0, 0.0, -0.0, 2**70, 3**45, 0.1)),
+    st.floats(-1e4, 1e4, allow_nan=False),
+)
+_RATE_FIELDS = ("q", "g_rate", "e_rate", "c1", "c2", "c3")
+
+
+@functools.cache
+def _priced_bases():
+    """(merged network, light arcs, base model) per case, over exact and
+    MCF light arcs."""
+    cases = ((1, (4, 8, 2), "exact"), (2, (5, 12, 3), "mcf"), (3, (6, 16, 3), "exact"))
+    return [assemble(generate_synthetic(seed, *shape), lt_method=lt_method) for seed, shape, lt_method in cases]
+
+
+@settings(max_examples=80, deadline=timedelta(seconds=5), derandomize=True, database=None)
+@given(case=st.integers(0, 2), rates=st.fixed_dictionaries({name: _RATE for name in _RATE_FIELDS}))
+def test_prices_equal_the_arc_walk(case, rates):
+    """A built model's objective, offset and cost buckets, and a sweep
+    cell's repricing of it, are the arc walk's: the same keys in the same
+    order, the same values and the same number types, under int, float and
+    zero rates."""
+    net, specs, base = _priced_bases()[case]
+    costs = replace(net.instance.costs, **rates)
+    x = {v.subject: v.id for v in base.variables if v.family == "x"}
+    act = {v.subject: v.id for v in base.variables if v.family in ("yso", "ypu", "u")}
+    objective, offset, decomposition = price_by_arc_walk(net, costs, x, act)
+    typed = lambda coefs: [(var, repr(coef), type(coef)) for var, coef in coefs.items()]
+    for model in (build_base_model(net, specs, costs), _cell_model(base, costs)):
+        assert typed(model.objective) == typed(objective)
+        assert (repr(model.offset), type(model.offset)) == (repr(offset), type(offset))
+        assert list(model.decomposition) == list(decomposition)
+        for bucket, coefs in decomposition.items():
+            assert typed(model.decomposition[bucket]) == typed(coefs), bucket
 
 
 def test_prices_key_on_the_variables_own_ids():

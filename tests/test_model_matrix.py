@@ -371,10 +371,15 @@ def _typed(rows):
     return [(c.terms, [type(coef) for _v, coef in c.terms], c.sense, c.rhs, type(c.rhs), c.tag) for c in rows]
 
 
+def _typed_vars(variables):
+    return [(tuple(var), tuple(map(type, var))) for var in variables]
+
+
 def _assert_matrix_equals_row_walk(model, want_vars, want_rows, case):
     want = compile_by_row_walk(want_vars, want_rows)
     mx = model.matrix()
-    assert model.variables == tuple(want_vars), case
+    assert len(model.variables) == len(want_vars), case
+    assert _typed_vars(model.variables) == _typed_vars(want_vars), case
     for name in ("indptr", "indices", "data"):
         got, ref = getattr(mx.A, name), getattr(want["A"], name)
         assert got.dtype == ref.dtype and got.tolist() == ref.tolist(), (case, name)
@@ -407,8 +412,8 @@ def test_array_built_matrix_equals_row_walk(shape, seed, lt_method, mutual_exclu
     """The matrix ``build_base_model`` fills from the network's arcs, with
     ``apply_extension``'s block and ``with_budget``'s right-hand sides on
     it, equals the walk over the rows built one constraint object at a time,
-    field by field; the rows read back from it are those rows, types and
-    all.  Shapes with idle terminals give a self-loop ground arc, whose flow
+    field by field; the variables and rows read back from it are those
+    variables and rows, types and all.  Shapes with idle terminals give a self-loop ground arc, whose flow
     row is empty."""
     inst = attach_synthetic_baseline(generate_synthetic(seed, *shape), seed)
     net = build_network(inst)

@@ -20,7 +20,13 @@ from railplan.report import assemble, scaled_costs
 from railplan.solver import SolveBudget, solve_bb
 from railplan.spacetime import build_network, with_light_arcs
 
-from .oracles import highs_mip_optimum, highs_model_fields, read_mps_with_highs, solve_enumeration
+from .oracles import (
+    highs_mip_optimum,
+    highs_model_fields,
+    read_mps_with_highs,
+    solve_enumeration,
+    variables_by_arc_walk,
+)
 
 
 def _assemble(inst):
@@ -239,6 +245,20 @@ def _mps_digest(cases, path) -> str:
 @pytest.mark.parametrize("case", sorted(_MPS_CASES))
 def test_mps_bytes_match_frozen_digests(tmp_path, case):
     assert _mps_digest(_MPS_CASES[case](), tmp_path / "m.mps") == _MPS_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(_MPS_CASES))
+def test_variables_equal_the_arc_walk(case):
+    """A built model's variables, read from its matrix, are the ones a walk
+    over its network's arcs makes, number types included; a model built by
+    hand keeps the tuple it was given."""
+    typed = lambda variables: [(tuple(var), tuple(map(type, var))) for var in variables]
+    for label, model in _MPS_CASES[case]():
+        if model.network is None:
+            assert type(model.variables) is tuple, label
+            continue
+        want = variables_by_arc_walk(model.network, model.network.instance.costs, model.extension)
+        assert typed(model.variables) == typed(want), (case, label)
 
 
 def test_export_holds_little_beyond_the_model(tmp_path):

@@ -81,12 +81,14 @@ _ARC_FIELDS = (
 # sha256 over seeds 1-40 of each shape of the network with its exact light
 # arcs merged: its network_to_dict JSON, then every arc's fields, recorded
 # while each arc construction site still computed ``wrap`` and ``crossings``
-# on its own.
+# on its own; the (16,320,4) entry while build_network still scanned every
+# node once per terminal and the exact reduction walked terminal pairs.
 _NETWORK_DIGESTS = {
     (3, 4, 2): "08506c4759c59d7b112fa8d34816a73e344242718163f74a60f57c0f69572949",
     (4, 8, 2): "1f4b858af18ae481dc01b460a1d580c8f964a6cc3527ac5af883edbd5e801c25",
     (5, 12, 3): "0f7be4de4d63fd0a5b8327aa22a8009242b6c9011d23ce646ec6c927caece593",
     (10, 80, 4): "cb3ff11c09468534a80d9126bbe13500fe88050b932a2bd961530067b7cf855a",
+    (16, 320, 4): "e4abc2c215fcc124bce82b8ec87f8011a13bdd0c8b3ec717cf36da908c7c0956",
 }
 
 

@@ -8,6 +8,7 @@ without an incumbent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -65,16 +66,16 @@ def _add_mcf_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mcf-alpha", type=float, default=None, help="penalization factor (default: mean train count)")
 
 
-def _theta(text: str) -> float | int:
-    """A daily work-event cap: a non-negative number or 'inf'.  An integral
-    value is kept as an int, so the model's rows stay integral."""
+def _theta(text: str) -> float:
+    """A daily work-event cap: a non-negative number or 'inf'.  The rows
+    it caps take its floor."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid theta {text!r}") from None
     if math.isnan(value) or value < 0:
         raise argparse.ArgumentTypeError(f"theta must be non-negative or 'inf', got {text!r}")
-    return int(value) if value.is_integer() else value
+    return value
 
 
 def _steps(text: str) -> int:
@@ -338,9 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves a parser
+    as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (

@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import math
 import threading
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
@@ -38,8 +39,8 @@ SENSE_LE, SENSE_EQ, SENSE_GE = 1, 0, -1
 _SENSE_CODES = {"<=": SENSE_LE, "=": SENSE_EQ, ">=": SENSE_GE}
 
 # Largest magnitude of a bound, coefficient row sum times value, or
-# right-hand side in an integral ModelMatrix: every row value and slack then
-# fits int64 and is exact in float64.
+# right-hand side in a ModelMatrix: every row value and slack then fits
+# int64 and is exact in float64.
 EXACT_INT_LIMIT = 2**52
 
 
@@ -174,7 +175,9 @@ class MilpModel:
     built model (``build_base_model``, ``apply_extension``, ``with_budget``)
     holds its matrix and reads its variables and rows from it only when
     something iterates or indexes them.  A copy made by
-    ``dataclasses.replace`` compiles a matrix of its own.
+    ``dataclasses.replace`` compiles a matrix of its own.  The matrix is
+    int64 (``ModelMatrix``): the rows and bounds hold integers, and only the
+    objective and offset may hold floats.
     """
 
     name: str
@@ -323,15 +326,16 @@ class _Columns(NamedTuple):
 
 
 class ModelMatrix:
-    """A model's columns and rows as arrays, in model order.
+    """A model's columns and rows as int64 arrays, in model order.
 
     ``A`` is a CSR matrix whose row i is constraint i (its terms in the
     constraint's own order), with ``sense`` coded as SENSE_LE/EQ/GE, ``rhs``
     its right-hand sides and ``tags`` its tags; ``lower`` and ``upper`` are
-    the column bounds and ``binary`` marks the binary columns.
-    ``integral`` holds when every bound, coefficient and right-hand side is
-    a Python int within EXACT_INT_LIMIT; the arrays are int64 then and
-    float64 otherwise.
+    the column bounds and ``binary`` marks the binary columns.  Every bound,
+    coefficient and right-hand side is an integer within EXACT_INT_LIMIT:
+    ``from_rows``, ``appended`` and ``build_base_model`` raise
+    ``ConfigError`` for any other number, and a rounded right-hand side
+    (``_int_rhs``) keeps every integer point of its row.
     Integer points whose entries stay within ``value_limit`` have exact
     int64 row values.  The objective is not compiled: a sweep reprices one
     model per cost factor and shares its matrix across them.  The rungs of a
@@ -340,87 +344,54 @@ class ModelMatrix:
     bounds, ``ids``, ``column``, ``tags`` and ``sessions`` with the first
     rung's, so a chain compiles one matrix.
 
-    A float matrix remembers which of its entries were Python floats, so
-    that a model's rows read from it carry the numbers they were built
-    from: the others were ints.  The bounds of the columns that
-    ``build_base_model`` and ``apply_extension`` make are ints.
-
     ``sessions`` holds per-thread state over the shared structure: the HiGHS
     LP and repair that every model sharing it re-solves under its own costs
     and right-hand sides (see ``railplan.solver``), and the gate incidence.
     It lives as long as the last matrix that shares it.
     """
 
-    def __init__(
-        self, ids, column, A, lower, upper, binary, rhs, sense, tags, *,
-        integral_lhs: bool, integral_rhs: bool, max_row_abs,
-        float_data=None, float_rhs=None,
-    ):
+    def __init__(self, ids, column, A, lower, upper, binary, rhs, sense, tags, max_row_abs: int):
         self.ids = ids
         self.column = column
-        self.binary = binary
-        self.tags = tags
-        self.sense = sense
-        self._integral_lhs = integral_lhs
-        self._integral_rhs = integral_rhs
-        self._max_row_abs = max_row_abs
-        self.integral = integral_lhs and integral_rhs
-        dtype = np.int64 if self.integral else np.float64
-        if A.dtype != dtype:  # not A.astype, which sorts each row's entries by column
-            A = sparse.csr_matrix((A.data.astype(dtype), A.indices, A.indptr), shape=A.shape)
         self.A = A
-        self.lower = np.asarray(lower, dtype=dtype)
-        self.upper = np.asarray(upper, dtype=dtype)
-        self.rhs = np.asarray(rhs, dtype=dtype)
-        self.value_limit = EXACT_INT_LIMIT // max(1, max_row_abs) if self.integral else 0
-        self._float_data = None if self.integral else float_data
-        self._float_rhs = None if self.integral else float_rhs
+        self.lower = lower
+        self.upper = upper
+        self.binary = binary
+        self.rhs = rhs
+        self.sense = sense
+        self.tags = tags
+        self._max_row_abs = max_row_abs
+        self.value_limit = EXACT_INT_LIMIT // max(1, max_row_abs)
         self.sessions = threading.local()
 
     @classmethod
     def from_rows(cls, variables, column: dict[str, int], rows) -> "ModelMatrix":
         """The matrix of ``variables`` and ``rows`` (``column`` maps each
         variable id to its position), compiled by a walk over the rows."""
-        block = _walk(rows, column)
-        lower = [v.lower for v in variables]
-        upper = [v.upper for v in variables]
-        integral_lhs = _exact_ints(lower, upper, block.data)
-        integral_rhs = _exact_ints(block.rhs)
-        dtype = np.int64 if integral_lhs and integral_rhs else np.float64
+        ids = tuple(v.id for v in variables)
+        block = _checked_walk(rows, column)
         A = sparse.csr_matrix(
-            (
-                np.array(block.data, dtype=dtype),
-                np.array(block.indices, dtype=np.int64),
-                np.array(block.indptr, dtype=np.int64),
-            ),
-            shape=(len(block.tags), len(variables)),
+            (_int64(block.data), _int64(block.indices), _int64(block.indptr)), shape=(len(block.tags), len(ids))
         )
-        exact = integral_lhs and integral_rhs
         return cls(
-            tuple(v.id for v in variables), column, A, lower, upper,
-            np.array([v.binary for v in variables], dtype=bool), block.rhs,
-            np.array(block.sense, dtype=np.int8), tuple(block.tags),
-            integral_lhs=integral_lhs, integral_rhs=integral_rhs, max_row_abs=block.max_row_abs,
-            float_data=None if exact else _float_mask(block.data),
-            float_rhs=None if exact else _float_mask(block.rhs),
+            ids, column, A,
+            _bounds([v.lower for v in variables], "lower bound", ids),
+            _bounds([v.upper for v in variables], "upper bound", ids),
+            np.array([v.binary for v in variables], dtype=bool), _int64(block.rhs),
+            np.array(block.sense, dtype=np.int8), tuple(block.tags), block.max_row_abs,
         )
 
     def appended(self, columns: _Columns, column: dict[str, int], rows) -> "ModelMatrix":
         """This matrix with ``columns`` and then ``rows`` added; ``column``
         maps every id, old and new, to its position."""
-        block = _walk(rows, column)
-        lower, upper = columns.lower, columns.upper
-        integral_lhs = self._integral_lhs and _exact_ints(lower, upper, block.data)
-        integral_rhs = self._integral_rhs and _exact_ints(block.rhs)
-        exact = integral_lhs and integral_rhs
-        dtype = np.int64 if exact else np.float64
+        block = _checked_walk(rows, column)
         A = self.A
         n_rows, n_cols = A.shape
         A = sparse.csr_matrix(
             (
-                np.concatenate((A.data.astype(dtype, copy=False), np.array(block.data, dtype=dtype))),
-                np.concatenate((A.indices, np.array(block.indices, dtype=np.int64))),
-                np.concatenate((A.indptr, A.indptr[-1] + np.array(block.indptr[1:], dtype=np.int64))),
+                np.concatenate((A.data, _int64(block.data))),
+                np.concatenate((A.indices, _int64(block.indices))),
+                np.concatenate((A.indptr, A.indptr[-1] + _int64(block.indptr[1:]))),
             ),
             shape=(n_rows + len(block.tags), n_cols + len(columns.ids)),
         )
@@ -428,17 +399,13 @@ class ModelMatrix:
             self.ids + tuple(columns.ids),
             column,
             A,
-            np.concatenate((self.lower.astype(dtype, copy=False), np.array(lower, dtype=dtype))),
-            np.concatenate((self.upper.astype(dtype, copy=False), np.array(upper, dtype=dtype))),
+            np.concatenate((self.lower, _bounds(columns.lower, "lower bound", columns.ids))),
+            np.concatenate((self.upper, _bounds(columns.upper, "upper bound", columns.ids))),
             np.concatenate((self.binary, np.array(columns.binary, dtype=bool))),
-            np.concatenate((self.rhs.astype(dtype, copy=False), np.array(block.rhs, dtype=dtype))),
+            np.concatenate((self.rhs, _int64(block.rhs))),
             np.concatenate((self.sense, np.array(block.sense, dtype=np.int8))),
             self.tags + tuple(block.tags),
-            integral_lhs=integral_lhs,
-            integral_rhs=integral_rhs,
-            max_row_abs=max(self._max_row_abs, block.max_row_abs),
-            float_data=None if exact else _joined(self._float_data, self.A.nnz, _float_mask(block.data)),
-            float_rhs=None if exact else _joined(self._float_rhs, n_rows, _float_mask(block.rhs)),
+            max(self._max_row_abs, block.max_row_abs),
         )
 
     def ends_in(self, block: _Block) -> bool:
@@ -456,69 +423,57 @@ class ModelMatrix:
             and self.A.data[start:].tolist() == block.data
         )
 
-    def rhs_values(self) -> list:
-        """The right-hand sides as the Python numbers they were built from."""
-        return _py_values(self.rhs, self._float_rhs)
-
-    def with_rhs(self, rhs: list) -> "ModelMatrix":
-        """This matrix with right-hand sides ``rhs``, in row order.  Every
-        other array, the column index and the ``sessions`` slot are shared
-        while ``rhs`` keeps the ``integral`` flag; a change of the flag, and
-        so of every array's dtype, gives converted copies and a new slot."""
-        integral_rhs = _exact_ints(rhs)
-        exact = self._integral_lhs and integral_rhs
-        float_rhs = None if exact else _float_mask(rhs)
-        if exact != self.integral:
-            return ModelMatrix(
-                self.ids, self.column, self.A, self.lower, self.upper, self.binary, rhs, self.sense, self.tags,
-                integral_lhs=self._integral_lhs, integral_rhs=integral_rhs, max_row_abs=self._max_row_abs,
-                float_data=self._float_data, float_rhs=float_rhs,
-            )
+    def with_rhs(self, rhs: np.ndarray) -> "ModelMatrix":
+        """This matrix with the int64 right-hand sides ``rhs``, in row
+        order; every other array, the column index and the ``sessions`` slot
+        are shared."""
         mx = copy.copy(self)
-        mx.rhs = np.array(rhs, dtype=self.rhs.dtype)
-        mx._integral_rhs = integral_rhs
-        mx._float_rhs = float_rhs
+        mx.rhs = rhs
         return mx
 
 
-def _exact_ints(*seqs) -> bool:
-    """Whether every entry of ``seqs`` is a Python int within EXACT_INT_LIMIT.
-
-    Each sequence is judged by the set of its entries' types, then by its
-    extremes, so that the per-entry work is done in C."""
-    for seq in seqs:
-        if seq and not (
-            all(issubclass(t, int) for t in set(map(type, seq)))
-            and -EXACT_INT_LIMIT <= min(seq)
-            and max(seq) <= EXACT_INT_LIMIT
-        ):
-            return False
-    return True
+def _int64(values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
 
 
-def _float_mask(values) -> np.ndarray | None:
-    """Which of ``values`` are Python floats; ``None`` when none is."""
-    mask = [isinstance(v, float) for v in values]
-    return np.array(mask, dtype=bool) if any(mask) else None
+def _exact_ints(values, what: str, owner) -> None:
+    """Raise ``ConfigError`` unless every entry of ``values`` is an integer
+    within EXACT_INT_LIMIT (an integral float counts); ``owner(i)`` names
+    the row or variable of entry i.
+
+    The entries are judged by the set of their types, then by their
+    extremes, so that the per-entry work is done in C; only a sequence that
+    fails is walked to name its first offending entry."""
+    if not values or (
+        all(issubclass(t, int) for t in set(map(type, values)))
+        and -EXACT_INT_LIMIT <= min(values)
+        and max(values) <= EXACT_INT_LIMIT
+    ):
+        return
+    for i, value in enumerate(values):
+        try:
+            whole = value == int(value)  # int() refuses NaN and infinities
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not (whole and -EXACT_INT_LIMIT <= value <= EXACT_INT_LIMIT):
+            raise ConfigError(f"{owner(i)}: {what} {value!r} is not an integer within +-2**52")
 
 
-def _joined(head: np.ndarray | None, head_len: int, tail: np.ndarray | None) -> np.ndarray | None:
-    if head is None and tail is None:
-        return None
-    if head is None:
-        head = np.zeros(head_len, dtype=bool)
-    return head if tail is None else np.concatenate((head, tail))
+def _checked_walk(rows, column: dict[str, int]) -> _Block:
+    """``_walk(rows, column)``, after ``_exact_ints`` has checked its
+    coefficients and right-hand sides."""
+    block = _walk(rows, column)
+    row_of = lambda entry: bisect_right(block.indptr, entry) - 1
+    _exact_ints(block.data, "coefficient", lambda i: f"row {block.tags[row_of(i)]}")
+    _exact_ints(block.rhs, "right-hand side", lambda i: f"row {block.tags[i]}")
+    return block._replace(max_row_abs=int(block.max_row_abs))
 
 
-def _py_values(values: np.ndarray, floats: np.ndarray | None) -> list:
-    """``values`` as Python numbers: a float matrix's entries are ints
-    unless ``floats`` marks them or they are not integral."""
-    out = values.tolist()
-    if values.dtype.kind != "f":
-        return out
-    if floats is None:
-        return [int(v) if v.is_integer() else v for v in out]
-    return [v if is_float or not v.is_integer() else int(v) for v, is_float in zip(out, floats.tolist())]
+def _bounds(values, what: str, ids) -> np.ndarray:
+    """``values``, bounds of the variables ``ids``, as int64 after
+    ``_exact_ints`` has checked them."""
+    _exact_ints(values, what, lambda i: f"variable {ids[i]}")
+    return _int64(values)
 
 
 _SENSE_TEXT = {code: text for text, code in _SENSE_CODES.items()}
@@ -557,14 +512,15 @@ class _ReadFromMatrix(Sequence):
 
 
 class _MatrixRows(_ReadFromMatrix):
-    """A built model's rows as ``LinearConstraint``s."""
+    """A built model's rows as ``LinearConstraint``s, whose coefficients
+    and right-hand sides are the matrix's int64 entries as Python ints."""
 
     __slots__ = ()
 
     def _build(self) -> tuple[LinearConstraint, ...]:
         mx = self.matrix
         ids = mx.ids
-        terms = list(zip([ids[j] for j in mx.A.indices.tolist()], _py_values(mx.A.data, mx._float_data)))
+        terms = list(zip([ids[j] for j in mx.A.indices.tolist()], mx.A.data.tolist()))
         bounds = mx.A.indptr.tolist()
         senses = [_SENSE_TEXT[code] for code in mx.sense.tolist()]
         # The terms are canonical by construction, so the rows skip
@@ -572,7 +528,7 @@ class _MatrixRows(_ReadFromMatrix):
         make = tuple.__new__
         return tuple(
             make(LinearConstraint, (tuple(terms[a:b]), sense, rhs, tag))
-            for a, b, sense, rhs, tag in zip(bounds, bounds[1:], senses, mx.rhs_values(), mx.tags)
+            for a, b, sense, rhs, tag in zip(bounds, bounds[1:], senses, mx.rhs.tolist(), mx.tags)
         )
 
     def __len__(self) -> int:
@@ -602,8 +558,8 @@ class _MatrixVars(_ReadFromMatrix):
             mx.ids,
             map(_first, parts),
             map(_third, parts),
-            _py_values(mx.lower, None),
-            _py_values(mx.upper, None),
+            mx.lower.tolist(),
+            mx.upper.tolist(),
             mx.binary.tolist(),
         )))
         for start, given in self.given:
@@ -815,7 +771,7 @@ def build_base_model(
     binary[n_arcs:n_arcs + len(decision)] = True
     column = dict(zip(ids, range(len(ids))))
 
-    # Coefficients are codes into this table until the dtype is known.
+    # Coefficients are codes into this table.
     table = (1, -1, -f, -rho_u)
     ONE, MINUS_ONE, MINUS_F, MINUS_RHO = range(4)
 
@@ -877,40 +833,26 @@ def build_base_model(
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
 
     # Bounds: b (0 off train arcs) to f on train arcs, 0 to U on the other
-    # arcs, binary decisions and 0 to u_cap light trains.
-    integral_lhs = _exact_ints(arcs.b, (f, U, u_cap), used)
-    integral = integral_lhs  # every right-hand side is 0 or 1
-    dtype = np.int64 if integral else np.float64
-    lower = np.zeros(len(ids), dtype=dtype)
+    # arcs, binary decisions and 0 to u_cap light trains.  These and f and
+    # rho_u as coefficients are the matrix's only numbers besides 0 and 1.
+    _exact_ints(arcs.b, "lower bound", lambda i: f"variable {x_ids[i]}")
+    scalars = ("costs.f", "flow bound U", "light-train bound u_cap", "costs.rho_u")
+    _exact_ints((f, U, u_cap, rho_u), "value", scalars.__getitem__)
+    lower = np.zeros(len(ids), dtype=np.int64)
     lower[:n_arcs] = arcs.b
-    upper = np.full(len(ids), U, dtype=dtype)
+    upper = np.full(len(ids), U, dtype=np.int64)
     upper[train_at] = f
     upper[n_arcs:n_arcs + len(decision)] = 1
     upper[n_arcs + len(decision):] = u_cap
     A = sparse.csr_matrix(
-        (np.array(table, dtype=dtype)[codes], cols, indptr.astype(np.int64)), shape=(n_rows, len(ids))
+        (_int64(table)[codes], cols, indptr.astype(np.int64)), shape=(n_rows, len(ids))
     )
     tags = list(map("flow:".__add__, net.node_order)) + act_tags + [f"mutex:{arc.id}" for arc in mutex]
     sense = np.full(n_rows, SENSE_LE, dtype=np.int8)
     sense[:n_flow] = SENSE_EQ
     rhs = np.zeros(n_rows, dtype=np.int64)
     rhs[n_flow + n_act:] = 1
-    floats = np.array([isinstance(value, float) for value in table])
-    matrix = ModelMatrix(
-        ids,
-        column,
-        A,
-        lower,
-        upper,
-        binary,
-        rhs,
-        sense,
-        tuple(tags),
-        integral_lhs=integral_lhs,
-        integral_rhs=True,
-        max_row_abs=_max_row_abs(A) if integral_lhs else 0,
-        float_data=floats[codes] if floats.any() else None,
-    )
+    matrix = ModelMatrix(ids, column, A, lower, upper, binary, rhs, sense, tuple(tags), _max_row_abs(A))
 
     wraps = np.array(arcs.crossings) > 0
     wrap_at = np.flatnonzero(wraps).tolist()
@@ -951,8 +893,8 @@ def _arc_fields(net: SpaceTimeNetwork) -> Arc:
 
 
 def _max_row_abs(A: sparse.csr_matrix) -> int:
-    """The largest sum of absolute coefficients in a row of an integral
-    ``A``, summed in int64.  Not ``abs(A)``: it sorts each row of ``A`` by
+    """The largest sum of absolute coefficients in a row of ``A``, summed
+    in int64.  Not ``abs(A)``: it sorts each row of ``A`` by
     column, in place."""
     filled = np.flatnonzero(np.diff(A.indptr))
     if filled.size == 0:
@@ -974,11 +916,17 @@ def _event_terms(pairs: list[tuple[str, str]]) -> list[tuple[str, int]]:
 
 def _group_capacity(pairs: list[tuple[str, str]], theta: float | int) -> int:
     """Tight finite cap for one (terminal, day): at most one event per binary,
-    further limited by theta when finite."""
-    cap = 2 * len(pairs)
-    if not math.isinf(theta):
-        cap = min(cap, int(theta))
-    return cap
+    further limited by theta."""
+    return min(2 * len(pairs), _int_rhs(theta))
+
+
+def _int_rhs(b: float | int) -> int:
+    """The integer right-hand side of a ``<=`` row with integer
+    coefficients on integer variables and bound ``b >= 0``: its floor, which
+    keeps every integer point of the row (Chvatal-Gomory rounding), capped at
+    EXACT_INT_LIMIT, which these rows, each summing at most a few binaries,
+    never reach."""
+    return math.floor(min(b, EXACT_INT_LIMIT))
 
 
 def apply_extension(m: MilpModel, cfg: ExtensionConfig) -> MilpModel:
@@ -1032,7 +980,7 @@ def _extension_rows(net: SpaceTimeNetwork, cfg: ExtensionConfig) -> tuple[list[s
         # or 2h (the others), and at most theta; the closed ones no gate
         # opens take none.
         if cfg.version == "V1":
-            tag, cap_of_h, cap_row, theta_row, closed = "V1", lambda h: h + cfg.lambda_, 11, 12, "V1:(13)"
+            tag, cap_of_h, cap_row, theta_row, closed = "V1", lambda h: _int_rhs(h + cfg.lambda_), 11, 12, "V1:(13)"
         else:
             tag, cap_of_h, cap_row, theta_row, closed = "V1p", lambda h: 2 * h, 14, 15, "V1p:inactive"
         for (k, d) in baseline.active_pairs():
@@ -1042,7 +990,7 @@ def _extension_rows(net: SpaceTimeNetwork, cfg: ExtensionConfig) -> tuple[list[s
                 cap = cap_of_h(baseline.count(k, d))
                 rows.append(_row(terms, "<=", cap, f"{tag}:({cap_row}):{k}:{d}"))
                 if not math.isinf(cfg.theta):
-                    rows.append(_row(terms, "<=", cfg.theta, f"{tag}:({theta_row}):{k}:{d}"))
+                    rows.append(_row(terms, "<=", _int_rhs(cfg.theta), f"{tag}:({theta_row}):{k}:{d}"))
         opened = {key for keys in covers.values() for key in keys}
         for (k, d) in baseline.inactive_pairs(terminals):
             pairs = groups.get((k, d))
@@ -1053,7 +1001,7 @@ def _extension_rows(net: SpaceTimeNetwork, cfg: ExtensionConfig) -> tuple[list[s
     if gate is not None:
         gate_ids = [f"{gate.family}:{subject}" for subject in covers]
         budget = getattr(cfg, BUDGET_FIELD[cfg.version])
-        rows.append(_row([(var_id, 1) for var_id in gate_ids], "<=", budget, gate.budget_row))
+        rows.append(_row([(var_id, 1) for var_id in gate_ids], "<=", _int_rhs(budget), gate.budget_row))
         for var_id, keys in zip(gate_ids, covers.values()):
             for (k, d) in keys:
                 pairs = groups.get((k, d))
@@ -1074,7 +1022,7 @@ def _check_budget(cfg: ExtensionConfig) -> None:
     budget = getattr(cfg, budget_field)
     if budget is None:
         raise ConfigError(f"{cfg.version} requires {budget_field}")
-    if budget < 0:
+    if not budget >= 0:  # NaN fails every comparison
         raise ConfigError(f"{cfg.version} requires {budget_field.rstrip('_')} >= 0")
 
 
@@ -1102,7 +1050,7 @@ def with_budget(m: MilpModel, budget) -> MilpModel:
         block = None
     if block is None or not mx.ends_in(block):
         raise ConfigError(f"{m.name} does not end in the rows of its {version} extension")
-    rhs = mx.rhs_values()
+    rhs = mx.rhs.copy()
     rhs[len(rhs) - len(block.rhs):] = block.rhs
     matrix = mx.with_rhs(rhs)
     return m._derived(constraints=_MatrixRows(matrix), extension=cfg, start=None, _matrix=matrix)

@@ -120,8 +120,8 @@ def _exact_verdict(mx: ModelMatrix, v: np.ndarray) -> bool | None:
     """Whether the int64 point ``v`` passes ``check_feasibility``, decided
     with one ``A @ v``: the same bound tests and the same slack tolerance,
     exact because every row value fits.  ``None`` when that is not assured
-    (a float model, or an entry past ``value_limit``)."""
-    if not mx.integral or v.size == 0 or v.min() < -mx.value_limit or v.max() > mx.value_limit:
+    (an entry past ``value_limit``)."""
+    if v.size == 0 or v.min() < -mx.value_limit or v.max() > mx.value_limit:
         return None
     if (v < mx.lower).any() or (v > mx.upper).any():
         return False
@@ -148,18 +148,18 @@ def _verdict_rows(mx: ModelMatrix):
 def check_feasibility(m: MilpModel, values: dict[str, int]) -> list[ConstraintViolation]:
     """Every bound, integrality and constraint check; empty list iff feasible.
 
-    Integer points of an integral model are first checked in one int64
-    matrix product; only a point that fails it is walked row by row to
-    name its violations.
+    Integer points are first checked in one int64 matrix product; only a
+    point that fails it, a point with a non-integer value and a point past
+    the matrix's ``value_limit`` are walked row by row, to name their
+    violations.
     """
     mx = m.matrix()
-    if mx.integral:
-        try:
-            v = np.array([values[var_id] for var_id in mx.ids])
-        except KeyError:
-            v = None  # the walk below names the first missing variable
-        if v is not None and v.dtype.kind in "ib" and _exact_verdict(mx, v.astype(np.int64, copy=False)):
-            return []
+    try:
+        v = np.array([values[var_id] for var_id in mx.ids])
+    except KeyError:
+        v = None  # the walk below names the first missing variable
+    if v is not None and v.dtype.kind in "ib" and _exact_verdict(mx, v.astype(np.int64, copy=False)):
+        return []
     out: list[ConstraintViolation] = []
     net = m.network
     for var in m.variables:

@@ -225,8 +225,10 @@ def with_light_arcs(net: SpaceTimeNetwork, specs) -> SpaceTimeNetwork:
         return net
     arcs = dict(net.arcs)
     arc_order = list(net.arc_order)
-    in_arcs = {n: list(v) for n, v in net.in_arcs.items()}
-    out_arcs = {n: list(v) for n, v in net.out_arcs.items()}
+    # The light arcs in and out of each node they touch; every other node
+    # shares its adjacency tuples with ``net``.
+    added_in: dict[str, list[str]] = {}
+    added_out: dict[str, list[str]] = {}
     for i, spec in enumerate(specs):
         aid = f"L:{i}"
         if aid in arcs:
@@ -234,18 +236,27 @@ def with_light_arcs(net: SpaceTimeNetwork, specs) -> SpaceTimeNetwork:
         arc = Arc(aid, "light", spec.tail, spec.head, spec.span, spec.crossings, 0, None, None, False, None, spec.transit)
         arcs[aid] = arc
         arc_order.append(aid)
-        out_arcs[arc.tail].append(aid)
-        in_arcs[arc.head].append(aid)
+        added_out.setdefault(arc.tail, []).append(aid)
+        added_in.setdefault(arc.head, []).append(aid)
     return SpaceTimeNetwork(
         instance=net.instance,
         nodes=net.nodes,
         arcs=arcs,
         node_order=net.node_order,
         arc_order=tuple(arc_order),
-        in_arcs={n: tuple(v) for n, v in in_arcs.items()},
-        out_arcs={n: tuple(v) for n, v in out_arcs.items()},
+        in_arcs=_extended_adjacency(net.in_arcs, added_in),
+        out_arcs=_extended_adjacency(net.out_arcs, added_out),
         ground_chains=net.ground_chains,
     )
+
+
+def _extended_adjacency(adjacency: dict[str, tuple], added: dict[str, list[str]]) -> dict[str, tuple]:
+    """``adjacency`` with ``added``'s arcs after each node's own, in the
+    same node order; a node ``adjacency`` lacks raises ``KeyError``."""
+    out = dict(adjacency)
+    for node, arc_ids in added.items():
+        out[node] = adjacency[node] + tuple(arc_ids)
+    return out
 
 
 _DUMPED_ARC_FIELDS = ("id", "kind", "tail", "head", "duration", "wrap", "crossings", "b", "decision", "transit")

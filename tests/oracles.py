@@ -366,9 +366,12 @@ def _extension_rows_by_constraint_objects(net, cfg):
             pairs = groups.get((k, d))
             if pairs:
                 terms = event_terms(pairs)
-                rows.append(LinearConstraint(terms, "<=", cap_of_h(baseline.count(k, d)), f"{tag}:({cap_row}):{k}:{d}"))
+                # A row of integer terms on integer variables keeps its
+                # integer points under its right-hand side's floor.
+                cap = math.floor(cap_of_h(baseline.count(k, d)))
+                rows.append(LinearConstraint(terms, "<=", cap, f"{tag}:({cap_row}):{k}:{d}"))
                 if not math.isinf(cfg.theta):
-                    rows.append(LinearConstraint(terms, "<=", cfg.theta, f"{tag}:({theta_row}):{k}:{d}"))
+                    rows.append(LinearConstraint(terms, "<=", math.floor(cfg.theta), f"{tag}:({theta_row}):{k}:{d}"))
         opened = {key for keys in covers.values() for key in keys}
         for (k, d) in baseline.inactive_pairs(terminals):
             pairs = groups.get((k, d))
@@ -378,7 +381,7 @@ def _extension_rows_by_constraint_objects(net, cfg):
     if gate is not None:
         new_vars = [VarRef(f"{gate.family}:{subject}", gate.family, subject, 0, 1, True) for subject in covers]
         budget = getattr(cfg, BUDGET_FIELD[cfg.version])
-        rows.append(LinearConstraint([(var.id, 1) for var in new_vars], "<=", budget, gate.budget_row))
+        rows.append(LinearConstraint([(var.id, 1) for var in new_vars], "<=", math.floor(budget), gate.budget_row))
         for var, keys in zip(new_vars, covers.values()):
             for (k, d) in keys:
                 pairs = groups.get((k, d))
@@ -391,8 +394,9 @@ def _extension_rows_by_constraint_objects(net, cfg):
 def compile_by_row_walk(variables, rows) -> dict:
     """A model's matrix fields compiled by a walk over its rows: CSR ``A``
     (row i's entries in row i's term order), ``lower``, ``upper``, ``rhs``,
-    ``sense``, ``tags``, ``integral`` and ``value_limit``, as the library's
-    ``ModelMatrix`` defines them."""
+    ``sense``, ``tags`` and ``value_limit``, as the library's
+    ``ModelMatrix`` defines them: int64, from rows and bounds that are
+    Python ints."""
     column = {v.id: i for i, v in enumerate(variables)}
     indptr, indices, data, rhs = [0], [], [], []
     max_row_abs = 0
@@ -407,24 +411,19 @@ def compile_by_row_walk(variables, rows) -> dict:
         rhs.append(con.rhs)
     lower = [v.lower for v in variables]
     upper = [v.upper for v in variables]
-
-    def exact_ints(*seqs):
-        return all(isinstance(x, int) and abs(x) <= EXACT_INT_LIMIT for seq in seqs for x in seq)
-
-    integral = exact_ints(lower, upper, data, rhs)
-    dtype = np.int64 if integral else float
+    # np.array would truncate a float silently.
+    assert all(type(x) is int for seq in (data, rhs, lower, upper) for x in seq)
     return {
         "A": sparse.csr_matrix(
-            (np.array(data, dtype=dtype), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+            (np.array(data, dtype=np.int64), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
             shape=(len(rows), len(variables)),
         ),
-        "lower": np.array(lower, dtype=dtype),
-        "upper": np.array(upper, dtype=dtype),
-        "rhs": np.array(rhs, dtype=dtype),
+        "lower": np.array(lower, dtype=np.int64),
+        "upper": np.array(upper, dtype=np.int64),
+        "rhs": np.array(rhs, dtype=np.int64),
         "sense": np.array([_SENSE_CODES[con.sense] for con in rows], dtype=np.int8),
         "tags": tuple(con.tag for con in rows),
-        "integral": integral,
-        "value_limit": EXACT_INT_LIMIT // max(1, max_row_abs) if integral else 0,
+        "value_limit": EXACT_INT_LIMIT // max(1, max_row_abs),
     }
 
 

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import railplan
@@ -107,6 +109,23 @@ def test_solve_budget_exit_code(tmp_path):
     assert code in (0, 4)  # 4 when the single node leaves no incumbent
     data = json.loads((tmp_path / "s.json").read_text())
     assert data["status"] in ("budget_exceeded", "optimal")
+
+
+def test_parser_is_built_once_and_keeps_no_flags(monkeypatch, tmp_path, ladder_instance):
+    """``main`` parses every call with one parser; a build with a budget
+    flag leaves nothing behind for the next build to read."""
+    from railplan import cli
+
+    inst_path = _write(tmp_path, ladder_instance)
+    seen = []
+    read = cli._extension_config
+    monkeypatch.setattr(cli, "_extension_config", lambda args: seen.append(vars(args).copy()) or read(args))
+    v3 = ["build", "--instance", inst_path, "--extension", "V3", "--alpha", "1", "--out", str(tmp_path / "v3.mps")]
+    assert main(v3) == 0
+    assert main(["build", "--instance", inst_path, "--out", str(tmp_path / "v0.mps")]) == 0
+    assert (seen[0]["extension"], seen[0]["alpha"]) == ("V3", 1)
+    assert (seen[1]["extension"], seen[1]["alpha"], seen[1]["lambda_"]) == ("V0", None, None)
+    assert cli._parser() is cli._parser()
 
 
 def test_negative_alpha_exits_2(tmp_path, capsys, ladder_instance):
@@ -404,10 +423,13 @@ def test_integral_theta_keeps_rows_integral(monkeypatch, tmp_path, ladder_instan
     assert main(argv + ["--instance", inst_path, "--theta", theta, "--budget-seconds", "60"]) == 0
     assert models
     for model in models:
+        # The model keeps the theta it was given; the row it caps takes
+        # its floor, an int, which equals it only when it is integral.
         assert model.extension.theta == float(theta)
-        assert type(model.extension.theta) is (int if integral else float)
-        assert [con.rhs for con in model.constraints if con.tag.startswith("V1p:(15):")] == [model.extension.theta]
-        assert model.matrix().integral is integral
+        (rhs,) = [con.rhs for con in model.constraints if con.tag.startswith("V1p:(15):")]
+        assert type(rhs) is int and rhs == math.floor(float(theta))
+        assert (rhs == model.extension.theta) is integral
+        assert model.matrix().rhs.dtype == np.int64
 
 
 @pytest.mark.parametrize("theta", ["-3", "nan", "six"])

@@ -21,6 +21,7 @@ from railplan.model import (
     build_base_model,
     group_events_by_terminal_day,
     warm_start_from,
+    with_budget,
 )
 from railplan.report import _cell_model, assemble
 from railplan.solver import SolveBudget, solve_bb
@@ -360,12 +361,16 @@ def test_extensions_require_parameters(ladder_instance):
 )
 def test_negative_budget_is_rejected(ladder_instance, version, field, message):
     # V2-V5 once built a budget row with right-hand side -1 that solved to
-    # "infeasible".
+    # "infeasible", and a NaN budget a row capped at NaN.
     _net, model = _build(ladder_instance)
-    apply_extension(model, ExtensionConfig(version=version, **{field: 0}))
-    with pytest.raises(ConfigError) as err:
-        apply_extension(model, ExtensionConfig(version=version, **{field: -1}))
-    assert str(err.value) == message
+    rung = apply_extension(model, ExtensionConfig(version=version, **{field: 0}))
+    for budget in (-1, math.nan):
+        with pytest.raises(ConfigError) as err:
+            apply_extension(model, ExtensionConfig(version=version, **{field: budget}))
+        assert str(err.value) == message
+        with pytest.raises(ConfigError) as err:
+            with_budget(rung, budget)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("theta, shown", [(-1, "-1"), (math.nan, "nan")], ids=["negative", "nan"])

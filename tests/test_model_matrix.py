@@ -1,7 +1,7 @@
 """The compiled model matrix against walks over the constraint objects.
 
-``check_feasibility`` decides integer points of an integral model with one
-int64 matrix product and walks the rows only to name violations; the LP
+Every model matrix is int64.  ``check_feasibility`` decides integer points
+with one int64 matrix product and walks the rows only to name violations; the LP
 relaxation is built from the same matrix.  Both must give exactly what the
 row walks in ``tests/oracles.py`` give.  A built model's matrix comes
 straight from the network's arcs; it must equal the walk over the rows
@@ -24,6 +24,7 @@ from railplan.model import (
     BUDGET_FIELD,
     EXACT_INT_LIMIT,
     VERSIONS,
+    ConfigError,
     ExtensionConfig,
     LinearConstraint,
     MilpModel,
@@ -32,11 +33,18 @@ from railplan.model import (
     build_base_model,
     with_budget,
 )
+from railplan.mps import export_mps
 from railplan.report import assemble, default_alpha_grid
 from railplan.solver import SolveBudget, _exact_verdict, _LpData, check_feasibility, solve_bb
 from railplan.spacetime import build_network, with_light_arcs
 
-from .oracles import check_feasibility_by_row_walk, compile_by_row_walk, list_built_lp, rows_by_constraint_objects
+from .oracles import (
+    check_feasibility_by_row_walk,
+    compile_by_row_walk,
+    list_built_lp,
+    rows_by_constraint_objects,
+    solve_enumeration,
+)
 
 
 def _extension_configs(baseline):
@@ -48,7 +56,7 @@ def _extension_configs(baseline):
         ExtensionConfig(version="V1prime", theta=float("inf")),
         ExtensionConfig(version="V2", alpha_c=1),
         ExtensionConfig(version="V3", alpha_d=grid("V3")),
-        ExtensionConfig(version="V3", alpha_d=grid("V3"), theta=4.5),  # float rows
+        ExtensionConfig(version="V3", alpha_d=grid("V3"), theta=4.5),  # rows capped at 4
         ExtensionConfig(version="V4", alpha_e=grid("V4")),
         ExtensionConfig(version="V5", alpha_f=grid("V5")),
     ]
@@ -72,9 +80,9 @@ def _hand_model(constraints, variables=None):
 
 
 def _hand_models():
-    """(model, point) pairs built by hand: >= rows, float rows, an empty row,
-    and rows whose right-hand sides are large enough that the checker's
-    relative tolerance forgives a slack of -1."""
+    """(model, point) pairs built by hand: >= rows, an empty row, and rows
+    whose right-hand sides are large enough that the checker's relative
+    tolerance forgives a slack of -1."""
     point = {"a": 1, "b": 0, "c": 1}
     wide = (
         VarRef(id="a", family="x", subject="a", lower=0, upper=10**9),
@@ -94,7 +102,7 @@ def _hand_models():
         ),
         (
             _hand_model([
-                LinearConstraint((("a", 0.5), ("b", 1)), ">=", 1.5, "float_ge"),
+                LinearConstraint((("a", 1), ("b", 2)), ">=", 3, "ge3"),
                 LinearConstraint((("a", 1),), "<=", 3, "le"),
                 LinearConstraint((("b", 1), ("c", 2)), ">=", 0, "int_ge0"),  # b_ub gets 0.0, not -0.0
             ]),
@@ -168,18 +176,85 @@ def _assert_same_as_row_walk(model, values):
         assert verdict is None or verdict == (want == [])
 
 
-def test_integral_flag_and_fast_verdict(models):
-    integral = [model.matrix().integral for model, _ in models]
-    names = [model.name for model, _ in models]
-    # theta=4.5 on both instances, and the hand model with float rows.
-    assert integral.count(False) == 3, names
+def test_matrices_are_int64_and_fast_verdict(models):
     decided = 0
-    for (model, point), flag in zip(models, integral):
-        if flag and not check_feasibility_by_row_walk(model, point):
-            v = np.array([point[i] for i in model.matrix().ids], dtype=np.int64)
-            assert _exact_verdict(model.matrix(), v) is True  # decided without a walk
+    for model, point in models:
+        mx = model.matrix()
+        assert {a.dtype for a in (mx.A.data, mx.rhs, mx.lower, mx.upper)} == {np.dtype(np.int64)}, model.name
+        if not check_feasibility_by_row_walk(model, point):
+            v = np.array([point[i] for i in mx.ids], dtype=np.int64)
+            assert _exact_verdict(mx, v) is True  # decided without a walk
             decided += 1
     assert decided >= 10
+
+
+def test_hand_built_numbers_must_be_exact_integers():
+    """A matrix holds integers within EXACT_INT_LIMIT: a fractional or too
+    large coefficient, right-hand side or bound raises ``ConfigError``
+    naming its row or variable, in a compile and in ``MilpModel.extended``
+    alike.  An integral float is taken as its integer, and the objective
+    stays free to be a float."""
+    bad_rows = (
+        LinearConstraint((("a", 0.5), ("b", 1)), ">=", 1, "half"),
+        LinearConstraint((("a", 1),), "<=", 1.5, "frac_rhs"),
+        LinearConstraint((("a", 2**60),), "<=", 0, "huge"),
+    )
+    for row in bad_rows:
+        with pytest.raises(ConfigError, match=f"^row {row.tag}: "):
+            _hand_model([row]).matrix()
+        with pytest.raises(ConfigError, match=f"^row {row.tag}: "):
+            _hand_model([]).extended([], [row], ExtensionConfig())
+    fractional = VarRef(id="d", family="x", subject="d", lower=0, upper=2.5)
+    with pytest.raises(ConfigError, match="^variable d: upper bound 2.5 "):
+        _hand_model([], variables=_hand_model([]).variables + (fractional,)).matrix()
+    with pytest.raises(ConfigError, match="^variable d: upper bound 2.5 "):
+        _hand_model([]).extended([fractional], [], ExtensionConfig())
+
+    model = _hand_model([
+        LinearConstraint((("a", 1.0), ("b", 1)), "<=", 4.0, "whole"),
+        LinearConstraint((("c", 1),), ">=", 1, "open"),
+    ])
+    mx = model.matrix()
+    assert (mx.A.data.tolist(), mx.rhs.tolist(), mx.rhs.dtype) == ([1, 1, 1], [4, 1], np.int64)
+    sol = solve_bb(model, SolveBudget(max_seconds=60))
+    assert sol.status == "optimal" and sol.objective == solve_enumeration(model).objective == 2.5
+
+
+def test_base_model_numbers_must_be_exact_integers():
+    """``build_base_model`` checks the numbers it puts in the matrix
+    besides 0 and 1: a fractional f raises ``ConfigError``, and an integral
+    float f builds the matrix its integer does."""
+    from dataclasses import replace
+
+    inst = generate_synthetic(1, 3, 4, 2)
+    net = build_network(inst)
+    specs = generate_light_arcs(net)
+    with pytest.raises(ConfigError, match=r"^costs\.f: value 2\.5 "):
+        build_base_model(net, specs, replace(inst.costs, f=2.5))
+    want = build_base_model(net, specs, inst.costs).matrix()
+    as_float = build_base_model(net, specs, replace(inst.costs, f=float(inst.costs.f)))
+    assert _matrix_bits(as_float.matrix()) == _matrix_bits(want)
+
+
+@pytest.mark.parametrize("version", VERSIONS[1:])
+def test_fractional_theta_builds_its_floor(tmp_path, version):
+    """A row of integer terms on integer variables keeps its integer points
+    under its right-hand side's floor, so every extension at theta=5.5
+    builds the matrix, dtypes included, and the MPS bytes of theta=5."""
+    inst = attach_synthetic_baseline(generate_synthetic(1, 5, 12, 3), 1)
+    _net, _specs, base = assemble(inst)
+    field = BUDGET_FIELD.get(version)
+    budget = {field: 1} if field else {}
+    frac, floor = (apply_extension(base, ExtensionConfig(version=version, theta=t, **budget)) for t in (5.5, 5))
+    a, b = frac.matrix(), floor.matrix()
+    for name in ("rhs", "sense", "lower", "upper", "binary"):
+        assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+    for name in ("data", "indices", "indptr"):
+        assert _bits(getattr(a.A, name)) == _bits(getattr(b.A, name)), name
+    assert (a.A.shape, a.tags, a.ids) == (b.A.shape, b.tags, b.ids)
+    export_mps(frac, tmp_path / "frac.mps")
+    export_mps(floor, tmp_path / "floor.mps")
+    assert (tmp_path / "frac.mps").read_bytes() == (tmp_path / "floor.mps").read_bytes()
 
 
 _EDGE_VALUES = (
@@ -300,7 +375,7 @@ def test_warm_start_shares_the_matrix():
 
 def _matrix_bits(mx):
     arrays = (mx.A.data, mx.A.indices, mx.A.indptr, mx.rhs, mx.lower, mx.upper, mx.sense)
-    return [_bits(a) for a in arrays] + [mx.A.shape, mx.ids, mx.column, mx.integral, mx.value_limit]
+    return [_bits(a) for a in arrays] + [mx.A.shape, mx.ids, mx.column, mx.value_limit]
 
 
 def _typed_rows(model):
@@ -319,25 +394,22 @@ def test_rung_with_budget_equals_rebuilt_rung(theta):
     _net, _specs, base = assemble(inst)
     for version, field in BUDGET_FIELD.items():
         grid = default_alpha_grid(version, inst.baseline, 3)
-        # A fractional budget makes an integral matrix float; an integral one
-        # after it makes it integral again.  Both take a full compile.
+        # A fractional budget takes its floor: the rung before it keeps its
+        # right-hand sides, and an integral one after it moves them.
         budgets = grid + [grid[-1] + 0.5, grid[0]] if theta == 6 else grid
         first = prev = apply_extension(base, ExtensionConfig(version=version, theta=theta, **{field: budgets[0]}))
-        # theta caps the V1-V3 rows unless infinite; V4 and V5 gates take
-        # int(theta).
-        assert first.matrix().integral == (theta != 5.5 or version in ("V4", "V5")), version
-        for budget in budgets[1:]:
+        for prev_budget, budget in zip(budgets, budgets[1:]):
             case = (version, budget)
             rung = with_budget(prev, budget)
             rebuilt = apply_extension(base, ExtensionConfig(version=version, theta=theta, **{field: budget}))
             assert (rung.name, rung.extension, rung.variables) == (rebuilt.name, rebuilt.extension, rebuilt.variables)
             assert rung.objective is base.objective and rung.start is None, case
             assert _typed_rows(rung) == _typed_rows(rebuilt), case
-            assert [c.rhs for c in rung.constraints] != [c.rhs for c in prev.constraints], case
+            moved = math.floor(budget) != math.floor(prev_budget)
+            assert ([c.rhs for c in rung.constraints] != [c.rhs for c in prev.constraints]) == moved, case
             assert _matrix_bits(rung.matrix()) == _matrix_bits(rebuilt.matrix()), case
-            shared = rung.matrix().integral == prev.matrix().integral
-            assert (rung.matrix().A is prev.matrix().A) == shared, case
-            assert (rung.matrix().sessions is prev.matrix().sessions) == shared, case
+            assert rung.matrix().A is first.matrix().A, case
+            assert rung.matrix().sessions is first.matrix().sessions, case
             prev = rung
 
 
@@ -387,7 +459,7 @@ def _assert_matrix_equals_row_walk(model, want_vars, want_rows, case):
     for name in ("lower", "upper", "rhs", "sense"):
         got, ref = getattr(mx, name), want[name]
         assert got.dtype == ref.dtype and got.tolist() == ref.tolist(), (case, name)
-    assert (mx.tags, mx.integral, mx.value_limit) == (want["tags"], want["integral"], want["value_limit"]), case
+    assert (mx.tags, mx.value_limit) == (want["tags"], want["value_limit"]), case
     assert len(model.constraints) == len(want_rows), case
     assert _typed(model.constraints) == _typed(want_rows), case
 

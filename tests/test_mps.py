@@ -202,16 +202,19 @@ def _hand_models():
 
 # sha256 over each case's label line and exported MPS bytes, recorded while
 # export_mps still joined the whole file in memory; the rewrite that streams
-# it column by column must not move one byte.
+# it column by column must not move one byte.  The five cases with V1, V1',
+# V2 or V3 models at theta=5.5 were recorded again when fractional
+# right-hand sides began to be floored: each such model's bytes are now
+# those of theta=5, whose HiGHS optimum equals theta=5.5's.
 _MPS_DIGESTS = {
-    "(3,4,2)": "ba68f114ddc7d0b07d2760dc710e6bae3cd624e63a3c6cd0cb394c8f2ac2b7cc",
-    "(4,8,2)": "04fe9992b7ca6a4c19a96fcd1babde9bb80b9f94b53f350ce50fd858ffc853f5",
-    "(5,12,3)": "4e4b9133ce87f9e83c65006e911d114637850b45ba6ae9641c513c5e916bc1f2",
-    "(10,80,4)": "19b8fd91fb436e2ced0bcbccd38e7d29e7fb495a2682fa2e31b5e90072b4f227",
+    "(3,4,2)": "2e5960bc2a5576efbba58fd6c76c4a72ecf7684bf5862b559abbc01b2e0af78a",
+    "(4,8,2)": "4602c2f1d637673f9c9375e23fa2f6d50f664a5f31ff008860b8637bd27e34a7",
+    "(5,12,3)": "c2746c31fb91c1ebf6c312ad730bd763a1dce4b87bb32b95280d7defb7bd7dbf",
+    "(10,80,4)": "bc4a9ba17c1eb5ceaa8356dfde912982b788427c8d92328e2993e84cb0e1e373",
     "fractional rates": "655cdd802a425357f29eb402fe5b6c1fb9fe7bfea83f32ff002f0a4d7bcc0db2",
     "hand": "ae45288f02d5449c5647c4475b6e89a9d57c467d23344aba32d47a5336bf7ea3",
     # Recorded before apply_extension's gate blocks were merged into one.
-    "V1prime": "e0082033cd4c3974890148652fce78128c0264290ed1d4c855510ad643a4d47b",
+    "V1prime": "4c9307f8565d299a64afad54a4496716459e88c0f5cfce580f97aeec768a28b1",
     # Recorded before the base model was built as arrays and exported from
     # its matrix.
     "no mutual exclusion": "95d71d3b3f72590073f35a28fe5e5f6676db1c2e58ca0c48440a9950d86351bd",

@@ -104,6 +104,25 @@ def test_networks_match_frozen_digests(shape):
     assert digest.hexdigest() == _NETWORK_DIGESTS[shape]
 
 
+def test_light_arcs_extend_only_their_nodes_adjacency():
+    """``with_light_arcs`` appends each light arc to its tail's out-arcs and
+    its head's in-arcs in spec order, keeping ``net``'s node order; a node
+    no light arc touches keeps ``net``'s tuple."""
+    net = build_network(generate_synthetic(2, 5, 12, 3))
+    specs = reduce_exact(net)
+    merged = with_light_arcs(net, specs)
+    for adjacency, end in (("in_arcs", "head"), ("out_arcs", "tail")):
+        want = {node: list(arc_ids) for node, arc_ids in getattr(net, adjacency).items()}
+        for i, spec in enumerate(specs):
+            want[getattr(spec, end)].append(f"L:{i}")
+        got = getattr(merged, adjacency)
+        assert list(got.items()) == [(node, tuple(arc_ids)) for node, arc_ids in want.items()]
+        touched = {getattr(spec, end) for spec in specs}
+        assert touched and all(
+            got[node] is arc_ids for node, arc_ids in getattr(net, adjacency).items() if node not in touched
+        )
+
+
 def test_arc_counts_linear_in_instance_size():
     for seed in (1, 4, 9):
         inst = generate_synthetic(seed, 4, 6, 3)

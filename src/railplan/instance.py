@@ -18,6 +18,11 @@ SCHEMA_VERSION = 1
 DEFAULT_HORIZON = 10080
 MINUTES_PER_DAY = 1440
 
+# Largest magnitude of a bound, coefficient row sum times value, or
+# right-hand side in a model matrix: every row value and slack then fits
+# int64 and is exact in float64.
+EXACT_INT_LIMIT = 2**52
+
 FLAG_NAMES = ("pu", "so", "no", "both")
 
 
@@ -431,6 +436,15 @@ def validate_instance(inst: Instance, include_warnings: bool = False) -> list[Vi
             out.append(Violation("NEGATIVE_COST", name, "cost rates must be non-negative"))
     if c.rho_u < 1:
         out.append(Violation("BAD_LIGHT_CAPACITY", "rho_u", "max units per light train must be >= 1"))
+    # f, rho_u and the flow bound f * legs enter the model matrix, which
+    # holds integers within EXACT_INT_LIMIT only.
+    for name in ("f", "rho_u"):
+        value = getattr(c, name)
+        if abs(value) > EXACT_INT_LIMIT:
+            out.append(Violation("NUMBER_TOO_LARGE", f"costs.{name}", f"value {value} is not an integer within +-2**52"))
+    n_legs = sum(len(train.legs) for train in inst.trains)
+    if abs(c.f) <= EXACT_INT_LIMIT < c.f * n_legs:
+        out.append(Violation("NUMBER_TOO_LARGE", "costs.f", f"flow bound f * {n_legs} legs passes 2**52"))
 
     for train in inst.trains:
         prev: TrainLeg | None = None
@@ -491,6 +505,8 @@ def validate_instance(inst: Instance, include_warnings: bool = False) -> list[Vi
         for (k, d), v in bp.h.items():
             if v < 0:
                 out.append(Violation("BASELINE_NEGATIVE", f"{k}:{d}", "baseline counts must be >= 0"))
+            if 2 * v > EXACT_INT_LIMIT:
+                out.append(Violation("NUMBER_TOO_LARGE", f"{k}:{d}", f"baseline count {v}: its cap 2h passes 2**52"))
             if k not in known:
                 out.append(Violation("UNKNOWN_TERMINAL", f"baseline {k}", "baseline references unknown terminal"))
             if not (0 <= d < bp.days):

@@ -25,23 +25,18 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, methodcaller, mul, sub
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from .instance import MINUTES_PER_DAY, CostParams
+from .instance import EXACT_INT_LIMIT, MINUTES_PER_DAY, CostParams
 from .spacetime import ARC_KINDS, Arc, SpaceTimeNetwork, _id_rank, with_light_arcs
 
 # Row senses as stored in a ModelMatrix.
 SENSE_LE, SENSE_EQ, SENSE_GE = 1, 0, -1
 _SENSE_CODES = {"<=": SENSE_LE, "=": SENSE_EQ, ">=": SENSE_GE}
-
-# Largest magnitude of a bound, coefficient row sum times value, or
-# right-hand side in a ModelMatrix: every row value and slack then fits
-# int64 and is exact in float64.
-EXACT_INT_LIMIT = 2**52
 
 
 class ConfigError(ValueError):
@@ -163,6 +158,7 @@ _GATES = {
     "V5": _Gate("w2", True, "V5:(26)", "V5:(25)"),
 }
 GATE_FAMILIES = tuple(gate.family for gate in _GATES.values())
+_GATE_PREFIXES = tuple(f"{family}:" for family in GATE_FAMILIES)
 
 
 @dataclass
@@ -346,7 +342,8 @@ class ModelMatrix:
 
     ``sessions`` holds per-thread state over the shared structure: the HiGHS
     LP and repair that every model sharing it re-solves under its own costs
-    and right-hand sides (see ``railplan.solver``), and the gate incidence.
+    and right-hand sides (see ``railplan.solver``), the checker's row
+    tolerances and the gate incidence.
     It lives as long as the last matrix that shares it.
     """
 
@@ -1056,54 +1053,48 @@ def with_budget(m: MilpModel, budget) -> MilpModel:
     return m._derived(constraints=_MatrixRows(matrix), extension=cfg, start=None, _matrix=matrix)
 
 
-def gate_incidence(m: MilpModel) -> tuple[np.ndarray, sparse.csr_matrix]:
+def gate_incidence(mx: ModelMatrix) -> tuple[np.ndarray, sparse.csr_matrix]:
     """The activation gates' columns and the events each gate covers.
 
-    Row g of the count matrix counts, per column, the set-out and pick-up
-    variables of gate g's terminal (z1, w1) or terminal-day (z2, w2).  The
-    matrix has one spare column past the model's: an event variable the
-    model lacks maps there, and a work vector keeps it 0.  The result
-    depends on the variables and the network alone, so it is built once per
-    thread and network for every model sharing the matrix's ``sessions``
+    Gate g, a z1, z2, w1 or w2 column, covers the positive entries (its
+    terminal's or terminal-day's events) of every row in which its
+    coefficient is negative, so a gate of capacity 0 (theta < 1) covers
+    nothing.  Row g of the count matrix counts them per column.  Built from
+    ``A`` alone, once per thread for every matrix sharing its ``sessions``
     slot (a ladder chain's rungs and their warm starts), and kept there.
     """
-    local = m.matrix().sessions
+    local = mx.sessions
     cached = getattr(local, "gates", None)
-    if cached is None or cached[0] is not m.network:
-        cached = local.gates = (m.network, _gate_incidence(m))
+    if cached is None or cached[0] is not mx.A:
+        cached = local.gates = (mx.A, _gate_incidence(mx))
     return cached[1]
 
 
-def _gate_incidence(m: MilpModel) -> tuple[np.ndarray, sparse.csr_matrix]:
-    mx = m.matrix()
-    n = len(mx.ids)
-    by_terminal: dict[str, list[tuple[str, str]]] = {}
-    by_day: dict[str, list[tuple[str, str]]] = {}
-    groups = group_events_by_terminal_day(m.network) if m.network is not None else {}
-    for (k, d), pairs in groups.items():
-        by_terminal.setdefault(k, []).extend(pairs)
-        by_day[f"{k}:{d}"] = pairs
-    per_day = {gate.family: gate.per_day for gate in _GATES.values()}
-    gate_cols, rows, events = [], [], []
-    for j, var in enumerate(m.variables):
-        if var.family in per_day:
-            covered = by_day if per_day[var.family] else by_terminal
-            for pair in covered.get(var.subject, ()):
-                rows += [len(gate_cols)] * len(pair)
-                events += [mx.column.get(e, n) for e in pair]
-            gate_cols.append(j)
-    counts = sparse.csr_matrix(
-        (np.ones(len(events), dtype=np.int64), (rows, events)), shape=(len(gate_cols), n + 1)
-    )
-    return np.array(gate_cols, dtype=np.intp), counts
+def _gate_incidence(mx: ModelMatrix) -> tuple[np.ndarray, sparse.csr_matrix]:
+    # The raw CSR arrays, not scipy's comparisons or abs(), which sort A's
+    # rows in place.
+    A = mx.A
+    n_rows, n = A.shape
+    gate_cols = np.flatnonzero(np.fromiter(map(methodcaller("startswith", _GATE_PREFIXES), mx.ids), bool, n))
+    if not gate_cols.size:
+        return gate_cols, sparse.csr_matrix((0, n), dtype=np.int64)
+    gate_of = np.full(n, -1)
+    gate_of[gate_cols] = np.arange(gate_cols.size)
+    row_of = np.repeat(np.arange(n_rows), np.diff(A.indptr))
+    opens = (A.data < 0) & (gate_of[A.indices] >= 0)
+    covered = A.data > 0
+    ones = lambda at, shape: sparse.csr_matrix((np.ones(at[0].size, dtype=np.int64), at), shape=shape)
+    gate_rows = ones((gate_of[A.indices[opens]], row_of[opens]), (gate_cols.size, n_rows))
+    return gate_cols, gate_rows @ ones((row_of[covered], A.indices[covered]), (n_rows, n))
 
 
 def warm_start_from(m: MilpModel, sol) -> MilpModel:
     """Attach a prior solution as the solver's starting incumbent.
 
     Activation gates absent from the source solution are 1 iff an event
-    under them is used.  The start must be feasible for the (extended)
-    model; otherwise the violated constraint tags are reported.
+    they cover (``gate_incidence``) is used.  The start must be feasible for
+    the (extended) model; otherwise the violated constraint tags are
+    reported.
     """
     from .solver import check_feasibility
 
@@ -1111,8 +1102,8 @@ def warm_start_from(m: MilpModel, sol) -> MilpModel:
         raise ValueError("source solution carries no values")
     ids = m.matrix().ids
     known = {var_id: int(round(sol.values[var_id])) for var_id in ids if var_id in sol.values}
-    gate_cols, counts = gate_incidence(m)
-    used = counts @ np.array([known.get(var_id, 0) for var_id in ids] + [0], dtype=np.int64)
+    gate_cols, counts = gate_incidence(m.matrix())
+    used = counts @ np.array([known.get(var_id, 0) for var_id in ids], dtype=np.int64)
     opened = {ids[j]: int(n > 0) for j, n in zip(gate_cols, used)}
     values = {var_id: known.get(var_id, opened.get(var_id)) for var_id in ids}
     missing = [var_id for var_id, v in values.items() if v is None]

@@ -13,10 +13,11 @@ and runs dual simplex from the basis that node left, which depth-first
 search makes the parent's most of the time.  A warm
 run without a verdict is repeated once cold.  Node LPs agree with a fresh
 ``linprog`` call on value and infeasibility, though a degenerate node may
-yield another optimal point and so another tree.  Feasibility and objective
-evaluation are exact integer arithmetic so proven optima can be compared
-across models; a candidate that a float64 sum with a proven rounding margin
-puts above the incumbent skips all but the feasibility verdict it needs.
+yield another optimal point and so another tree.  Feasibility is read from
+the model's int64 rows alone, and it and the objective are evaluated exactly
+so proven optima can be compared across models; a candidate that a float64
+sum with a proven rounding margin puts above the incumbent skips all but the
+feasibility verdict it needs.
 """
 
 from __future__ import annotations
@@ -30,15 +31,18 @@ import numpy as np
 from scipy import sparse
 
 from .model import (
+    _SENSE_TEXT,
     GATE_FAMILIES,
     SENSE_EQ,
     SENSE_GE,
+    SENSE_LE,
     InfeasibleStartError,
     MilpModel,
     ModelMatrix,
     gate_incidence,
     x_id,
 )
+from .spacetime import _id_rank
 
 log = logging.getLogger(__name__)
 
@@ -98,9 +102,9 @@ def evaluate_objective(m: MilpModel, values: dict[str, int]):
     Returns ``(total, breakdown)``; the deadhead bucket absorbs the constant
     offset so the buckets sum to the total.
     """
-    for var in m.variables:
-        if var.id not in values:
-            raise MissingVariableError(var.id)
+    for var_id in m.matrix().ids:
+        if var_id not in values:
+            raise MissingVariableError(var_id)
     breakdown = {cat: sum(coef * values[v] for v, coef in coefs.items()) for cat, coefs in m.decomposition.items()}
     if breakdown:
         breakdown["deadhead"] = breakdown.get("deadhead", 0) + m.offset
@@ -116,23 +120,40 @@ def _objective_value(m: MilpModel, values: dict[str, int]):
     return total
 
 
-def _exact_verdict(mx: ModelMatrix, v: np.ndarray) -> bool | None:
-    """Whether the int64 point ``v`` passes ``check_feasibility``, decided
-    with one ``A @ v``: the same bound tests and the same slack tolerance,
-    exact because every row value fits.  ``None`` when that is not assured
-    (an entry past ``value_limit``)."""
-    if v.size == 0 or v.min() < -mx.value_limit or v.max() > mx.value_limit:
-        return None
+def _exact_verdict(mx: ModelMatrix, v: np.ndarray) -> bool:
+    """Whether the int64 point ``v`` passes ``check_feasibility``: the same
+    bound tests, and the same slack tolerance on ``_row_values``' exact row
+    values."""
     if (v < mx.lower).any() or (v > mx.upper).any():
         return False
+    return _violated_rows(mx, _row_values(mx, v)).size == 0
+
+
+def _row_values(mx: ModelMatrix, v: np.ndarray) -> np.ndarray:
+    """``A @ v``, exact.  An int64 point within ``value_limit`` takes one
+    int64 product.  Any other point (an object array) has each term
+    ``coef * value`` formed and summed as Python numbers, left to right in
+    its row's term order, as ``sum`` over the row's terms would."""
+    A = mx.A
+    if v.dtype == np.int64 and -mx.value_limit <= v.min(initial=0) and v.max(initial=0) <= mx.value_limit:
+        return A @ v
+    lhs = np.zeros(A.shape[0], dtype=object)
+    row_of = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    np.add.at(lhs, row_of, A.data.astype(object) * v.astype(object, copy=False)[A.indices])
+    return lhs
+
+
+def _violated_rows(mx: ModelMatrix, lhs: np.ndarray) -> np.ndarray:
+    """The rows whose slack at row values ``lhs`` is below
+    ``-FEAS_TOL * max(1, |rhs|)``."""
     eq, ge, neg_tol = _verdict_rows(mx)
-    diff = mx.rhs - mx.A @ v
+    diff = mx.rhs - lhs
     slack = np.where(eq, -np.abs(diff), np.where(ge, -diff, diff))
-    return not (slack < neg_tol).any()
+    return np.flatnonzero(slack < neg_tol)
 
 
 def _verdict_rows(mx: ModelMatrix):
-    """``_exact_verdict``'s per-row arrays: the ``=`` and ``>=`` masks and
+    """``_violated_rows``' per-row arrays: the ``=`` and ``>=`` masks and
     the negated slack tolerance.  Kept per thread in the matrix's
     ``sessions`` slot, which matrices differing in right-hand sides share,
     and rebuilt whenever ``mx.rhs`` is not the one the tolerance was
@@ -148,51 +169,47 @@ def _verdict_rows(mx: ModelMatrix):
 def check_feasibility(m: MilpModel, values: dict[str, int]) -> list[ConstraintViolation]:
     """Every bound, integrality and constraint check; empty list iff feasible.
 
-    Integer points are first checked in one int64 matrix product; only a
-    point that fails it, a point with a non-integer value and a point past
-    the matrix's ``value_limit`` are walked row by row, to name their
-    violations.
+    Reads the model's matrix alone: one exact evaluation of its rows
+    (``_row_values``) decides the point and names the violated rows, whose
+    slacks and messages keep the types of the given values.
     """
     mx = m.matrix()
+    ids = mx.ids
     try:
-        v = np.array([values[var_id] for var_id in mx.ids])
-    except KeyError:
-        v = None  # the walk below names the first missing variable
-    if v is not None and v.dtype.kind in "ib" and _exact_verdict(mx, v.astype(np.int64, copy=False)):
-        return []
+        point = [values[var_id] for var_id in ids]
+    except KeyError as exc:
+        raise MissingVariableError(exc.args[0]) from None
+    # Python ints that fit are an int64 point; any other values stay the
+    # objects they are, so that the sums over them keep their types.
+    if set(map(type, point)) <= {int} and -(2**63) <= min(point, default=0) and max(point, default=0) < 2**63:
+        v = np.array(point, dtype=np.int64)
+    else:
+        v = np.array(point, dtype=object)
+    lhs = _row_values(mx, v)
+    rows = _violated_rows(mx, lhs)
+    cols = np.flatnonzero((v < mx.lower) | (v > mx.upper)) if v.dtype == np.int64 else np.arange(len(ids))
     out: list[ConstraintViolation] = []
     net = m.network
-    for var in m.variables:
-        if var.id not in values:
-            raise MissingVariableError(var.id)
-        v = values[var.id]
-        if v != int(round(v)):
-            out.append(ConstraintViolation(f"int:{var.id}", 0.0, f"value {v} not integral"))
-            continue
-        if not (var.lower <= v <= var.upper):
-            if (
-                var.family == "x"
-                and net is not None
-                and var.subject in net.arcs
-                and net.arcs[var.subject].kind == "train"
-            ):
-                tag = f"cap:{var.subject}"
-                msg = f"power window [{var.lower}, {var.upper}] violated by {v}"
+    for j, lo, up in zip(cols.tolist(), mx.lower[cols].tolist(), mx.upper[cols].tolist()):
+        value = point[j]
+        if value != int(round(value)):
+            out.append(ConstraintViolation(f"int:{ids[j]}", 0.0, f"value {value} not integral"))
+        elif not lo <= value <= up:
+            family, _, subject = ids[j].partition(":")
+            if family == "x" and net is not None and subject in net.arcs and net.arcs[subject].kind == "train":
+                tag, what = f"cap:{subject}", "power window"
             else:
-                tag = f"bounds:{var.id}"
-                msg = f"bounds [{var.lower}, {var.upper}] violated by {v}"
-            out.append(ConstraintViolation(tag, min(v - var.lower, var.upper - v), msg))
-    for con in m.constraints:
-        lhs = sum(coef * values[var] for var, coef in con.terms)
-        scale = max(1.0, abs(float(con.rhs)))
-        if con.sense == "<=":
-            slack = con.rhs - lhs
-        elif con.sense == ">=":
-            slack = lhs - con.rhs
+                tag, what = f"bounds:{ids[j]}", "bounds"
+            out.append(ConstraintViolation(tag, min(value - lo, up - value), f"{what} [{lo}, {up}] violated by {value}"))
+    senses, rhs_values, row_values = mx.sense[rows].tolist(), mx.rhs[rows].tolist(), lhs[rows].tolist()
+    for i, sense, rhs, row_value in zip(rows.tolist(), senses, rhs_values, row_values):
+        if sense == SENSE_LE:
+            slack = rhs - row_value
+        elif sense == SENSE_GE:
+            slack = row_value - rhs
         else:
-            slack = -abs(lhs - con.rhs)
-        if slack < -FEAS_TOL * scale:
-            out.append(ConstraintViolation(con.tag, slack, f"lhs={lhs} {con.sense} {con.rhs}"))
+            slack = -abs(row_value - rhs)
+        out.append(ConstraintViolation(mx.tags[i], slack, f"lhs={row_value} {_SENSE_TEXT[sense]} {rhs}"))
     return out
 
 
@@ -263,8 +280,7 @@ class _LpData:
         self.n_ub = int((~eq).sum())
         self.lo = mx.lower.astype(float)
         self.hi = mx.upper.astype(float)
-        self.id_rank = np.empty(self.n, dtype=np.intp)
-        self.id_rank[sorted(range(self.n), key=mx.ids.__getitem__)] = np.arange(self.n)
+        self.id_rank = _id_rank(mx.ids)
 
         A = sparse.csc_array(self.A)
         lp = _HIGHS.HighsLp()
@@ -416,8 +432,8 @@ class _Repair:
 
     Given integral x values, activation binaries and light-train counts have
     cheapest feasible completions: y = 1 iff flow positive, u = ceil(x/rho),
-    and each gate 1 iff its terminal or terminal-day holds an event.  The
-    candidate is an int64 column vector, for ``_accept`` to check.
+    and each gate 1 iff an event it covers (``gate_incidence``) is used.
+    The candidate is an int64 column vector, for ``_accept`` to check.
     """
 
     def __init__(self, m: MilpModel):
@@ -447,7 +463,7 @@ class _Repair:
         index = lambda cols: np.array(cols, dtype=np.intp)
         self.flow_cols, self.y_cols, self.y_src = index(flow_cols), index(y_cols), index(y_src)
         self.u_cols, self.u_src = index(u_cols), index(u_src)
-        self.gate_cols, self.gates = gate_incidence(m)
+        self.gate_cols, self.gates = gate_incidence(mx)
 
     def __call__(self, x: np.ndarray) -> np.ndarray | None:
         """The completed candidate of LP point ``x`` in column order, or
@@ -462,24 +478,17 @@ class _Repair:
         v[self.flow_cols] = rounded
         v[self.y_cols] = v[self.y_src] > 0
         v[self.u_cols] = np.ceil(v[self.u_src] / self.rho)
-        v[self.gate_cols] = self.gates @ v > 0
+        v[self.gate_cols] = self.gates @ v[: self.n] > 0
         return v[: self.n]
 
 
 def _accept(m: MilpModel, point: np.ndarray | None) -> dict[str, int] | None:
     """The int64 candidate ``point`` (column order) as values, or ``None``
-    when it is missing or infeasible.  One ``A @ v`` decides whenever it can;
-    only an undecided point is walked by ``check_feasibility``."""
-    if point is None:
-        return None
+    when it is missing or infeasible (``_exact_verdict``)."""
     mx = m.matrix()
-    verdict = _exact_verdict(mx, point)
-    if verdict is False:
+    if point is None or not _exact_verdict(mx, point):
         return None
-    values = dict(zip(mx.ids, point.tolist()))
-    if verdict is None and check_feasibility(m, values):
-        return None
-    return values
+    return dict(zip(mx.ids, point.tolist()))
 
 
 def _session(m: MilpModel) -> tuple[_LpData, _Repair]:
@@ -611,10 +620,9 @@ def solve_bb(m: MilpModel, budget: SolveBudget | None = None) -> Solution:
             # The incumbent stays whatever the point is worth.  A fractional
             # node branches either way; an integral one closes if the point
             # is feasible and splits if not, so only its verdict is needed.
-            verdict = _exact_verdict(mx, point) if fractional.size == 0 else False
-            if verdict:
+            if fractional.size == 0 and _exact_verdict(mx, point):
                 continue
-            values = _accept(m, point) if verdict is None else None
+            values = None
         else:
             values = _accept(m, point)
         if values is not None:

@@ -9,7 +9,7 @@ import pytest
 
 import railplan
 from railplan.cli import main
-from railplan.instance import generate_synthetic, instance_to_dict, save_instance
+from railplan.instance import attach_synthetic_baseline, generate_synthetic, instance_to_dict, save_instance
 from railplan.report import read_report
 
 
@@ -74,6 +74,38 @@ def test_validate_rejects_unparseable_file(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{nope")
     assert main(["validate", "--instance", str(bad)]) == 2
+
+
+def _set_costs(**costs):
+    return lambda doc: doc["costs"].update(costs)
+
+
+def _set_baseline_counts(doc):
+    for entry in doc["baseline"]["events"]:
+        entry["count"] = 2**52
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_costs(f=2**60), "costs.f: value 1152921504606846976 is not an integer within +-2**52"),
+        (_set_costs(rho_u=2**60), "costs.rho_u: value 1152921504606846976 is not an integer within +-2**52"),
+        (_set_costs(f=2**50), "costs.f: flow bound f * 6 legs passes 2**52"),
+        (_set_baseline_counts, "baseline count 4503599627370496: its cap 2h passes 2**52"),
+    ],
+    ids=["f", "rho_u", "flow-bound", "baseline-count"],
+)
+def test_validate_agrees_with_build_past_2_52(tmp_path, capsys, edit, message):
+    """A number that the model matrix cannot hold exactly fails ``validate``
+    as it fails ``build``: exit 2, naming it."""
+    doc = instance_to_dict(attach_synthetic_baseline(generate_synthetic(1, 3, 4, 2), 1))
+    edit(doc)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["build", "--instance", str(path), "--extension", "V1prime", "--out", str(tmp_path / "m.mps")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_build_writes_mps_and_dump(tmp_path, three_terminal_example):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from railplan.instance import BaselinePlan, CostParams, generate_synthetic
 from railplan.lighttravel import LightArcSpec, reduce_exact
 from railplan.model import (
+    _GATES,
+    BUDGET_FIELD,
     ConfigError,
     ExtensionConfig,
     InfeasibleStartError,
@@ -19,6 +21,7 @@ from railplan.model import (
     VarRef,
     apply_extension,
     build_base_model,
+    gate_incidence,
     group_events_by_terminal_day,
     warm_start_from,
     with_budget,
@@ -518,6 +521,24 @@ def test_warm_start_violating_cap_is_rejected(ladder_instance):
     with pytest.raises(InfeasibleStartError) as err:
         warm_start_from(frozen, sol)
     assert any(tag.startswith("V5:(2") for tag in err.value.tags)
+
+
+@pytest.mark.parametrize("version", ["V2", "V3", "V4", "V5"])
+def test_gate_below_theta_one_covers_nothing(ladder_instance, version):
+    """At theta < 1 a gate's capacity is 0, so its term drops out of the
+    rows that cap its events: it covers nothing, an inferred start leaves it
+    closed, and a start that uses its events is refused on those rows, not
+    on the budget row."""
+    _net, model = _build(ladder_instance)
+    sol = solve_bb(model, SolveBudget(max_seconds=60))  # V0 optimum uses events
+    gated = apply_extension(model, ExtensionConfig(version=version, theta=0.5, **{BUDGET_FIELD[version]: 0}))
+    gate_cols, counts = gate_incidence(gated.matrix())
+    assert gate_cols.size and counts.nnz == 0
+    with pytest.raises(InfeasibleStartError) as err:
+        warm_start_from(gated, sol)
+    gate = _GATES[version]
+    assert any(tag.startswith(f"{gate.row}:") for tag in err.value.tags)
+    assert gate.budget_row not in err.value.tags
 
 
 def test_budget_monotonicity_in_alpha(ladder_instance):

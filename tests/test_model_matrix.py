@@ -1,15 +1,18 @@
 """The compiled model matrix against walks over the constraint objects.
 
-Every model matrix is int64.  ``check_feasibility`` decides integer points
-with one int64 matrix product and walks the rows only to name violations; the LP
-relaxation is built from the same matrix.  Both must give exactly what the
-row walks in ``tests/oracles.py`` give.  A built model's matrix comes
+Every model matrix is int64.  ``check_feasibility`` reads it alone: one
+exact evaluation of its rows (an int64 matrix product, or Python-number
+sums for any other point) decides a point and names its violations, and
+the activation gates are read from the same rows.  The LP relaxation is
+built from the same matrix.  Each must give exactly what the row walks and
+the gate walk in ``tests/oracles.py`` give.  A built model's matrix comes
 straight from the network's arcs; it must equal the walk over the rows
 built one constraint object at a time, and the rows read back from it must
 equal those rows.
 """
 
 import math
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -23,6 +26,7 @@ from railplan.lighttravel import generate_light_arcs
 from railplan.model import (
     BUDGET_FIELD,
     EXACT_INT_LIMIT,
+    GATE_FAMILIES,
     VERSIONS,
     ConfigError,
     ExtensionConfig,
@@ -31,6 +35,7 @@ from railplan.model import (
     VarRef,
     apply_extension,
     build_base_model,
+    gate_incidence,
     with_budget,
 )
 from railplan.mps import export_mps
@@ -41,6 +46,7 @@ from railplan.spacetime import build_network, with_light_arcs
 from .oracles import (
     check_feasibility_by_row_walk,
     compile_by_row_walk,
+    infer_gate_values,
     list_built_lp,
     rows_by_constraint_objects,
     solve_enumeration,
@@ -255,6 +261,49 @@ def test_fractional_theta_builds_its_floor(tmp_path, version):
     export_mps(frac, tmp_path / "frac.mps")
     export_mps(floor, tmp_path / "floor.mps")
     assert (tmp_path / "frac.mps").read_bytes() == (tmp_path / "floor.mps").read_bytes()
+
+
+def test_check_feasibility_reads_no_row_objects(models):
+    """The checker reads the matrix alone: on infeasible points of a freshly
+    built V3 model, one of ints and one holding a float, it leaves the
+    model's lazy rows and variables unread and lists what the row walk
+    lists."""
+    base = next(m for m, _ in models if m.network is not None and m.extension is None)
+    v3, point = next((m, p) for m, p in models if m.network is base.network and m.extension and m.extension.version == "V3")
+    train_x = next(var_id for var_id in point if var_id.startswith("x:T:"))
+    for shift in (1, 0.5):
+        model = apply_extension(base, v3.extension)
+        values = {**point, train_x: point[train_x] + shift}
+        got = _outcome(check_feasibility, model, values)
+        assert model.variables._items is None and model.constraints._items is None
+        assert got and got == _outcome(check_feasibility_by_row_walk, model, values)
+
+
+def test_gate_openings_match_the_oracle(models):
+    """The gates that ``gate_incidence``, read from the matrix rows, opens
+    on drawn event vectors are those the oracle's walk over the network's
+    terminal-day groups opens: every V2-V5 model of the fixture, over exact
+    and mcf arcs, rebuilt at theta 1, 4.5, 6 and inf."""
+    bases = {id(m.network): m for m, _ in models if m.network is not None and m.extension is None}
+    rng = np.random.default_rng(0)
+    opened = 0
+    for model, _point in models:
+        if model.extension is None or model.extension.version not in ("V2", "V3", "V4", "V5"):
+            continue
+        for theta in (1, 4.5, 6, math.inf):
+            m = apply_extension(bases[id(model.network)], replace(model.extension, theta=theta))
+            mx = m.matrix()
+            gate_cols, counts = gate_incidence(mx)
+            gate_ids = [mx.ids[j] for j in gate_cols]
+            assert gate_ids == [v.id for v in m.variables if v.family in GATE_FAMILIES]
+            events = [j for j, v in enumerate(m.variables) if v.family in ("yso", "ypu")]
+            for share in (0.0, 0.05, 0.3, 1.0):
+                v = np.zeros(len(mx.ids), dtype=np.int64)
+                v[events] = rng.random(len(events)) < share
+                got = dict(zip(gate_ids, (counts @ v > 0).astype(int).tolist()))
+                assert got == infer_gate_values(m, dict(zip(mx.ids, v.tolist()))), (m.name, theta, share)
+                opened += sum(got.values())
+    assert opened > 0
 
 
 _EDGE_VALUES = (

@@ -25,6 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import methodcaller
 from time import perf_counter
 
 import numpy as np
@@ -181,10 +182,8 @@ def check_feasibility(m: MilpModel, values: dict[str, int]) -> list[ConstraintVi
         raise MissingVariableError(exc.args[0]) from None
     # Python ints that fit are an int64 point; any other values stay the
     # objects they are, so that the sums over them keep their types.
-    if set(map(type, point)) <= {int} and -(2**63) <= min(point, default=0) and max(point, default=0) < 2**63:
-        v = np.array(point, dtype=np.int64)
-    else:
-        v = np.array(point, dtype=object)
+    fits = set(map(type, point)) <= {int} and -(2**63) <= min(point, default=0) and max(point, default=0) < 2**63
+    v = np.array(point, dtype=np.int64 if fits else object)
     lhs = _row_values(mx, v)
     rows = _violated_rows(mx, lhs)
     cols = np.flatnonzero((v < mx.lower) | (v > mx.upper)) if v.dtype == np.int64 else np.arange(len(ids))
@@ -448,16 +447,16 @@ class _Repair:
         # counts as 0.
         col = lambda var_id: mx.column.get(var_id, n)
         flow_cols, y_cols, y_src, u_cols, u_src = [], [], [], [], []
-        for j, var in enumerate(m.variables):
-            if var.family == "x":
+        for j, (family, _, subject) in enumerate(map(methodcaller("partition", ":"), mx.ids)):
+            if family == "x":
                 flow_cols.append(j)
-            elif var.family in ("yso", "ypu"):
+            elif family in ("yso", "ypu"):
                 y_cols.append(j)
-                y_src.append(col(x_id(var.subject)))
-            elif var.family == "u":
+                y_src.append(col(x_id(subject)))
+            elif family == "u":
                 u_cols.append(j)
-                u_src.append(col(x_id(var.subject)))
-            elif var.family not in GATE_FAMILIES:
+                u_src.append(col(x_id(subject)))
+            elif family not in GATE_FAMILIES:
                 self.usable = False  # a family without a cheapest completion
                 return
         index = lambda cols: np.array(cols, dtype=np.intp)

@@ -852,3 +852,21 @@ def test_repair_gate_completion_matches_per_variable_loop(version):
     gates = [v.id for v in model.variables if v.family in ("z1", "z2", "w1", "w2")]
     passed = [got for got in _repaired(model, points) if got is not None]
     assert any(got[g] == 1 for got in passed for g in gates)
+
+
+def test_repair_reads_no_variable_objects():
+    """The repair sorts columns by the family in their ids, so a session on
+    a freshly built model leaves its lazy ``VarRef``s unmade, and each
+    column lands where a walk over those ``VarRef``s puts it."""
+    from railplan.solver import _Repair
+
+    _net, model = _assemble(generate_synthetic(1, 4, 8, 2))
+    repair = _Repair(model)
+    assert repair.usable and model.variables._items is None
+    column = model.matrix().column
+    families = [v.family for v in model.variables]
+    assert repair.flow_cols.tolist() == [j for j, f in enumerate(families) if f == "x"]
+    assert repair.y_cols.tolist() == [j for j, f in enumerate(families) if f in ("yso", "ypu")]
+    assert repair.u_cols.tolist() == [j for j, f in enumerate(families) if f == "u"]
+    sources = [column[f"x:{model.variables[j].subject}"] for j in (*repair.y_cols, *repair.u_cols)]
+    assert [*repair.y_src.tolist(), *repair.u_src.tolist()] == sources

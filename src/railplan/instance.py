@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 SCHEMA_VERSION = 1
@@ -413,11 +414,16 @@ def validate_instance(inst: Instance, include_warnings: bool = False) -> list[Vi
     ids = [t.id for t in inst.terminals]
     known = set(ids)
 
-    if len(known) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        out.append(
-            Violation("DUPLICATE_TERMINAL_ID", ",".join(dupes), "terminal ids must be unique")
-        )
+    train_ids = [t.id for t in inst.trains]
+    for code, what, given in (("DUPLICATE_TERMINAL_ID", "terminal", ids), ("DUPLICATE_TRAIN_ID", "train", train_ids)):
+        dupes = sorted(i for i, n in Counter(given).items() if n > 1)
+        if dupes:
+            out.append(Violation(code, ",".join(dupes), f"{what} ids must be unique"))
+        # Ids become parts of variable ids and row tags, which MPS fields
+        # separate by whitespace.
+        for i in given:
+            if any(map(str.isspace, i)):
+                out.append(Violation("BAD_ID", repr(i), f"{what} ids must hold no whitespace"))
 
     for (o, d), m in inst.transit.items():
         if o not in known or d not in known:

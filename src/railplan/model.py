@@ -40,7 +40,8 @@ _SENSE_CODES = {"<=": SENSE_LE, "=": SENSE_EQ, ">=": SENSE_GE}
 
 
 class ConfigError(ValueError):
-    """Raised when an extension configuration misses required parameters."""
+    """Raised for an extension configuration, a variable or a number that a
+    model cannot take."""
 
 
 class InfeasibleStartError(ValueError):
@@ -165,15 +166,18 @@ _GATE_PREFIXES = tuple(f"{family}:" for family in GATE_FAMILIES)
 class MilpModel:
     """A model's variables, rows, prices and provenance.
 
-    ``variables`` is a sequence of ``VarRef``s and ``constraints`` one of
-    ``LinearConstraint``s.  A model built by hand holds the variables and
-    rows it is given and compiles its matrix from them on first use.  A
-    built model (``build_base_model``, ``apply_extension``, ``with_budget``)
-    holds its matrix and reads its variables and rows from it only when
-    something iterates or indexes them.  A copy made by
-    ``dataclasses.replace`` compiles a matrix of its own.  The matrix is
-    int64 (``ModelMatrix``): the rows and bounds hold integers, and only the
-    objective and offset may hold floats.
+    Its columns and rows live in one place, its int64 matrix
+    (``ModelMatrix``): rows and bounds hold integers, and only the objective
+    and offset may hold floats.  ``variables`` (``VarRef``s) and
+    ``constraints`` (``LinearConstraint``s) are read-only views of it, read
+    when something first iterates or indexes them.  A variable's id is
+    ``family:subject``, split at its first ``:``.  A model built by hand, or
+    by ``dataclasses.replace``, compiles what it is given into a matrix of
+    its own at construction (``ModelMatrix.appended``), so a mismatched
+    ``VarRef``, a taken id or an undeclared variable raises there; its views
+    compare equal to the given tuples, with int bounds and coefficients.
+    ``build_base_model``, ``apply_extension`` and ``with_budget`` hand their
+    matrix over instead.
     """
 
     name: str
@@ -185,29 +189,39 @@ class MilpModel:
     network: SpaceTimeNetwork | None = None
     extension: ExtensionConfig | None = None
     start: dict[str, int] | None = None
-    _index: dict[str, int] = field(default_factory=dict, repr=False)
-    _matrix: "ModelMatrix | None" = field(default=None, init=False, repr=False, compare=False)
+    _matrix: "ModelMatrix" = field(default=None, init=False, repr=False, compare=False)
     # What a built model's prices are computed from, for repricing.
     _prices: "_PriceBasis | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self._index:
-            self._index = {v.id: i for i, v in enumerate(self.variables)}
-        rows = self.constraints
-        if isinstance(rows, _MatrixRows) and rows.matrix.column is self._index:
-            rows = ()  # read from a matrix over this model's own columns
-        _check_declared(self._index, rows, self.objective)
+        self._hold(_NO_COLUMNS.appended(_columns(self.variables), self.constraints))
+        for var in self.objective:
+            if var not in self._matrix.column:
+                raise ValueError(f"objective references undeclared {var}")
+
+    @classmethod
+    def _of(cls, matrix: "ModelMatrix", **fields) -> "MilpModel":
+        """The model of ``fields`` (the others keep their defaults) over
+        ``matrix``, handed over and not walked again: the caller vouches
+        that each objective key is one of its columns."""
+        model = cls.__new__(cls)
+        model.__dict__.update(fields)
+        model._hold(matrix)
+        return model
+
+    def _hold(self, matrix: "ModelMatrix") -> None:
+        self._matrix = matrix
+        self.variables = _MatrixVars(matrix)
+        self.constraints = _MatrixRows(matrix)
 
     def var(self, var_id: str) -> VarRef:
-        return self.variables[self._index[var_id]]
+        return self.variables[self._matrix.column[var_id]]
 
     def vars_of_family(self, family: str) -> list[VarRef]:
         return [v for v in self.variables if v.family == family]
 
     def matrix(self) -> "ModelMatrix":
-        """The compiled rows and column bounds, built on first use."""
-        if self._matrix is None:
-            self._matrix = ModelMatrix.from_rows(self.variables, self._index, self.constraints)
+        """The model's compiled rows and column bounds."""
         return self._matrix
 
     def extended(
@@ -218,57 +232,32 @@ class MilpModel:
         name_suffix: str = "",
     ) -> "MilpModel":
         """This model plus ``new_vars`` and ``new_constraints``, whose terms
-        are canonical.  ``new_vars`` are ``VarRef``s, or the ``_Columns`` of
-        variables named ``family:subject``, whose ``VarRef``s are made only
-        when something reads the variables.  The new variables are unpriced,
-        so the prices are this model's own dicts, shared rather than copied:
-        nothing writes to a model's objective.  The new rows are appended to
-        this model's matrix, and only they are checked against the
-        variables."""
-        mx = self.matrix()
-        variables = self.variables
-        given = variables.given if isinstance(variables, _MatrixVars) else ((0, tuple(variables)),)
-        if isinstance(new_vars, _Columns):
-            columns = new_vars
-        else:
-            new_vars = tuple(new_vars)
-            columns = _Columns(
-                [v.id for v in new_vars], [v.lower for v in new_vars], [v.upper for v in new_vars],
-                [v.binary for v in new_vars],
-            )
-            given += ((len(mx.ids), new_vars),)
-        index = dict(self._index)
-        index.update(zip(columns.ids, range(len(mx.ids), len(mx.ids) + len(columns.ids))))
-        matrix = mx.appended(columns, index, new_constraints)
-        return self._derived(
-            name=self.name + name_suffix,
-            variables=_MatrixVars(matrix, given),
-            constraints=_MatrixRows(matrix),
-            extension=extension,
-            start=None,
-            _index=index,
-            _matrix=matrix,
-        )
+        are canonical, appended to its matrix; only they are checked, as the
+        constructor checks them.  ``new_vars`` are ``VarRef``s or the
+        ``_Columns`` of variables named ``family:subject``.  The new
+        variables are unpriced, so the prices are this model's own dicts,
+        shared rather than copied: nothing writes to a model's objective."""
+        columns = new_vars if isinstance(new_vars, _Columns) else _columns(new_vars)
+        matrix = self._matrix.appended(columns, new_constraints)
+        return self._derived(matrix, name=self.name + name_suffix, extension=extension, start=None)
 
-    def _derived(self, **changes) -> "MilpModel":
-        """A copy of this model with ``changes`` to its fields, built without
-        ``__post_init__``'s walk over every row: the caller vouches that each
-        row term and objective key is one of the copy's variables.  The copy
-        keeps this model's compiled matrix unless ``changes`` set ``_matrix``."""
-        model = copy.copy(self)
-        model.__dict__.update(changes)
-        return model
+    def _derived(self, matrix: "ModelMatrix | None" = None, **changes) -> "MilpModel":
+        """A copy of this model with ``changes`` to its fields, over
+        ``matrix`` or else this model's matrix (see ``_of``)."""
+        return MilpModel._of(self._matrix if matrix is None else matrix, **{**vars(self), **changes})
 
 
-def _check_declared(index: dict[str, int], constraints, objective=()) -> None:
-    """Raise ``ValueError`` for a row term or objective key not in ``index``."""
-    for c in constraints:
-        for var, _ in c.terms:
-            if var not in index:
-                raise ValueError(f"constraint {c.tag} references undeclared {var}")
-    for var in objective:
-        if var not in index:
-            raise ValueError(f"objective references undeclared {var}")
+def _columns(variables) -> "_Columns":
+    """``variables``, ``VarRef``s, as new columns; ``ConfigError`` for one
+    whose family and subject are not its id's parts around its first ``:``."""
+    variables = tuple(variables)
+    for v in variables:
+        if (v.family, v.subject) != v.id.partition(":")[::2]:
+            raise ConfigError(f"variable {v.id}: family {v.family!r} and subject {v.subject!r} do not split its id")
+    return _Columns(
+        [v.id for v in variables], [v.lower for v in variables], [v.upper for v in variables],
+        [v.binary for v in variables],
+    )
 
 
 class _Block(NamedTuple):
@@ -329,8 +318,8 @@ class ModelMatrix:
     its right-hand sides and ``tags`` its tags; ``lower`` and ``upper`` are
     the column bounds and ``binary`` marks the binary columns.  Every bound,
     coefficient and right-hand side is an integer within EXACT_INT_LIMIT:
-    ``from_rows``, ``appended`` and ``build_base_model`` raise
-    ``ConfigError`` for any other number, and a rounded right-hand side
+    ``appended`` and ``build_base_model`` raise ``ConfigError`` for any
+    other number, and a rounded right-hand side
     (``_int_rhs``) keeps every integer point of its row.
     Integer points whose entries stay within ``value_limit`` have exact
     int64 row values.  The objective is not compiled: a sweep reprices one
@@ -361,26 +350,18 @@ class ModelMatrix:
         self.value_limit = EXACT_INT_LIMIT // max(1, max_row_abs)
         self.sessions = threading.local()
 
-    @classmethod
-    def from_rows(cls, variables, column: dict[str, int], rows) -> "ModelMatrix":
-        """The matrix of ``variables`` and ``rows`` (``column`` maps each
-        variable id to its position), compiled by a walk over the rows."""
-        ids = tuple(v.id for v in variables)
-        block = _checked_walk(rows, column)
-        A = sparse.csr_matrix(
-            (_int64(block.data), _int64(block.indices), _int64(block.indptr)), shape=(len(block.tags), len(ids))
-        )
-        return cls(
-            ids, column, A,
-            _bounds([v.lower for v in variables], "lower bound", ids),
-            _bounds([v.upper for v in variables], "upper bound", ids),
-            np.array([v.binary for v in variables], dtype=bool), _int64(block.rhs),
-            np.array(block.sense, dtype=np.int8), tuple(block.tags), block.max_row_abs,
-        )
-
-    def appended(self, columns: _Columns, column: dict[str, int], rows) -> "ModelMatrix":
-        """This matrix with ``columns`` and then ``rows`` added; ``column``
-        maps every id, old and new, to its position."""
+    def appended(self, columns: _Columns, rows) -> "ModelMatrix":
+        """This matrix with ``columns`` and then ``rows`` added, with
+        ``sessions`` of its own; ``ConfigError`` for a new column whose id is
+        taken."""
+        n = len(self.ids)
+        column = dict(self.column)
+        column.update(zip(columns.ids, range(n, n + len(columns.ids))))
+        if len(column) != n + len(columns.ids):
+            taken = next(
+                var_id for j, var_id in enumerate(columns.ids) if var_id in self.column or column[var_id] != n + j
+            )
+            raise ConfigError(f"variable {taken}: id is already taken")
         block = _checked_walk(rows, column)
         A = self.A
         n_rows, n_cols = A.shape
@@ -433,6 +414,14 @@ def _int64(values) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
+# The matrix of no columns and no rows, which every hand-built model's
+# matrix is appended to.
+_NO_COLUMNS = ModelMatrix(
+    (), {}, sparse.csr_matrix((0, 0), dtype=np.int64), _int64(()), _int64(()), np.zeros(0, dtype=bool),
+    _int64(()), np.zeros(0, dtype=np.int8), (), 0,
+)
+
+
 def _exact_ints(values, what: str, owner) -> None:
     """Raise ``ConfigError`` unless every entry of ``values`` is an integer
     within EXACT_INT_LIMIT (an integral float counts); ``owner(i)`` names
@@ -477,8 +466,7 @@ _SENSE_TEXT = {code: text for text, code in _SENSE_CODES.items()}
 
 
 class _ReadFromMatrix(Sequence):
-    """Items of a built model read from its matrix on first use and then
-    kept."""
+    """Items of a model read from its matrix on first use and then kept."""
 
     __slots__ = ("matrix", "_items")
 
@@ -509,7 +497,7 @@ class _ReadFromMatrix(Sequence):
 
 
 class _MatrixRows(_ReadFromMatrix):
-    """A built model's rows as ``LinearConstraint``s, whose coefficients
+    """A model's rows as ``LinearConstraint``s, whose coefficients
     and right-hand sides are the matrix's int64 entries as Python ints."""
 
     __slots__ = ()
@@ -536,22 +524,16 @@ class _MatrixRows(_ReadFromMatrix):
 
 
 class _MatrixVars(_ReadFromMatrix):
-    """A built model's variables as ``VarRef``s read from its matrix: an
-    id's family and subject are its parts before and after its first ``:``,
-    and its bounds are ints.  ``given`` holds ``(position, VarRefs)``
-    stretches that were handed in and are kept as they are: a hand-built
-    model's variables, and those ``MilpModel.extended`` was given."""
+    """A model's variables as ``VarRef``s read from its matrix: an id's
+    family and subject are its parts before and after its first ``:``, and
+    its bounds are ints."""
 
-    __slots__ = ("given",)
-
-    def __init__(self, matrix: ModelMatrix, given: tuple = ()):
-        super().__init__(matrix)
-        self.given = given
+    __slots__ = ()
 
     def _build(self) -> tuple[VarRef, ...]:
         mx = self.matrix
         parts = list(map(str.partition, mx.ids, repeat(":")))
-        variables = list(map(_new_var, zip(
+        return tuple(map(_new_var, zip(
             mx.ids,
             map(_first, parts),
             map(_third, parts),
@@ -559,9 +541,6 @@ class _MatrixVars(_ReadFromMatrix):
             mx.upper.tolist(),
             mx.binary.tolist(),
         )))
-        for start, given in self.given:
-            variables[start:start + len(given)] = given
-        return tuple(variables)
 
     def __len__(self) -> int:
         return len(self.matrix.ids)
@@ -867,19 +846,10 @@ def build_base_model(
         list(map(event_rates.__getitem__, by_id)),
     )
     objective, offset, decomposition = _price(basis, costs)
-    model = MilpModel(
-        name=name,
-        variables=_MatrixVars(matrix),
-        constraints=_MatrixRows(matrix),
-        objective=objective,
-        offset=offset,
-        decomposition=decomposition,
-        network=net,
-        _index=column,
+    return MilpModel._of(
+        matrix, name=name, objective=objective, offset=offset, decomposition=decomposition, network=net,
+        _prices=basis,
     )
-    model._matrix = matrix
-    model._prices = basis
-    return model
 
 
 def _arc_fields(net: SpaceTimeNetwork) -> Arc:
@@ -1049,8 +1019,7 @@ def with_budget(m: MilpModel, budget) -> MilpModel:
         raise ConfigError(f"{m.name} does not end in the rows of its {version} extension")
     rhs = mx.rhs.copy()
     rhs[len(rhs) - len(block.rhs):] = block.rhs
-    matrix = mx.with_rhs(rhs)
-    return m._derived(constraints=_MatrixRows(matrix), extension=cfg, start=None, _matrix=matrix)
+    return m._derived(mx.with_rhs(rhs), extension=cfg, start=None)
 
 
 def gate_incidence(mx: ModelMatrix) -> tuple[np.ndarray, sparse.csr_matrix]:

@@ -203,9 +203,7 @@ def compute_kpis(net: SpaceTimeNetwork | None, model: MilpModel, sol: Solution) 
                 light_arcs_used += 1
                 light_od.add((net.nodes[arc.tail].terminal, net.nodes[arc.head].terminal))
 
-    light_trains = sum(
-        values[v.id] for v in model.variables if v.family == "u"
-    )
+    light_trains = sum(values[var_id] for var_id in model.matrix().ids if var_id.startswith("u:"))
     coverage = (setouts + pickups) / opportunities if opportunities else 0.0
 
     active_days = [key for key, n in events.items() if n > 0]
@@ -357,7 +355,6 @@ def _cell_model(base: MilpModel, costs) -> MilpModel:
     matrix, and its prices key on base's own variable ids.  ``base`` is a
     built model: its prices are recomputed from what it was priced from."""
     objective, offset, decomposition = _price(base._prices, costs)
-    base.matrix()
     return base._derived(objective=objective, offset=offset, decomposition=decomposition)
 
 
@@ -385,7 +382,6 @@ def run_sweep(inst: Instance, cfg: SweepConfig) -> list[dict]:
         mcf_threshold=cfg.mcf_threshold,
         mcf_alpha=cfg.mcf_alpha,
     )
-    base.matrix()  # compiled here, not raced for by the threads
     solve_cell = partial(_sweep_row, base, inst.costs, cfg.parameter, cfg.budget)
     return _thread_map(solve_cell, cfg.factors, f"sweep {cfg.parameter}", "cells")
 

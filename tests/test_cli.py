@@ -108,6 +108,38 @@ def test_validate_agrees_with_build_past_2_52(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+def _rename(old, new):
+    return lambda doc: json.loads(json.dumps(doc).replace(json.dumps(old), json.dumps(new)))
+
+
+def _duplicate_train(doc):
+    doc["trains"][1]["id"] = doc["trains"][0]["id"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_duplicate_train, "[DUPLICATE_TRAIN_ID] t1: train ids must be unique"),
+        (_rename("K0", "K0 x"), "[BAD_ID] 'K0 x': terminal ids must hold no whitespace"),
+        (_rename("t2", "t\t2"), "[BAD_ID] 't\\t2': train ids must hold no whitespace"),
+    ],
+    ids=["duplicate-train", "terminal-space", "train-tab"],
+)
+def test_ids_that_would_name_columns_twice_or_split_mps_fields_exit_2(tmp_path, capsys, edit, message):
+    """Train and terminal ids become parts of column and row names: two
+    trains sharing an id would name columns twice, and whitespace would
+    split an MPS field.  ``validate`` and ``build`` both refuse them."""
+    doc = edit(instance_to_dict(attach_synthetic_baseline(generate_synthetic(1, 3, 4, 2), 1)))
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["build", "--instance", str(path), "--out", str(tmp_path / "m.mps")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.mps").exists()
+
+
 def test_build_writes_mps_and_dump(tmp_path, three_terminal_example):
     inst_path = _write(tmp_path, three_terminal_example)
     mps_path = tmp_path / "model.mps"

@@ -18,6 +18,7 @@ from railplan.model import (
     ExtensionConfig,
     InfeasibleStartError,
     LinearConstraint,
+    MilpModel,
     VarRef,
     apply_extension,
     build_base_model,
@@ -600,11 +601,9 @@ def test_new_rows_and_objective_keys_are_still_checked(ladder_instance):
     """Derived models (warm starts, sweep cells, ladder rungs) skip the walk
     over rows they share; any construction that brings new rows or
     objective keys still checks them."""
-    from railplan.model import MilpModel
-
     _net, model = _build(ladder_instance)
     ghost = LinearConstraint((("x:ghost", 1),), "<=", 1, "ghost")
-    variables = (VarRef(id="a", family="x", subject="a", lower=0, upper=1),)
+    variables = (VarRef(id="x:a", family="x", subject="a", lower=0, upper=1),)
     with pytest.raises(ValueError, match="constraint ghost references undeclared x:ghost"):
         MilpModel("hand", variables, (ghost,), {}, 0, {})
     with pytest.raises(ValueError, match="objective references undeclared x:ghost"):
@@ -616,6 +615,95 @@ def test_new_rows_and_objective_keys_are_still_checked(ladder_instance):
     with pytest.raises(ValueError, match="undeclared x:ghost"):
         model.extended([], [ghost], ExtensionConfig())
     # A new row may use the variables added with it.
-    var = VarRef(id="x:ghost", family="z1", subject="ghost", lower=0, upper=1, binary=True)
+    var = VarRef(id="x:ghost", family="x", subject="ghost", lower=0, upper=1, binary=True)
     grown = model.extended([var], [ghost], ExtensionConfig())
-    assert grown.var("x:ghost") is var and grown.constraints[-1] == ghost
+    assert grown.var("x:ghost") == var and grown.constraints[-1] == ghost
+
+
+# ---------------------------------------------------------------------------
+# One construction path: a model holds its matrix from construction
+
+
+def _hand(variables, constraints=(), **fields):
+    return MilpModel("hand", tuple(variables), tuple(constraints), fields.pop("objective", {}), 0, {}, **fields)
+
+
+_X_A = VarRef(id="x:a", family="x", subject="a", lower=0, upper=2)
+
+
+@pytest.mark.parametrize(
+    "var",
+    [
+        VarRef(id="a", family="x", subject="a", lower=0, upper=1),
+        VarRef(id="x:b", family="z1", subject="b", lower=0, upper=1),
+        VarRef(id="x:b", family="x", subject="c", lower=0, upper=1),
+        VarRef(id="x:b:1", family="x:b", subject="1", lower=0, upper=1),
+    ],
+    ids=["no-family", "family", "subject", "split-late"],
+)
+def test_a_variable_is_named_family_colon_subject(ladder_instance, var):
+    """A ``VarRef``'s family and subject are its id's parts around its first
+    ``:``, as every reader of the matrix ids takes them; any other one
+    raises ``ConfigError`` naming it, by hand and in ``extended``."""
+    _net, model = _build(ladder_instance)
+    message = f"^variable {var.id}: family {var.family!r} and subject {var.subject!r} "
+    with pytest.raises(ConfigError, match=message):
+        _hand([_X_A, var])
+    with pytest.raises(ConfigError, match=message):
+        model.extended([var], [], ExtensionConfig())
+    ok = var._replace(family=var.id.partition(":")[0], subject=var.id.partition(":")[2])
+    assert _hand([_X_A, ok]).var(ok.id) == ok
+
+
+def test_a_taken_variable_id_raises(ladder_instance):
+    """Two columns of one id would leave the second unreachable by name:
+    by hand, in ``replace`` and in ``extended``, one new id that is taken
+    raises ``ConfigError`` naming it."""
+    _net, model = _build(ladder_instance)
+    taken = model.matrix().ids[3]
+    family, _, subject = taken.partition(":")
+    again = VarRef(id=taken, family=family, subject=subject, lower=0, upper=1)
+    other = VarRef(id="x:b", family="x", subject="b", lower=0, upper=1)
+    with pytest.raises(ConfigError, match="^variable x:a: id is already taken$"):
+        _hand([_X_A, other, _X_A])
+    with pytest.raises(ConfigError, match="^variable x:a: id is already taken$"):
+        replace(_hand([_X_A]), variables=(_X_A, _X_A))
+    with pytest.raises(ConfigError, match=f"^variable {taken}: id is already taken$"):
+        model.extended([again], [], ExtensionConfig())
+    with pytest.raises(ConfigError, match="^variable x:b: id is already taken$"):
+        model.extended([other, other], [], ExtensionConfig())
+    assert len(model.extended([other], [], ExtensionConfig()).matrix().ids) == len(model.matrix().ids) + 1
+
+
+def test_a_hand_built_model_holds_its_matrix_from_construction():
+    """The constructor compiles what it is given: a number the matrix
+    cannot hold raises there, and the variables and rows are views of the
+    matrix that compare equal to the tuples given, bounds and
+    coefficients read back as ints."""
+    row = LinearConstraint((("x:a", 1.0), ("x:b", 2)), "<=", 3.0, "cap")
+    variables = (_X_A, VarRef(id="x:b", family="x", subject="b", lower=0.0, upper=1, binary=True))
+    model = _hand(variables, (row,), objective={"x:a": 1.5})
+    mx = model.matrix()
+    assert model.variables.matrix is mx and model.constraints.matrix is mx
+    assert model.variables == variables and model.constraints == (row,)
+    assert type(model.variables[1].lower) is int and type(model.constraints[0].terms[0][1]) is int
+    with pytest.raises(ConfigError, match="^row half: coefficient 0.5 "):
+        _hand(variables, (LinearConstraint((("x:a", 0.5),), "<=", 1, "half"),))
+    with pytest.raises(ValueError, match="constraint ghost references undeclared x:c"):
+        _hand(variables, (LinearConstraint((("x:c", 1),), "<=", 1, "ghost"),))
+
+
+def test_a_replace_copy_owns_a_new_matrix(ladder_instance):
+    """``dataclasses.replace`` compiles the copy's own matrix, and so its
+    own solve sessions, at construction: equal arrays, not shared ones."""
+    _net, base = _build(ladder_instance)
+    for model in (base, _hand([_X_A], objective={"x:a": 1})):
+        own = replace(model, name="own")
+        mx, own_mx = model.matrix(), own.matrix()
+        assert own.variables.matrix is own_mx is not mx and own_mx.sessions is not mx.sessions
+        assert own_mx.ids == mx.ids and own_mx.tags == mx.tags and own_mx.column == mx.column
+        for name in ("indptr", "indices", "data"):
+            assert getattr(own_mx.A, name).tolist() == getattr(mx.A, name).tolist()
+        assert own_mx.rhs.tolist() == mx.rhs.tolist() and own_mx.sense.tolist() == mx.sense.tolist()
+        assert own_mx.lower.tolist() == mx.lower.tolist() and own_mx.upper.tolist() == mx.upper.tolist()
+        assert own.variables == model.variables and own.constraints == model.constraints

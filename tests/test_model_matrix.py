@@ -70,15 +70,15 @@ def _extension_configs(baseline):
 
 def _hand_model(constraints, variables=None):
     variables = variables or (
-        VarRef(id="a", family="x", subject="a", lower=0, upper=4),
-        VarRef(id="b", family="x", subject="b", lower=-2, upper=3),
-        VarRef(id="c", family="u", subject="c", lower=0, upper=1, binary=True),
+        VarRef(id="x:a", family="x", subject="a", lower=0, upper=4),
+        VarRef(id="x:b", family="x", subject="b", lower=-2, upper=3),
+        VarRef(id="u:c", family="u", subject="c", lower=0, upper=1, binary=True),
     )
     return MilpModel(
         name="hand",
         variables=tuple(variables),
         constraints=tuple(constraints),
-        objective={"a": 1, "c": 2.5},
+        objective={"x:a": 1, "u:c": 2.5},
         offset=0,
         decomposition={},
         network=None,
@@ -89,28 +89,28 @@ def _hand_models():
     """(model, point) pairs built by hand: >= rows, an empty row, and rows
     whose right-hand sides are large enough that the checker's relative
     tolerance forgives a slack of -1."""
-    point = {"a": 1, "b": 0, "c": 1}
+    point = {"x:a": 1, "x:b": 0, "u:c": 1}
     wide = (
-        VarRef(id="a", family="x", subject="a", lower=0, upper=10**9),
-        VarRef(id="b", family="x", subject="b", lower=-(10**8), upper=10**8),
-        VarRef(id="c", family="u", subject="c", lower=0, upper=1, binary=True),
+        VarRef(id="x:a", family="x", subject="a", lower=0, upper=10**9),
+        VarRef(id="x:b", family="x", subject="b", lower=-(10**8), upper=10**8),
+        VarRef(id="u:c", family="u", subject="c", lower=0, upper=1, binary=True),
     )
     return [
         (_hand_model([]), point),
         (
             _hand_model([
-                LinearConstraint((("a", 1), ("b", 2)), ">=", 0, "ge0"),
-                LinearConstraint((("a", 1), ("c", -3)), "<=", 1, "le"),
-                LinearConstraint((("b", 1), ("c", 1)), "=", 1, "eq"),
-                LinearConstraint((("a", 2), ("b", -1)), ">=", -3, "ge"),
+                LinearConstraint((("x:a", 1), ("x:b", 2)), ">=", 0, "ge0"),
+                LinearConstraint((("x:a", 1), ("u:c", -3)), "<=", 1, "le"),
+                LinearConstraint((("x:b", 1), ("u:c", 1)), "=", 1, "eq"),
+                LinearConstraint((("x:a", 2), ("x:b", -1)), ">=", -3, "ge"),
             ]),
             point,
         ),
         (
             _hand_model([
-                LinearConstraint((("a", 1), ("b", 2)), ">=", 3, "ge3"),
-                LinearConstraint((("a", 1),), "<=", 3, "le"),
-                LinearConstraint((("b", 1), ("c", 2)), ">=", 0, "int_ge0"),  # b_ub gets 0.0, not -0.0
+                LinearConstraint((("x:a", 1), ("x:b", 2)), ">=", 3, "ge3"),
+                LinearConstraint((("x:a", 1),), "<=", 3, "le"),
+                LinearConstraint((("x:b", 1), ("u:c", 2)), ">=", 0, "int_ge0"),  # b_ub gets 0.0, not -0.0
             ]),
             point,
         ),
@@ -118,25 +118,25 @@ def _hand_models():
         (
             _hand_model(
                 [
-                    LinearConstraint((("a", 1), ("b", 1)), "<=", 20_000_000, "big_le"),
-                    LinearConstraint((("a", 1),), "=", 30_000_000, "big_eq"),
-                    LinearConstraint((("a", -1), ("b", -1)), ">=", -20_000_000, "big_ge"),
+                    LinearConstraint((("x:a", 1), ("x:b", 1)), "<=", 20_000_000, "big_le"),
+                    LinearConstraint((("x:a", 1),), "=", 30_000_000, "big_eq"),
+                    LinearConstraint((("x:a", -1), ("x:b", -1)), ">=", -20_000_000, "big_ge"),
                 ],
                 variables=wide,
             ),
-            {"a": 30_000_001, "b": -10_000_000, "c": 0},  # every slack -1, forgiven
+            {"x:a": 30_000_001, "x:b": -10_000_000, "u:c": 0},  # every slack -1, forgiven
         ),
         (
             # Bounds at the exact-integer limit: 4096 * a can pass int64.
             _hand_model(
-                [LinearConstraint((("a", 4096), ("b", 1)), "<=", 2**40, "steep")],
+                [LinearConstraint((("x:a", 4096), ("x:b", 1)), "<=", 2**40, "steep")],
                 variables=(
-                    VarRef(id="a", family="x", subject="a", lower=0, upper=EXACT_INT_LIMIT),
-                    VarRef(id="b", family="x", subject="b", lower=-EXACT_INT_LIMIT, upper=EXACT_INT_LIMIT),
-                    VarRef(id="c", family="u", subject="c", lower=0, upper=1, binary=True),
+                    VarRef(id="x:a", family="x", subject="a", lower=0, upper=EXACT_INT_LIMIT),
+                    VarRef(id="x:b", family="x", subject="b", lower=-EXACT_INT_LIMIT, upper=EXACT_INT_LIMIT),
+                    VarRef(id="u:c", family="u", subject="c", lower=0, upper=1, binary=True),
                 ),
             ),
-            {"a": 1, "b": 0, "c": 0},
+            {"x:a": 1, "x:b": 0, "u:c": 0},
         ),
     ]
 
@@ -201,24 +201,24 @@ def test_hand_built_numbers_must_be_exact_integers():
     alike.  An integral float is taken as its integer, and the objective
     stays free to be a float."""
     bad_rows = (
-        LinearConstraint((("a", 0.5), ("b", 1)), ">=", 1, "half"),
-        LinearConstraint((("a", 1),), "<=", 1.5, "frac_rhs"),
-        LinearConstraint((("a", 2**60),), "<=", 0, "huge"),
+        LinearConstraint((("x:a", 0.5), ("x:b", 1)), ">=", 1, "half"),
+        LinearConstraint((("x:a", 1),), "<=", 1.5, "frac_rhs"),
+        LinearConstraint((("x:a", 2**60),), "<=", 0, "huge"),
     )
     for row in bad_rows:
         with pytest.raises(ConfigError, match=f"^row {row.tag}: "):
             _hand_model([row]).matrix()
         with pytest.raises(ConfigError, match=f"^row {row.tag}: "):
             _hand_model([]).extended([], [row], ExtensionConfig())
-    fractional = VarRef(id="d", family="x", subject="d", lower=0, upper=2.5)
-    with pytest.raises(ConfigError, match="^variable d: upper bound 2.5 "):
+    fractional = VarRef(id="x:d", family="x", subject="d", lower=0, upper=2.5)
+    with pytest.raises(ConfigError, match="^variable x:d: upper bound 2.5 "):
         _hand_model([], variables=_hand_model([]).variables + (fractional,)).matrix()
-    with pytest.raises(ConfigError, match="^variable d: upper bound 2.5 "):
+    with pytest.raises(ConfigError, match="^variable x:d: upper bound 2.5 "):
         _hand_model([]).extended([fractional], [], ExtensionConfig())
 
     model = _hand_model([
-        LinearConstraint((("a", 1.0), ("b", 1)), "<=", 4.0, "whole"),
-        LinearConstraint((("c", 1),), ">=", 1, "open"),
+        LinearConstraint((("x:a", 1.0), ("x:b", 1)), "<=", 4.0, "whole"),
+        LinearConstraint((("u:c", 1),), ">=", 1, "open"),
     ])
     mx = model.matrix()
     assert (mx.A.data.tolist(), mx.rhs.tolist(), mx.rhs.dtype) == ([1, 1, 1], [4, 1], np.int64)

@@ -64,10 +64,17 @@ def _read_back(model, path):
     return highs
 
 
+# The variables each model built by hand is given.
+_HAND_VARIABLES = {
+    "empty column": (VarRef(id="x:a", family="x", subject="a", lower=0, upper=5),),
+    "offset": (VarRef(id="x:a", family="x", subject="a", lower=0, upper=3),),
+}
+
+
 def _empty_column_model() -> MilpModel:
     return MilpModel(
         name="empty",
-        variables=(VarRef(id="x:a", family="x", subject="a", lower=0, upper=5),),
+        variables=_HAND_VARIABLES["empty column"],
         constraints=(),
         objective={},
         offset=0,
@@ -78,7 +85,7 @@ def _empty_column_model() -> MilpModel:
 def _offset_model() -> MilpModel:
     return MilpModel(
         name="offset",
-        variables=(VarRef(id="x:a", family="x", subject="a", lower=0, upper=3),),
+        variables=_HAND_VARIABLES["offset"],
         constraints=(LinearConstraint(terms=(("x:a", 1),), sense="<=", rhs=2, tag="cap:a"),),
         objective={"x:a": 7},
         offset=-42,
@@ -252,15 +259,15 @@ def test_mps_bytes_match_frozen_digests(tmp_path, case):
 
 @pytest.mark.parametrize("case", sorted(_MPS_CASES))
 def test_variables_equal_the_arc_walk(case):
-    """A built model's variables, read from its matrix, are the ones a walk
-    over its network's arcs makes, number types included; a model built by
-    hand keeps the tuple it was given."""
+    """A model's variables, read from its matrix, are the ones a walk over
+    its network's arcs makes, number types included, or for a model built by
+    hand the ones it was given."""
     typed = lambda variables: [(tuple(var), tuple(map(type, var))) for var in variables]
     for label, model in _MPS_CASES[case]():
         if model.network is None:
-            assert type(model.variables) is tuple, label
-            continue
-        want = variables_by_arc_walk(model.network, model.network.instance.costs, model.extension)
+            want = _HAND_VARIABLES[label]
+        else:
+            want = variables_by_arc_walk(model.network, model.network.instance.costs, model.extension)
         assert typed(model.variables) == typed(want), (case, label)
 
 

@@ -83,6 +83,17 @@ def test_light_train_minutes_and_count():
     assert sum(k.activity_shares.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_kpis_read_the_matrix_ids_not_the_variables():
+    """A solve and then its KPIs on a built model make no ``VarRef``: the
+    light-train count sums the values of the matrix's ``u:`` ids."""
+    inst = generate_synthetic(1, 4, 8, 2)
+    net, _specs, model = assemble(inst)
+    sol = solve_bb(model, SolveBudget(max_seconds=60, max_nodes=200))
+    k = compute_kpis(net, model, sol)
+    assert model.variables._items is None
+    assert k.light_trains == sum(sol.values[v.id] for v in model.vars_of_family("u")) == 3
+
+
 def test_kpis_reject_infeasible_values(round_trip_instance):
     merged, model, sol = _solve(round_trip_instance)
     from dataclasses import replace

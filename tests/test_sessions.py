@@ -280,8 +280,8 @@ _VALUE = st.one_of(st.integers(-20, 20), st.integers(-(2**40), 2**40), st.intege
 
 
 def _model(coefs, offset):
-    variables = tuple(VarRef(id=f"v{j}", family="x", subject=f"v{j}", lower=0, upper=1) for j in range(len(coefs)))
-    objective = {f"v{j}": c for j, c in coefs if c != 0}
+    variables = tuple(VarRef(id=f"x:v{j}", family="x", subject=f"v{j}", lower=0, upper=1) for j in range(len(coefs)))
+    objective = {f"x:v{j}": c for j, c in coefs if c != 0}
     return MilpModel("screen", variables, (), objective, offset, {}, network=None)
 
 
@@ -327,16 +327,16 @@ def test_screened_integral_point_that_fails_still_splits(monkeypatch):
     """The root LP point is within INT_TOL of (1, 0, 1), which breaks the row
     and is worth more than the start; the optimum (1, 1, 1) lies below the
     root, so the root must split, not close."""
-    variables = tuple(VarRef(id=v, family="x", subject=v, lower=0, upper=1) for v in ("x", "y", "w"))
-    row = LinearConstraint((("x", 2_000_000), ("y", -1)), "=", 1_999_999, "near")
-    objective = {"x": 1000, "y": -2.5e-4, "w": -1e-4}
-    model = MilpModel("near", variables, (row,), objective, -1000, {}, start={"x": 1, "y": 1, "w": 0})
+    variables = tuple(VarRef(id=f"x:{v}", family="x", subject=v, lower=0, upper=1) for v in ("x", "y", "w"))
+    row = LinearConstraint((("x:x", 2_000_000), ("x:y", -1)), "=", 1_999_999, "near")
+    objective = {"x:x": 1000, "x:y": -2.5e-4, "x:w": -1e-4}
+    model = MilpModel("near", variables, (row,), objective, -1000, {}, start={"x:x": 1, "x:y": 1, "x:w": 0})
     screen = solver._cannot_improve
     screened = []
     monkeypatch.setattr(solver, "_cannot_improve", lambda *args: screened.append(screen(*args)) or screened[-1])
     sol = solve_bb(model)
     assert screened == [True, False]
-    assert sol.status == "optimal" and sol.values == {"x": 1, "y": 1, "w": 1}
+    assert sol.status == "optimal" and sol.values == {"x:x": 1, "x:y": 1, "x:w": 1}
     assert sol.objective == pytest.approx(solve_enumeration(model).objective, abs=1e-12)
     monkeypatch.setattr(solver, "_cannot_improve", lambda *args: False)
     assert _outcome(solve_bb(model)) == _outcome(sol)
